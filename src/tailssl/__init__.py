@@ -21,7 +21,7 @@ from .data import (
 )
 from .errors import ConfigError, DatasetFormatError, TrainingDivergedError
 from .estimator import PseudoLabelLedger
-from .membank import FeatureRecord, MemoryBank, stream_entropy
+from .membank import MemoryBank, stream_entropy
 from .metrics import (
     EvalReport,
     estimation_error,
@@ -42,7 +42,6 @@ __all__ = [
     "DatasetFormatError",
     "DatasetSpec",
     "EvalReport",
-    "FeatureRecord",
     "MemoryBank",
     "PseudoLabelLedger",
     "Split",

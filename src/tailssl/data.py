@@ -264,6 +264,10 @@ def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> 
                 raise DatasetFormatError(f"{csv_path}:{lineno}: unknown split {split!r}")
             if label < -1:
                 raise DatasetFormatError(f"{csv_path}:{lineno}: label must be >= -1")
+            if num_classes is not None and label >= num_classes:
+                raise DatasetFormatError(
+                    f"{csv_path}:{lineno}: label {label} >= num_classes {num_classes}"
+                )
             if split == "test" and label < 0:
                 raise DatasetFormatError(f"{csv_path}:{lineno}: test rows must be labeled")
             ids[split].append(sid)

@@ -10,9 +10,15 @@ uniformly over stored records, i.e. class probability proportional to C_k, so
 a beta = 0 bank mirrors its input stream. Retrieval reverses the estimated
 class distribution: class k is drawn with probability proportional to
 1/M_k^lambda over non-empty classes, then a record uniformly within the class.
-"""
 
-from dataclasses import dataclass
+Storage is preallocated arrays, with no object per record. Slot i is row i of
+`features` (capacity, d) and of `labels` (capacity,). Each class keeps a FIFO
+list of its slots, oldest first; records of a class arrive in step order, so
+eviction pops the head. Free slots sit on a stack, and an int64 array of class
+sizes is updated on every insert and eviction. `get` draws all n
+within-class positions with one vectorised `rng.integers` call and returns
+slot rows, which callers use to index `features` and `labels`.
+"""
 
 import numpy as np
 
@@ -55,67 +61,82 @@ def retrieval_distribution(
     return weights / weights.sum()
 
 
-@dataclass
-class FeatureRecord:
-    feature: np.ndarray  # encoder output, treated as a constant afterwards
-    pseudo_label: int
-    confidence: float  # gating confidence at insertion time (>= tau)
-    step: int
-    source_view: str  # "weak" | "strong"
-
-
 class MemoryBank:
     """Exclusive-access mutable store; one logical writer, no internal locking."""
 
-    def __init__(self, capacity: int, num_classes: int, beta: float):
+    def __init__(self, capacity: int, num_classes: int, beta: float, feature_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if beta < 0:
             raise ValueError("beta must be >= 0")
+        if feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
         self.capacity = capacity
         self.num_classes = num_classes
         self.beta = beta
-        self.per_class: list[list[FeatureRecord]] = [[] for _ in range(num_classes)]
+        self.features = np.zeros((capacity, feature_dim))
+        self.labels = np.zeros(capacity, dtype=np.int64)
+        self._counts = np.zeros(num_classes, dtype=np.int64)
+        self._fifo: list[list[int]] = [[] for _ in range(num_classes)]  # slots, oldest first
+        self._free = list(range(capacity - 1, -1, -1))  # stack; slot 0 is used first
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self.per_class)
+        return self.capacity - len(self._free)
 
     def counts(self) -> np.ndarray:
-        return np.array([len(q) for q in self.per_class], dtype=np.int64)
+        return self._counts.copy()
 
-    def enqueue(self, record: FeatureRecord, rng: np.random.Generator) -> bool:
+    def rows(self, k: int) -> np.ndarray:
+        """Slot rows of class k, oldest first."""
+        return np.array(self._fifo[k], dtype=np.int64)
+
+    def insert(self, feature: np.ndarray, label: int) -> None:
+        """Copy a record into a free slot, with no acceptance draw and no eviction."""
+        if not 0 <= label < self.num_classes:
+            raise ValueError(f"pseudo_label {label} out of range")
+        if not self._free:
+            raise ValueError("cannot insert into a full bank")
+        slot = self._free.pop()
+        self.features[slot] = feature
+        self.labels[slot] = label
+        self._fifo[label].append(slot)
+        self._counts[label] += 1
+
+    def enqueue(self, feature: np.ndarray, label: int, rng: np.random.Generator) -> bool:
         """Accept with probability 1/C_k^beta (C_k read before insertion; 1 if empty).
 
         An accepted insert at capacity dequeues exactly once first, so the
         capacity invariant holds after every call.
         """
-        k = record.pseudo_label
-        if not 0 <= k < self.num_classes:
-            raise ValueError(f"pseudo_label {k} out of range")
-        if rng.random() >= accept_probability(len(self.per_class[k]), self.beta):
+        if not 0 <= label < self.num_classes:
+            raise ValueError(f"pseudo_label {label} out of range")
+        if rng.random() >= accept_probability(self._counts[label], self.beta):
             return False
-        if len(self) >= self.capacity:
+        if not self._free:
             self.dequeue(rng)
-        self.per_class[k].append(record)
+        self.insert(feature, label)
         return True
 
-    def dequeue(self, rng: np.random.Generator) -> FeatureRecord:
+    def dequeue(self, rng: np.random.Generator) -> int:
         """Evict the oldest record of a victim class drawn by eviction weight.
 
         Victim class ~ 1 - 1/C_k^beta over non-empty classes; if all weights
-        are zero the draw is uniform over stored records (~ C_k).
+        are zero the draw is uniform over stored records (~ C_k). Returns the
+        freed slot, whose features/labels rows keep the evicted record until
+        the next insert.
         """
-        counts = self.counts()
-        if counts.sum() == 0:
+        counts = self._counts
+        if not len(self):
             raise ValueError("cannot dequeue from an empty bank")
         probs = eviction_distribution(counts, self.beta)
         support = np.flatnonzero(counts)  # boundary draws must never hit empty classes
         victim = int(rng.choice(support, p=probs[support] / probs[support].sum()))
-        queue = self.per_class[victim]
-        oldest = min(range(len(queue)), key=lambda i: queue[i].step)
-        return queue.pop(oldest)
+        slot = self._fifo[victim].pop(0)
+        counts[victim] -= 1
+        self._free.append(slot)
+        return slot
 
     def get(
         self,
@@ -123,33 +144,34 @@ class MemoryBank:
         n: int,
         lam: float,
         rng: np.random.Generator,
-    ) -> list[FeatureRecord]:
-        """Draw n records with replacement, reversing the estimated distribution.
+    ) -> np.ndarray:
+        """Draw n slot rows with replacement, reversing the estimated distribution.
 
         Class k is chosen with probability proportional to 1/M_k^lambda over
-        non-empty classes; within a class records are uniform. Returns an
-        empty list only when the bank is empty.
+        non-empty classes; within a class records are uniform. Index
+        `features`/`labels` with the result. It is empty only when n is 0 or
+        the bank is empty.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         estimated = np.asarray(estimated_counts, dtype=np.float64)
         if estimated.shape != (self.num_classes,):
             raise ValueError("estimated_counts must have one entry per class")
-        counts = self.counts()
-        if n == 0 or counts.sum() == 0:
-            return []
+        counts = self._counts
+        if n == 0 or not len(self):
+            return np.zeros(0, dtype=np.int64)
         probs = retrieval_distribution(estimated, counts, lam)
         support = np.flatnonzero(counts)
         classes = rng.choice(support, size=n, p=probs[support] / probs[support].sum())
-        picks = []
-        for k in classes:
-            queue = self.per_class[int(k)]
-            picks.append(queue[int(rng.integers(len(queue)))])
-        return picks
+        positions = rng.integers(0, counts[classes])
+        fifo = self._fifo
+        return np.array(
+            [fifo[k][i] for k, i in zip(classes.tolist(), positions.tolist())], dtype=np.int64
+        )
 
     def balance_entropy(self) -> float:
         """Shannon entropy of the in-memory class distribution, normalized by ln K."""
-        counts = self.counts()
+        counts = self._counts
         total = counts.sum()
         if total == 0:
             raise ValueError("balance_entropy of an empty bank is undefined")

@@ -109,12 +109,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     )
 
 
-def add_params(acc: ModelParams, other: ModelParams, scale: float = 1.0) -> None:
-    """acc += scale * other, elementwise over the whole tree (in place)."""
-    for a, o in zip(iter_arrays(acc), iter_arrays(other)):
-        a += scale * o
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 from .data import AugmentConfig, Dataset, strong_augment, weak_augment
 from .errors import TrainingDivergedError
 from .estimator import PseudoLabelLedger
-from .membank import FeatureRecord, MemoryBank
+from .membank import MemoryBank
 from .metrics import (
     default_shot_thresholds,
     estimation_error,
@@ -114,6 +114,8 @@ class TrainConfig:
             raise ValueError("bmb mode requires memory_capacity >= 1")
         if self.batch_size < 1 or self.epochs < 0 or self.iters_per_epoch < 1:
             raise ValueError("batch_size/iters_per_epoch must be >= 1, epochs >= 0")
+        if (self.shot_many_min is None) != (self.shot_few_max is None):
+            raise ValueError("shot_many_min and shot_few_max must be set together or not at all")
 
 
 @dataclass
@@ -157,7 +159,9 @@ def init_state(cfg: TrainConfig, labeled_class_counts: np.ndarray) -> TrainState
         params=params,
         ema=init_ema(params, cfg.ema_decay),
         adam=init_adam(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps),
-        bank=MemoryBank(max(cfg.memory_capacity, 1), cfg.num_classes, cfg.beta),
+        bank=MemoryBank(
+            max(cfg.memory_capacity, 1), cfg.num_classes, cfg.beta, cfg.hidden_sizes[-1]
+        ),
         ledger=PseudoLabelLedger(cfg.num_classes),
         labeled_class_counts=np.maximum(np.asarray(labeled_class_counts, dtype=np.int64), 1),
         rngs=RngStreams(batch_rng, augment_rng, bank_rng),
@@ -247,42 +251,33 @@ def compute_step(
             # (3) confident samples feed the ledger and the bank (auxiliary labels,
             # since those drive reversed sampling and the unlabeled weights)
             attempts = accepted = 0
-            views = {"weak": (feats_uw, "weak"), "strong": (feats_us, "strong")}
-            chosen = (
-                list(views.values())
-                if cfg.memory_content == "both"
-                else [views[cfg.memory_content]]
-            )
+            chosen = {"weak": [feats_uw], "strong": [feats_us], "both": [feats_uw, feats_us]}[
+                cfg.memory_content
+            ]
             for j in np.flatnonzero(mask):
-                state.ledger.record(int(unlabeled_ids[j]), int(qhat_a[j]))
-                for feats, view_name in chosen:
-                    rec = FeatureRecord(
-                        feature=feats[j].copy(),
-                        pseudo_label=int(qhat_a[j]),
-                        confidence=float(conf[j]),
-                        step=state.step,
-                        source_view=view_name,
-                    )
+                label = int(qhat_a[j])
+                state.ledger.record(int(unlabeled_ids[j]), label)
+                for feats in chosen:
                     attempts += 1
-                    accepted += int(state.bank.enqueue(rec, state.rngs.bank))
+                    accepted += int(state.bank.enqueue(feats[j], label, state.rngs.bank))
             accept_rate = accepted / attempts if attempts else 0.0
 
             # (4) memory loss over re-sampled features; gradients reach only the
             # auxiliary head because the stored features are constants
             n_mem = round_half_up(cfg.get_fraction * b)
-            records = state.bank.get(
+            rows = state.bank.get(
                 state.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, state.rngs.bank
             )
-            if records:
-                feats_m = np.stack([r.feature for r in records])
-                labels_m = np.array([r.pseudo_label for r in records])
+            if len(rows):
+                feats_m = state.bank.features[rows]
+                labels_m = state.bank.labels[rows]
                 logits_m = head_forward(p.aux_head, feats_m)
                 loss_mem, dlog_m = weighted_masked_ce(
                     logits_m,
                     labels_m,
-                    np.ones(len(records)),
-                    np.ones(len(records), dtype=bool),
-                    len(records),
+                    np.ones(len(rows)),
+                    np.ones(len(rows), dtype=bool),
+                    len(rows),
                 )
                 g_aux_m, _ = head_backward(p.aux_head, feats_m, dlog_m)
                 _add_head(grads.aux_head, g_aux_m, scale=cfg.lambda_m)
@@ -351,13 +346,6 @@ def predict(state: TrainState, x: np.ndarray, use_ema: bool = True) -> np.ndarra
     return head_forward(head, feats).argmax(axis=1)
 
 
-def encode(state: TrainState, x: np.ndarray, use_ema: bool = True) -> np.ndarray:
-    """Encoder features for export (t-SNE-style external plotting)."""
-    params = state.ema.params if use_ema else state.params
-    feats, _ = encoder_forward(params, x)
-    return feats
-
-
 def fit(
     data: Dataset,
     cfg: TrainConfig,
@@ -374,7 +362,7 @@ def fit(
         raise ValueError("labeled split must be non-empty")
     counts = data.labeled_class_counts()
     state = init_state(cfg, counts)
-    if cfg.shot_many_min is not None and cfg.shot_few_max is not None:
+    if cfg.shot_many_min is not None:
         thresholds = (cfg.shot_many_min, cfg.shot_few_max)
     else:
         thresholds = default_shot_thresholds(counts)

@@ -19,7 +19,6 @@ from tailssl.cli import main as cli_main
 from tailssl.data import AugmentConfig, DatasetSpec, generate_dataset, longtail_counts
 from tailssl.estimator import PseudoLabelLedger
 from tailssl.membank import (
-    FeatureRecord,
     MemoryBank,
     accept_probability,
     eviction_distribution,
@@ -131,37 +130,37 @@ def test_criterion_1_formula_oracles():
     report("1a", f"formula oracles: 300 randomized cases, worst |err| {worst:.2e} < 1e-12")
 
     # Monte-Carlo frequency checks at the stated +-0.01 @ 100k tolerance
-    def rec(label):
-        return FeatureRecord(np.zeros(1), label, 0.99, 0, "strong")
+    feat = np.zeros(1)
 
-    bank = MemoryBank(10, 1, 1.0)
-    for _ in range(4):
-        bank.per_class[0].append(rec(0))
+    def filled(capacity, counts):
+        """A beta = 1 bank holding counts[k] records of class k; set-up draws nothing."""
+        bank = MemoryBank(capacity, len(counts), 1.0, 1)
+        for k, c in enumerate(counts):
+            for _ in range(c):
+                bank.insert(feat, k)
+        return bank
+
+    bank = filled(10, [4])
     mc = RNG(102)
-    hits = sum(
-        1 for _ in range(100_000) if bank.enqueue(rec(0), mc) and bank.per_class[0].pop()
-    )
-    assert abs(hits / 100_000 - 0.25) < 0.01
-
-    bank = MemoryBank(200, 2, 1.0)
-    for _ in range(100):
-        bank.per_class[0].append(rec(0))
-    for _ in range(10):
-        bank.per_class[1].append(rec(1))
     hits = 0
     for _ in range(100_000):
-        victim = bank.dequeue(mc)
-        hits += victim.pseudo_label == 0
-        bank.per_class[victim.pseudo_label].append(rec(victim.pseudo_label))
+        if bank.enqueue(feat, 0, mc):
+            hits += 1
+            bank = filled(10, [4])  # back to C_0 = 4
+    assert abs(hits / 100_000 - 0.25) < 0.01
+
+    bank = filled(200, [100, 10])
+    hits = 0
+    for _ in range(100_000):
+        k = int(bank.labels[bank.dequeue(mc)])
+        hits += k == 0
+        bank.insert(feat, k)
     want = float(mpf("0.99") / mpf("1.89"))
     assert abs(hits / 100_000 - want) < 0.01
 
-    bank = MemoryBank(20, 2, 1.0)
-    for k in (0, 1):
-        for _ in range(5):
-            bank.per_class[k].append(rec(k))
-    picks = bank.get(np.array([100, 10]), 100_000, 1.0, mc)
-    freq0 = np.mean([r.pseudo_label == 0 for r in picks])
+    bank = filled(20, [5, 5])
+    rows = bank.get(np.array([100, 10]), 100_000, 1.0, mc)
+    freq0 = np.mean(bank.labels[rows] == 0)
     assert abs(freq0 - 1 / 11) < 0.01
 
     dt = time.time() - t0
@@ -273,9 +272,9 @@ def _impl_bank_run(beta: float, seed: int):
     p /= p.sum()
     rng = RNG(seed)
     labels = rng.choice(BANK_SIM["num_classes"], p=p, size=BANK_SIM["n_arrivals"])
-    bank = MemoryBank(BANK_SIM["capacity"], BANK_SIM["num_classes"], beta)
-    for step, k in enumerate(labels):
-        bank.enqueue(FeatureRecord(np.zeros(1), int(k), 0.99, step, "strong"), rng)
+    bank = MemoryBank(BANK_SIM["capacity"], BANK_SIM["num_classes"], beta, 1)
+    for k in labels:
+        bank.enqueue(np.zeros(1), int(k), rng)
     return bank.balance_entropy(), stream_entropy(np.bincount(labels, minlength=BANK_SIM["num_classes"]))
 
 
@@ -421,9 +420,7 @@ def test_criterion_5_composition_gating_isolation():
     base_state = init_state(iso_cfg, np.array([6, 2]))
     r = RNG(502)
     for i in range(8):
-        base_state.bank.per_class[i % 2].append(
-            FeatureRecord(np.abs(r.normal(size=4)), i % 2, 0.9, i, "strong")
-        )
+        base_state.bank.insert(np.abs(r.normal(size=4)), i % 2)
         base_state.ledger.record(700 + i, i % 2)
     lab_x, lab_y = r.normal(size=(4, 3)), r.integers(0, 2, size=4)
     ids, unl_x = np.arange(4), r.normal(size=(4, 3))

@@ -145,6 +145,32 @@ def test_train_diverged_exits_3(workspace, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train", [{"shot_many_min": 10}, {"shot_few_max": 3}])
+def test_train_half_set_shot_thresholds_exits_2(workspace, capsys, train):
+    tmp, _ = workspace
+    path = tmp / "half.json"
+    path.write_text(json.dumps(tiny_config(**train)))
+    main(["generate", "--config", str(path)])
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 2
+    assert "shot_many_min and shot_few_max must be set together" in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+
+
+def test_train_label_at_or_above_num_classes_exits_2(workspace, capsys):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    csv_path = tmp / "data" / "dataset.csv"
+    lines = read(csv_path).splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, start=1) if ",train,0," in line)
+    lines[lineno - 1] = lines[lineno - 1].replace(",train,0,", ",train,3,", 1)
+    csv_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset.csv:{lineno}: label 3 >= num_classes 3" in err
+
+
 def test_train_balanced_dataset_writes_strict_jsonl(workspace):
     tmp, _ = workspace
     cfg = tiny_config()

@@ -5,23 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailssl.membank import FeatureRecord, MemoryBank, stream_entropy
+from tailssl.membank import MemoryBank, retrieval_distribution, stream_entropy
 
 RNG = np.random.default_rng
-
-
-def rec(label, step=0, view="strong"):
-    return FeatureRecord(np.zeros(2), label, 0.99, step, view)
+FEAT = np.zeros(2)
 
 
 def filled_bank(counts, capacity=None, beta=1.0):
-    bank = MemoryBank(capacity or (sum(counts) + 10), len(counts), beta)
-    step = 0
+    """counts[k] records of class k, inserted class by class without any draw.
+
+    Feature 0 of each record is its insertion index, so order checks can read it.
+    """
+    bank = MemoryBank(capacity or (sum(counts) + 10), len(counts), beta, 2)
+    tag = 0
     for k, c in enumerate(counts):
         for _ in range(c):
-            bank.per_class[k].append(rec(k, step))
-            step += 1
+            bank.insert(np.array([float(tag), 0.0]), k)
+            tag += 1
     return bank
+
+
+def class_tags(bank, k):
+    """Insertion tags of class k, oldest first."""
+    return bank.features[bank.rows(k), 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -31,11 +37,10 @@ def filled_bank(counts, capacity=None, beta=1.0):
 
 def test_enqueue_always_accepts_empty_or_singleton_class():
     for c, beta in [(0, 0.0), (0, 3.0), (1, 0.5), (1, 7.0)]:
-        bank = filled_bank([c, 5], beta=beta)
         rng = RNG(0)
         for _ in range(50):
-            assert bank.enqueue(rec(0), rng)
-            bank.per_class[0].pop()  # keep C_0 fixed at c
+            bank = filled_bank([c, 5], beta=beta)  # a fresh bank keeps C_0 at c
+            assert bank.enqueue(FEAT, 0, rng)
 
 
 def test_enqueue_acceptance_rate_quarter_monte_carlo():
@@ -45,29 +50,37 @@ def test_enqueue_acceptance_rate_quarter_monte_carlo():
     hits = 0
     trials = 100_000
     for _ in range(trials):
-        if bank.enqueue(rec(0), rng):
+        if bank.enqueue(FEAT, 0, rng):
             hits += 1
-            bank.per_class[0].pop()
+            bank = filled_bank([4], beta=1.0)  # back to C_0 = 4
     assert abs(hits / trials - 0.25) < 0.01
 
 
 def test_enqueue_beta_zero_always_accepts():
     bank = filled_bank([50, 3], beta=0.0)
     rng = RNG(2)
-    assert all(bank.enqueue(rec(0), rng) for _ in range(200))
+    assert all(bank.enqueue(FEAT, 0, rng) for _ in range(200))
 
 
 def test_enqueue_rejects_bad_label():
-    bank = MemoryBank(4, 2, 1.0)
+    bank = MemoryBank(4, 2, 1.0, 2)
     with pytest.raises(ValueError):
-        bank.enqueue(rec(2), RNG(3))
+        bank.enqueue(FEAT, 2, RNG(3))
 
 
 def test_enqueue_at_capacity_keeps_total_constant():
     bank = filled_bank([3, 3], capacity=6, beta=0.0)
     before = len(bank)
-    assert bank.enqueue(rec(0, step=99), RNG(4))
+    assert bank.enqueue(FEAT, 0, RNG(4))
     assert len(bank) == before == 6
+
+
+def test_insert_rejects_full_bank_and_bad_label():
+    bank = filled_bank([1, 1], capacity=2)
+    with pytest.raises(ValueError):
+        bank.insert(FEAT, 0)
+    with pytest.raises(ValueError):
+        MemoryBank(4, 2, 1.0, 2).insert(FEAT, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +93,33 @@ def test_dequeue_only_nonzero_weight_class_is_victim():
     for seed in range(20):
         bank = filled_bank([10, 1], beta=1.0)
         victim = bank.dequeue(RNG(seed))
-        assert victim.pseudo_label == 0
+        assert bank.labels[victim] == 0
 
 
 def test_dequeue_removes_oldest_within_class():
     bank = filled_bank([5, 1], beta=1.0)
-    steps = [r.step for r in bank.per_class[0]]
+    assert class_tags(bank, 0) == [0.0, 1.0, 2.0, 3.0, 4.0]
     victim = bank.dequeue(RNG(5))
-    assert victim.step == min(steps)
+    assert bank.features[victim, 0] == 0.0
+    assert class_tags(bank, 0) == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_dequeue_evicts_each_class_in_insertion_order():
+    # beta = 0 accepts every arrival, so once full every enqueue evicts
+    bank = MemoryBank(16, 3, 0.0, 1)
+    rng = RNG(21)
+    evictions = 0
+    for tag, k in enumerate(RNG(22).integers(0, 3, size=400).tolist()):
+        full = len(bank) == bank.capacity
+        want = [class_tags(bank, c) + ([float(tag)] if c == k else []) for c in range(3)]
+        assert bank.enqueue(np.array([float(tag)]), k, rng)
+        got = [class_tags(bank, c) for c in range(3)]
+        if full:
+            (victim,) = [c for c in range(3) if len(got[c]) < len(want[c])]
+            want[victim].pop(0)  # the victim class loses its oldest record
+            evictions += 1
+        assert got == want
+    assert evictions == 400 - bank.capacity
 
 
 def test_dequeue_uniform_fallback_over_equal_classes_monte_carlo():
@@ -98,9 +130,9 @@ def test_dequeue_uniform_fallback_over_equal_classes_monte_carlo():
     rng = RNG(6)
     bank = filled_bank([5, 5], beta=0.0)
     for _ in range(trials):
-        victim = bank.dequeue(rng)
-        hits += victim.pseudo_label == 0
-        bank.per_class[victim.pseudo_label].append(rec(victim.pseudo_label, step=0))
+        k = int(bank.labels[bank.dequeue(rng)])
+        hits += k == 0
+        bank.insert(FEAT, k)
     assert abs(hits / trials - 0.5) < 0.02
 
 
@@ -112,15 +144,15 @@ def test_dequeue_weighted_victim_frequencies_monte_carlo():
     rng = RNG(7)
     bank = filled_bank([100, 10], beta=1.0)
     for _ in range(trials):
-        victim = bank.dequeue(rng)
-        hits += victim.pseudo_label == 0
-        bank.per_class[victim.pseudo_label].append(rec(victim.pseudo_label, step=0))
+        k = int(bank.labels[bank.dequeue(rng)])
+        hits += k == 0
+        bank.insert(FEAT, k)
     assert abs(hits / trials - want0) < 0.01
 
 
 def test_dequeue_empty_bank_raises():
     with pytest.raises(ValueError):
-        MemoryBank(4, 2, 1.0).dequeue(RNG(8))
+        MemoryBank(4, 2, 1.0, 2).dequeue(RNG(8))
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +163,69 @@ def test_dequeue_empty_bank_raises():
 def test_get_lambda_zero_is_uniform_over_nonempty_classes():
     bank = filled_bank([50, 1, 7])
     est = np.array([1000, 10, 1])
-    picks = bank.get(est, 100_000, 0.0, RNG(9))
-    freq = np.bincount([r.pseudo_label for r in picks], minlength=3) / len(picks)
+    rows = bank.get(est, 100_000, 0.0, RNG(9))
+    freq = np.bincount(bank.labels[rows], minlength=3) / len(rows)
     assert np.all(np.abs(freq - 1 / 3) < 0.02)
 
 
 def test_get_reversed_sampling_frequencies_monte_carlo():
     # M = (100, 10), lambda=1 -> probabilities (1/11, 10/11)
     bank = filled_bank([5, 5])
-    picks = bank.get(np.array([100, 10]), 100_000, 1.0, RNG(10))
-    freq = np.mean([r.pseudo_label == 0 for r in picks])
+    rows = bank.get(np.array([100, 10]), 100_000, 1.0, RNG(10))
+    freq = np.mean(bank.labels[rows] == 0)
     assert abs(freq - 1 / 11) < 0.01
 
 
 def test_get_restricted_to_nonempty_classes():
     bank = filled_bank([0, 0, 0, 6])
-    picks = bank.get(np.array([1000, 1, 1, 500]), 500, 2.0, RNG(11))
-    assert len(picks) == 500
-    assert all(r.pseudo_label == 3 for r in picks)
+    rows = bank.get(np.array([1000, 1, 1, 500]), 500, 2.0, RNG(11))
+    assert len(rows) == 500
+    assert np.all(bank.labels[rows] == 3)
 
 
 def test_get_empty_bank_returns_empty():
-    bank = MemoryBank(4, 3, 1.0)
-    assert bank.get(np.ones(3), 10, 1.0, RNG(12)) == []
+    bank = MemoryBank(4, 3, 1.0, 2)
+    assert len(bank.get(np.ones(3), 10, 1.0, RNG(12))) == 0
+
+
+def reference_get(bank, estimated, n, lam, rng):
+    """Straight-line get: one class draw for all n picks, then a scalar position draw per pick."""
+    counts = bank.counts()
+    probs = retrieval_distribution(estimated, counts, lam)
+    support = np.flatnonzero(counts)
+    classes = rng.choice(support, size=n, p=probs[support] / probs[support].sum())
+    return [(int(k), int(rng.integers(int(counts[k])))) for k in classes]
+
+
+def churned_bank(counts, seed):
+    """filled_bank plus a few evict/re-insert rounds, so slots are out of position order."""
+    bank = filled_bank(counts, beta=1.0)
+    rng = RNG(seed)
+    for _ in range(sum(counts) // 2):
+        bank.insert(FEAT, int(bank.labels[bank.dequeue(rng)]))
+    return bank
+
+
+@pytest.mark.parametrize(
+    "counts, n",
+    [((0, 0, 7, 0), 40), ((3, 1, 4, 1, 5), 1), ((0, 9), 1)]
+    + [(tuple(RNG(s).integers(0, 12, size=1 + s % 7).tolist()) + (1,), 1 + 9 * s) for s in range(12)],
+)
+def test_get_matches_per_pick_reference_draws(counts, n):
+    """The vectorised get picks the same (class, position) pairs from the same
+    generator stream as the per-pick loop and leaves the generator in the same state."""
+    bank = churned_bank(list(counts), seed=n)
+    estimated = np.maximum(RNG(n + 1).integers(1, 500, size=len(counts)), 1)
+    lam = 0.75
+    fast, slow = RNG(100 + n), RNG(100 + n)
+    rows = bank.get(estimated, n, lam, fast)
+    want = reference_get(bank, estimated, n, lam, slow)
+    got = []
+    for row in rows.tolist():
+        k = int(bank.labels[row])
+        got.append((k, bank.rows(k).tolist().index(row)))
+    assert got == want
+    assert fast.random() == slow.random()
 
 
 def test_get_rejects_unclamped_counts():
@@ -168,32 +240,34 @@ def test_get_rejects_unclamped_counts():
 
 
 def test_counts_fresh_bank_is_zero():
-    assert MemoryBank(8, 5, 1.0).counts().tolist() == [0] * 5
+    assert MemoryBank(8, 5, 1.0, 2).counts().tolist() == [0] * 5
 
 
 def test_counts_one_hot_after_single_enqueue():
-    bank = MemoryBank(8, 5, 1.0)
-    bank.enqueue(rec(2), RNG(14))
+    bank = MemoryBank(8, 5, 1.0, 2)
+    bank.enqueue(FEAT, 2, RNG(14))
     assert bank.counts().tolist() == [0, 0, 1, 0, 0]
 
 
 def test_counts_match_brute_force_recount_after_op_sequence():
-    bank = MemoryBank(32, 6, 1.0)
+    bank = MemoryBank(32, 6, 1.0, 2)
     rng = RNG(15)
-    for step in range(2000):
+    for _ in range(2000):
         op = rng.random()
         if op < 0.7 or len(bank) == 0:
-            bank.enqueue(rec(int(rng.integers(6)), step), rng)
+            bank.enqueue(FEAT, int(rng.integers(6)), rng)
         elif op < 0.85:
             bank.dequeue(rng)
         else:
             bank.get(np.maximum(rng.integers(1, 50, size=6), 1), 5, 1.0, rng)
         recount = np.zeros(6, dtype=int)
         for k in range(6):
-            for r in bank.per_class[k]:
-                assert r.pseudo_label == k
-                recount[k] += 1
+            rows = bank.rows(k)
+            assert np.all(bank.labels[rows] == k)
+            recount[k] = len(rows)
         assert np.array_equal(bank.counts(), recount)
+        stored = np.concatenate([bank.rows(k) for k in range(6)])
+        assert len(np.unique(stored)) == len(stored) == len(bank)  # no slot held twice
 
 
 def test_balance_entropy_uniform_is_one():
@@ -211,7 +285,7 @@ def test_balance_entropy_three_one_split():
 
 def test_balance_entropy_empty_bank_raises():
     with pytest.raises(ValueError):
-        MemoryBank(4, 2, 1.0).balance_entropy()
+        MemoryBank(4, 2, 1.0, 2).balance_entropy()
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +301,12 @@ def test_balance_entropy_empty_bank_raises():
     seed=st.integers(0, 2**31),
 )
 def test_capacity_never_exceeded_and_dequeue_decrements(capacity, beta, ops, seed):
-    bank = MemoryBank(capacity, 4, beta)
+    bank = MemoryBank(capacity, 4, beta, 2)
     rng = RNG(seed)
-    for step, (label, kind) in enumerate(ops):
+    for label, kind in ops:
         before = len(bank)
         if kind == 0 or before == 0:
-            accepted = bank.enqueue(rec(label, step), rng)
+            accepted = bank.enqueue(FEAT, label, rng)
             if before >= capacity:
                 assert len(bank) == before if accepted else before
             elif accepted:
@@ -261,9 +335,9 @@ def simulate_stream(beta, seed, num_classes=10, capacity=256, n_arrivals=20_000,
     p /= p.sum()
     rng = RNG(seed)
     labels = rng.choice(num_classes, p=p, size=n_arrivals)
-    bank = MemoryBank(capacity, num_classes, beta)
-    for step, k in enumerate(labels):
-        bank.enqueue(rec(int(k), step), rng)
+    bank = MemoryBank(capacity, num_classes, beta, 2)
+    for k in labels:
+        bank.enqueue(FEAT, int(k), rng)
     return bank, stream_entropy(np.bincount(labels, minlength=num_classes))
 
 

@@ -1,6 +1,8 @@
 """Trainer: step semantics, loss composition, gating, gradient isolation, determinism."""
 
 import copy
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,7 +11,6 @@ from oracles import argmax_first, ce_sum, linear, mlp_forward, ratio_weight
 
 from tailssl.data import AugmentConfig, Dataset, DatasetSpec, Split, generate_dataset
 from tailssl.errors import TrainingDivergedError
-from tailssl.membank import FeatureRecord
 from tailssl.numerics import iter_arrays
 from tailssl.trainer import (
     TrainConfig,
@@ -93,9 +94,7 @@ def test_micro_step_matches_straight_line_recomputation():
     # pre-populate memory and ledger so the memory loss is active
     rng = np.random.default_rng(9)
     for i in range(6):
-        state.bank.per_class[i % 2].append(
-            FeatureRecord(np.abs(rng.normal(size=4)), i % 2, 0.9, i, "strong")
-        )
+        state.bank.insert(np.abs(rng.normal(size=4)), i % 2)
         state.ledger.record(500 + i, i % 2)
 
     params = state.params.copy()
@@ -140,18 +139,15 @@ def test_micro_step_matches_straight_line_recomputation():
     for j in range(b):
         if mask[j]:
             oracle_ledger.record(int(unl_ids[j]), int(qhat_a[j]))
-            oracle_bank.enqueue(
-                FeatureRecord(feats_u[j].copy(), int(qhat_a[j]), conf[j], 0, "strong"),
-                replay_rng,
-            )
+            oracle_bank.enqueue(feats_u[j].copy(), int(qhat_a[j]), replay_rng)
     n_mem = int(np.floor(cfg.get_fraction * b + 0.5))
-    records = oracle_bank.get(
+    rows = oracle_bank.get(
         np.maximum(oracle_ledger.counts, 1), n_mem, cfg.lambda_sampling, replay_rng
     )
-    logits_m = linear(params.aux_head, np.stack([r.feature for r in records]))
+    logits_m = linear(params.aux_head, oracle_bank.features[rows])
     loss_mem = ce_sum(
-        logits_m, [r.pseudo_label for r in records], [1.0] * len(records),
-        [True] * len(records), len(records),
+        logits_m, oracle_bank.labels[rows].tolist(), [1.0] * len(rows),
+        [True] * len(rows), len(rows),
     )
 
     total = (
@@ -217,7 +213,7 @@ def test_below_threshold_samples_touch_nothing():
     assert m.mask_rate == 0.5
     assert set(state.ledger.latest) == {10, 11}  # 12, 13 never recorded
     assert len(state.bank) == 2
-    stored_feats = [r.feature for q in state.bank.per_class for r in q]
+    stored_feats = [state.bank.features[r] for k in range(2) for r in state.bank.rows(k)]
     for f in stored_feats:  # only the confident rows' features are cached
         assert f.max() == pytest.approx(3.0, abs=1e-12) or f.max() == 0.0
 
@@ -258,9 +254,7 @@ def test_memory_loss_gradients_reach_only_aux_head():
     state = make_state(cfg)
     rng = np.random.default_rng(11)
     for i in range(8):
-        state.bank.per_class[i % 2].append(
-            FeatureRecord(np.abs(rng.normal(size=4)), i % 2, 0.9, i, "strong")
-        )
+        state.bank.insert(np.abs(rng.normal(size=4)), i % 2)
         state.ledger.record(900 + i, i % 2)
     lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=12)
 
@@ -286,12 +280,9 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
     cfg = micro_cfg()
     state = make_state(cfg)
     rng = np.random.default_rng(13)
-    records = [
-        FeatureRecord(rng.normal(size=4), int(rng.integers(2)), 0.9, i, "strong")
-        for i in range(5)
-    ]
-    feats = np.stack([r.feature for r in records])
-    labels = np.array([r.pseudo_label for r in records])
+    records = [(rng.normal(size=4), int(rng.integers(2))) for _ in range(5)]
+    feats = np.stack([f for f, _ in records])
+    labels = np.array([k for _, k in records])
 
     def mem_loss():
         logits = head_forward(state.params.aux_head, feats)
@@ -490,3 +481,22 @@ def test_train_config_validation():
         micro_cfg(get_fraction=1.5)
     with pytest.raises(ValueError):
         micro_cfg(memory_content="medium")
+
+
+# sha256 of the epoch log below, recorded before the bank moved to arrays; any
+# change to the training arithmetic or to an RNG draw changes it
+EVICTING_FIT_LOG_SHA256 = "3aa3a1c5ce7c339e62e90304b98b4555a04a7803c2ddc0759e9977640de12084"
+
+
+def test_fit_epoch_log_fingerprint_is_pinned():
+    """A small bmb fit whose beta=0 bank evicts on every insert once full."""
+    spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
+                       test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
+    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+                      mode="bmb", beta=0.0, memory_content="both", memory_capacity=64,
+                      warmup_epochs=1, epochs=6, iters_per_epoch=30, tau=0.6, seed=3)
+    state, log = fit(generate_dataset(spec), cfg)
+    assert sum(log[-1]["bank_counts"]) == cfg.memory_capacity
+    assert log[-1]["enqueue_accept_rate"] == 1.0
+    text = json.dumps(log, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVICTING_FIT_LOG_SHA256
