@@ -31,7 +31,6 @@ from .metrics import (
     with_groups,
 )
 from .trainer import StepMetrics, TrainConfig, TrainState, fit, init_state, predict, train_step
-from .weighting import labeled_weight, unlabeled_weight
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "generate_dataset",
     "group_accuracy",
     "init_state",
-    "labeled_weight",
     "load_dataset",
     "longtail_counts",
     "predict",
@@ -64,7 +62,6 @@ __all__ = [
     "stream_entropy",
     "strong_augment",
     "train_step",
-    "unlabeled_weight",
     "weak_augment",
     "with_groups",
 ]

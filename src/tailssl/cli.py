@@ -19,7 +19,7 @@ import numpy as np
 from . import config as cfgmod
 from .data import generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, DatasetFormatError, TrainingDivergedError
-from .numerics import LinearLayer, ModelParams, encoder_forward, named_arrays
+from .numerics import ModelParams, encoder_forward, named_arrays
 from .trainer import fit
 from .util import canonical_json, sha256_file
 
@@ -254,20 +254,23 @@ def save_model(path, params: ModelParams, ema_params: ModelParams) -> None:
     np.savez(path, **arrays)
 
 
-def load_model(path, hidden_sizes, input_dim) -> tuple[ModelParams, ModelParams]:
-    data = np.load(path)
-
-    def build(prefix: str) -> ModelParams:
-        dims = (input_dim,) + tuple(hidden_sizes)
-        layers = [
-            LinearLayer(data[f"{prefix}/enc{i}.w"], data[f"{prefix}/enc{i}.b"])
-            for i in range(len(dims) - 1)
-        ]
-        base = LinearLayer(data[f"{prefix}/base.w"], data[f"{prefix}/base.b"])
-        aux = LinearLayer(data[f"{prefix}/aux.w"], data[f"{prefix}/aux.b"])
-        return ModelParams(layers, base, aux)
-
-    return build("params"), build("ema")
+def load_model(path, hidden_sizes, input_dim, num_classes) -> tuple[ModelParams, ModelParams]:
+    """Raw and EMA params of the config's shape, filled from the arrays save_model wrote."""
+    dims = (input_dim, *hidden_sizes)
+    raw, ema = ModelParams.zeros(dims, num_classes), ModelParams.zeros(dims, num_classes)
+    views = {f"{prefix}/{name}": view for prefix, model in (("params", raw), ("ema", ema))
+             for name, view in named_arrays(model)}
+    with np.load(path) as data:
+        for key, view in views.items():
+            array = data[key] if key in data.files else None
+            if array is None or array.shape != view.shape:
+                found = "is missing" if array is None else f"has shape {array.shape}"
+                raise ConfigError(f"{path}: {key} {found}, the config expects {view.shape}")
+            view[...] = array
+        extra = sorted(set(data.files) - set(views))
+    if extra:
+        raise ConfigError(f"{path}: {extra[0]} is not part of the configured model")
+    return raw, ema
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +407,7 @@ def cmd_export_embeddings(args) -> int:
         os.path.join(args.run, "model.npz"),
         cfg["train"]["hidden_sizes"],
         cfg["dataset"]["feature_dim"],
+        cfg["dataset"]["num_classes"],
     )
     use = params if args.raw_params else ema
     split = {"test": ds.test, "labeled": ds.labeled, "unlabeled": ds.unlabeled}[args.split]

@@ -285,6 +285,14 @@ def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> 
 
     tr_ids, tr_x, tr_y = pack("train")
     te_ids, te_x, te_y = pack("test")
+    if not (np.isfinite(tr_x).all() and np.isfinite(te_x).all()):
+        with open(csv_path, newline="") as fh:  # failure path only: locate the first bad row
+            rows = enumerate(csv.reader(fh), start=1)
+            next(rows)  # header
+            bad = next(
+                n for n, r in rows if r and not np.isfinite(np.array(r[3:], dtype=float)).all()
+            )
+        raise DatasetFormatError(f"{csv_path}:{bad}: non-finite feature")
     all_ids = np.concatenate([tr_ids, te_ids])
     if len(np.unique(all_ids)) != len(all_ids):
         raise DatasetFormatError(f"{csv_path}: duplicate sample ids")
@@ -295,20 +303,21 @@ def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> 
         test=Split(te_ids, te_x, te_y),
     )
     if oracle_path is not None:
-        oracle = load_oracle_labels(oracle_path)
+        k = num_classes if num_classes is not None else dataset.num_classes
+        oracle = load_oracle_labels(oracle_path, k)
         missing = [int(i) for i in dataset.unlabeled.ids if int(i) not in oracle]
         if missing:
             raise DatasetFormatError(
                 f"{oracle_path}: no true label for unlabeled id(s) {missing[:5]}"
             )
-        k = num_classes if num_classes is not None else dataset.num_classes
         truth = np.array([oracle[int(i)] for i in dataset.unlabeled.ids], dtype=np.int64)
         dataset.unlabeled_oracle_y = truth
         dataset.true_unlabeled_counts = np.bincount(truth, minlength=k).astype(np.int64)
     return dataset
 
 
-def load_oracle_labels(path) -> dict[int, int]:
+def load_oracle_labels(path, num_classes: int) -> dict[int, int]:
+    """Map sample id -> true label; every label must lie in [0, num_classes)."""
     labels: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -319,7 +328,12 @@ def load_oracle_labels(path) -> dict[int, int]:
             if not row:
                 continue
             try:
-                labels[int(row[0])] = int(row[1])
+                sid, label = int(row[0]), int(row[1])
             except (ValueError, IndexError) as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= label < num_classes:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: true label {label} outside [0, {num_classes})"
+                )
+            labels[sid] = label
     return labels

@@ -20,21 +20,47 @@ class LinearLayer:
     w: np.ndarray  # (fan_in, fan_out)
     b: np.ndarray  # (fan_out,)
 
-    def copy(self) -> "LinearLayer":
-        return LinearLayer(self.w.copy(), self.b.copy())
-
 
 @dataclass
 class ModelParams:
     """Shared MLP encoder plus base and auxiliary linear heads.
 
-    Gradients reuse this container: a gradient tree has the same shapes as the
-    parameter tree it differentiates.
+    Every array is a view into one float64 vector `flat`. Gradients reuse this
+    container, and the Adam moments and the EMA share the same layout.
     """
 
+    flat: np.ndarray
     encoder_layers: list[LinearLayer]
     base_head: LinearLayer
     aux_head: LinearLayer
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...], num_classes: int) -> "ModelParams":
+        """Views into flat: encoder layers, base head, aux head; per layer row-major w, then b."""
+        size = cls.size(dims, num_classes)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError(f"need {size} float64 parameters, got {flat.dtype} {flat.shape}")
+        heads = [(dims[-1], num_classes)] * 2
+        layers, pos = [], 0
+        for fan_in, fan_out in [*zip(dims, dims[1:]), *heads]:
+            end = pos + fan_in * fan_out
+            w = flat[pos:end].reshape(fan_in, fan_out)
+            layers.append(LinearLayer(w, flat[end : end + fan_out]))
+            pos = end + fan_out
+        return cls(flat, layers[:-2], layers[-2], layers[-1])
+
+    @staticmethod
+    def size(dims: tuple[int, ...], num_classes: int) -> int:
+        """Length of flat for encoder widths dims = (input_dim, *hidden_sizes)."""
+        return sum((i + 1) * o for i, o in zip(dims, dims[1:])) + 2 * (dims[-1] + 1) * num_classes
+
+    @classmethod
+    def zeros(cls, dims: tuple[int, ...], num_classes: int) -> "ModelParams":
+        return cls.from_flat(np.zeros(cls.size(dims, num_classes)), dims, num_classes)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (self.input_dim,) + tuple(layer.w.shape[1] for layer in self.encoder_layers)
 
     @property
     def input_dim(self) -> int:
@@ -49,31 +75,19 @@ class ModelParams:
         return self.base_head.w.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [layer.copy() for layer in self.encoder_layers],
-            self.base_head.copy(),
-            self.aux_head.copy(),
-        )
+        return ModelParams.from_flat(self.flat.copy(), self.dims, self.num_classes)
 
-
-def iter_arrays(params: ModelParams) -> Iterator[np.ndarray]:
-    """All parameter arrays in a fixed order (encoder layers, base head, aux head)."""
-    for layer in params.encoder_layers:
-        yield layer.w
-        yield layer.b
-    for head in (params.base_head, params.aux_head):
-        yield head.w
-        yield head.b
+    def __reduce__(self):
+        # copy.deepcopy and pickle would otherwise detach each array from flat
+        return ModelParams.from_flat, (self.flat, self.dims, self.num_classes)
 
 
 def named_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
-    for i, layer in enumerate(params.encoder_layers):
-        yield f"enc{i}.w", layer.w
-        yield f"enc{i}.b", layer.b
-    yield "base.w", params.base_head.w
-    yield "base.b", params.base_head.b
-    yield "aux.w", params.aux_head.w
-    yield "aux.b", params.aux_head.b
+    """(name, view) for every array, in flat order."""
+    names = [f"enc{i}" for i in range(len(params.encoder_layers))] + ["base", "aux"]
+    for name, layer in zip(names, [*params.encoder_layers, params.base_head, params.aux_head]):
+        yield f"{name}.w", layer.w
+        yield f"{name}.b", layer.b
 
 
 def init_params(
@@ -85,28 +99,16 @@ def init_params(
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] for weights and biases."""
     if not hidden_sizes:
         raise ValueError("encoder needs at least one layer")
-
-    def make(fan_in: int, fan_out: int) -> LinearLayer:
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = rng.uniform(-bound, bound, size=fan_out)
-        return LinearLayer(w, b)
-
-    dims = (input_dim,) + tuple(hidden_sizes)
-    layers = [make(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    feature_dim = dims[-1]
-    return ModelParams(layers, make(feature_dim, num_classes), make(feature_dim, num_classes))
+    params = ModelParams.zeros((input_dim,) + tuple(hidden_sizes), num_classes)
+    for layer in [*params.encoder_layers, params.base_head, params.aux_head]:
+        bound = 1.0 / np.sqrt(layer.w.shape[0])
+        layer.w[...] = rng.uniform(-bound, bound, size=layer.w.shape)
+        layer.b[...] = rng.uniform(-bound, bound, size=layer.b.shape)
+    return params
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    def z(layer: LinearLayer) -> LinearLayer:
-        return LinearLayer(np.zeros_like(layer.w), np.zeros_like(layer.b))
-
-    return ModelParams(
-        [z(layer) for layer in params.encoder_layers],
-        z(params.base_head),
-        z(params.aux_head),
-    )
+    return ModelParams.from_flat(np.zeros_like(params.flat), params.dims, params.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +229,8 @@ def encoder_backward(
 
 @dataclass
 class AdamState:
-    first_moment: ModelParams
-    second_moment: ModelParams
+    first_moment: np.ndarray  # same layout as ModelParams.flat
+    second_moment: np.ndarray
     step_count: int
     beta1: float
     beta2: float
@@ -238,31 +240,30 @@ class AdamState:
 def init_adam(
     params: ModelParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
 ) -> AdamState:
-    return AdamState(zeros_like_params(params), zeros_like_params(params), 0, beta1, beta2, eps)
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0, beta1, beta2, eps)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
-    """Standard Adam with bias correction, in place. p -= lr * mhat / (sqrt(vhat) + eps)."""
+    """Standard Adam with bias correction, in place. p -= lr * mhat / (sqrt(vhat) + eps).
+
+    A non-finite gradient raises before anything is updated.
+    """
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise TrainingDivergedError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(
-        iter_arrays(params),
-        iter_arrays(grads),
-        iter_arrays(state.first_moment),
-        iter_arrays(state.second_moment),
-    ):
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError("non-finite gradient in Adam step")
-        # overflow here only happens en route to divergence, which the loss
-        # check reports with a step number; keep the update itself quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * np.square(g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.first_moment, state.second_moment
+    # overflow here only happens en route to divergence, which the loss
+    # check reports with a step number; keep the update itself quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 @dataclass
@@ -281,6 +282,5 @@ def init_ema(params: ModelParams, decay: float) -> EmaParams:
 
 def ema_update(ema: EmaParams, params: ModelParams) -> None:
     d = ema.decay
-    for e, p in zip(iter_arrays(ema.params), iter_arrays(params)):
-        e *= d
-        e += (1.0 - d) * p
+    ema.params.flat *= d
+    ema.params.flat += (1.0 - d) * params.flat

@@ -8,32 +8,14 @@ a sorted ordering, so the same formula works for live estimated counts.
 import numpy as np
 
 
-def _ratio_weight(counts: np.ndarray, cls: int, alpha: float) -> float:
-    counts = np.asarray(counts, dtype=np.float64)
-    if (counts < 1).any():
-        raise ValueError("class counts must be >= 1 (clamp before weighting)")
-    if not 0 <= cls < len(counts):
-        raise ValueError(f"class index {cls} out of range")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return float((counts.min() / counts[cls]) ** alpha)
-
-
-def labeled_weight(labeled_counts: np.ndarray, y: int, alpha: float) -> float:
-    """Weight for a labeled sample of class y, from the labeled class sizes."""
-    return _ratio_weight(labeled_counts, y, alpha)
-
-
-def unlabeled_weight(estimated_counts: np.ndarray, q_hat: int, alpha: float) -> float:
-    """Weight for an unlabeled sample pseudo-labeled q_hat, from clamped estimated counts."""
-    return _ratio_weight(estimated_counts, q_hat, alpha)
-
-
 def batch_weights(counts: np.ndarray, labels: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized ratio weights for a batch of class labels."""
+    """Ratio weights for a batch of class labels, each in [0, len(counts))."""
     counts = np.asarray(counts, dtype=np.float64)
+    labels = np.asarray(labels)
     if (counts < 1).any():
         raise ValueError("class counts must be >= 1 (clamp before weighting)")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return (counts.min() / counts[np.asarray(labels)]) ** alpha
+    if labels.size and (labels.min() < 0 or labels.max() >= len(counts)):
+        raise ValueError(f"class index out of range for {len(counts)} classes")
+    return (counts.min() / counts[labels]) ** alpha

@@ -29,12 +29,11 @@ from tailssl.numerics import (
     encoder_forward,
     head_forward,
     init_params,
-    iter_arrays,
     weighted_masked_ce,
     zeros_like_params,
 )
 from tailssl.trainer import TrainConfig, compute_step, fit, init_state, train_step
-from tailssl.weighting import labeled_weight, unlabeled_weight
+from tailssl.weighting import batch_weights
 
 mp.dps = 50
 
@@ -101,7 +100,7 @@ def test_criterion_1_formula_oracles():
         worst = max(worst, float(np.abs(got - want).max()))
         assert np.abs(got - want).max() < 1e-12
 
-    # adaptive weights (min/N_y)^alpha, labeled and unlabeled forms
+    # adaptive weights (min/N_y)^alpha, one label at a time
     for _ in range(60):
         k = int(rng.integers(2, 12))
         counts = rng.integers(1, 5_000, size=k)
@@ -110,10 +109,9 @@ def test_criterion_1_formula_oracles():
         want = float(
             (mpf(int(counts.min())) / mpf(int(counts[y]))) ** mpf(repr(alpha))
         )
-        for fn in (labeled_weight, unlabeled_weight):
-            got = fn(counts, y, alpha)
-            worst = max(worst, abs(got - want))
-            assert abs(got - want) < 1e-12
+        got = batch_weights(counts, np.array([y]), alpha)[0]
+        worst = max(worst, abs(got - want))
+        assert abs(got - want) < 1e-12
 
     # long-tail construction rule, exact integer agreement with mpmath
     for _ in range(60):
@@ -175,16 +173,15 @@ def test_criterion_1_formula_oracles():
 
 def _numeric_grads(loss_fn, params, h=1e-5):
     grads = zeros_like_params(params)
-    for arr, g in zip(iter_arrays(params), iter_arrays(grads)):
-        flat, gf = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            gf[i] = (up - down) / (2 * h)
+    flat, gf = params.flat, grads.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn()
+        flat[i] = orig - h
+        down = loss_fn()
+        flat[i] = orig
+        gf[i] = (up - down) / (2 * h)
     return grads
 
 
@@ -229,8 +226,7 @@ def test_criterion_2_gradient_suite():
                 acc.w += g.w
                 acc.b += g.b
             numeric = _numeric_grads(loss_fn, params)
-            for a, n in zip(iter_arrays(analytic), iter_arrays(numeric)):
-                np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-8)
+            np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)
             cases += 1
 
     # memory-loss path: cross-entropy of the aux head over constant features
@@ -251,8 +247,7 @@ def test_criterion_2_gradient_suite():
     analytic.aux_head.w += feats.T @ dlogits
     analytic.aux_head.b += dlogits.sum(axis=0)
     numeric = _numeric_grads(mem_loss, params)
-    for a, n in zip(iter_arrays(analytic), iter_arrays(numeric)):
-        np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-8)
+    np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)
     cases += 1
 
     dt = time.time() - t0

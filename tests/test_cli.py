@@ -171,6 +171,36 @@ def test_train_label_at_or_above_num_classes_exits_2(workspace, capsys):
     assert f"dataset.csv:{lineno}: label 3 >= num_classes 3" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_feature_exits_2(workspace, capsys, value):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    csv_path = tmp / "data" / "dataset.csv"
+    lines = read(csv_path).splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, start=1) if ",test," in line)
+    fields = lines[lineno - 1].split(",")
+    fields[4] = value
+    lines[lineno - 1] = ",".join(fields)
+    csv_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    assert f"dataset.csv:{lineno}: non-finite feature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", [3, -2])
+def test_train_oracle_label_outside_classes_exits_2(workspace, capsys, label):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    oracle_path = tmp / "data" / "dataset.oracle.csv"
+    lines = read(oracle_path).splitlines(keepends=True)
+    sid = lines[1].split(",")[0]
+    lines[1] = f"{sid},{label}\n"
+    oracle_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    assert f"dataset.oracle.csv:2: true label {label} outside [0, 3)" in capsys.readouterr().err
+
+
 def test_train_balanced_dataset_writes_strict_jsonl(workspace):
     tmp, _ = workspace
     cfg = tiny_config()
@@ -331,6 +361,30 @@ def test_export_embeddings_shape_and_ids(workspace):
     assert len(body) == 3 * 6  # test split size
     ds = load_dataset(tmp / "data" / "dataset.csv")
     assert sorted(int(r[0]) for r in body) == sorted(ds.test.ids.tolist())
+
+
+@pytest.mark.parametrize(
+    "hidden_sizes, message",
+    [
+        ([8, 4, 2], "params/enc2.w is missing, the config expects (4, 2)"),
+        ([8, 5], "params/enc1.w has shape (8, 4), the config expects (8, 5)"),
+        ([8], "params/base.w has shape (4, 3), the config expects (8, 3)"),
+    ],
+    ids=["deeper", "wider", "shallower"],
+)
+def test_export_embeddings_model_config_mismatch_exits_2(workspace, capsys, hidden_sizes, message):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    resolved_path = tmp / "run" / "config.resolved.json"
+    resolved = json.loads(read(resolved_path))
+    resolved["train"]["hidden_sizes"] = hidden_sizes
+    resolved_path.write_text(json.dumps(resolved))
+    capsys.readouterr()
+    out = tmp / "emb.csv"
+    assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(out)]) == 2
+    assert f"model.npz: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

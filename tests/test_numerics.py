@@ -1,11 +1,14 @@
 """Numerics: forward oracles, analytic-vs-finite-difference gradients, Adam, EMA."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from tailssl.errors import TrainingDivergedError
+from tailssl.cli import load_model, save_model
+from tailssl.errors import ConfigError, TrainingDivergedError
 from tailssl.numerics import (
     LinearLayer,
     ModelParams,
@@ -18,7 +21,7 @@ from tailssl.numerics import (
     init_adam,
     init_ema,
     init_params,
-    iter_arrays,
+    named_arrays,
     softmax,
     weighted_masked_ce,
     zeros_like_params,
@@ -81,23 +84,20 @@ def oracle_ce(logits, targets, weights, mask, divisor):
 def numeric_grads(loss_fn, params, h=1e-5):
     """Central finite differences over every parameter entry."""
     grads = zeros_like_params(params)
-    for arr, g in zip(iter_arrays(params), iter_arrays(grads)):
-        flat = arr.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn()
-            flat[i] = orig - h
-            down = loss_fn()
-            flat[i] = orig
-            gf[i] = (up - down) / (2 * h)
+    flat, gf = params.flat, grads.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn()
+        flat[i] = orig - h
+        down = loss_fn()
+        flat[i] = orig
+        gf[i] = (up - down) / (2 * h)
     return grads
 
 
 def assert_grads_close(analytic, numeric, rtol, atol=1e-8):
-    for a, n in zip(iter_arrays(analytic), iter_arrays(numeric)):
-        np.testing.assert_allclose(a, n, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=rtol, atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +117,8 @@ def test_encoder_zero_weights_gives_bias_pattern():
 
 
 def test_encoder_identity_layer_passes_nonnegative_batch():
-    params = ModelParams(
-        [LinearLayer(np.eye(3), np.zeros(3))],
-        LinearLayer(np.zeros((3, 2)), np.zeros(2)),
-        LinearLayer(np.zeros((3, 2)), np.zeros(2)),
-    )
+    params = ModelParams.zeros((3, 3), 2)
+    params.encoder_layers[0].w[:] = np.eye(3)
     batch = np.abs(RNG(2).normal(size=(4, 3)))
     feats, _ = encoder_forward(params, batch)
     assert np.array_equal(feats, batch)
@@ -352,10 +349,8 @@ def test_adam_zero_gradient_leaves_params_and_moments_untouched():
     before = params.copy()
     state = init_adam(params)
     adam_step(params, zeros_like_params(params), state, lr=0.1)
-    for p, b in zip(iter_arrays(params), iter_arrays(before)):
-        np.testing.assert_array_equal(p, b)
-    for m in iter_arrays(state.first_moment):
-        assert np.all(m == 0)
+    np.testing.assert_array_equal(params.flat, before.flat)
+    assert np.all(state.first_moment == 0)
     assert state.step_count == 1
 
 
@@ -363,21 +358,19 @@ def test_adam_single_step_matches_hand_executed_update():
     params = tiny_params(seed=23)
     before = params.copy()
     grads = zeros_like_params(params)
-    rng = RNG(24)
-    for g in iter_arrays(grads):
-        g += rng.normal(size=g.shape)
+    grads.flat += RNG(24).normal(size=grads.flat.shape)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
     state = init_adam(params, b1, b2, eps)
     adam_step(params, grads, state, lr)
-    for p, prev, g in zip(iter_arrays(params), iter_arrays(before), iter_arrays(grads)):
-        m = (1 - b1) * g
-        v = (1 - b2) * g * g
-        mhat = m / (1 - b1)
-        vhat = v / (1 - b2)
-        want = prev - lr * mhat / (np.sqrt(vhat) + eps)
-        np.testing.assert_allclose(p, want, atol=1e-15)
-        # after one step the update magnitude is lr*|g|/(|g|+eps)
-        np.testing.assert_allclose(np.abs(p - prev), lr * np.abs(g) / (np.abs(g) + eps), atol=1e-15)
+    p, prev, g = params.flat, before.flat, grads.flat
+    m = (1 - b1) * g
+    v = (1 - b2) * g * g
+    mhat = m / (1 - b1)
+    vhat = v / (1 - b2)
+    want = prev - lr * mhat / (np.sqrt(vhat) + eps)
+    np.testing.assert_allclose(p, want, atol=1e-15)
+    # after one step the update magnitude is lr*|g|/(|g|+eps)
+    np.testing.assert_allclose(np.abs(p - prev), lr * np.abs(g) / (np.abs(g) + eps), atol=1e-15)
 
 
 def test_adam_two_identical_runs_are_bitwise_identical():
@@ -387,14 +380,11 @@ def test_adam_two_identical_runs_are_bitwise_identical():
         rng = RNG(26)
         for _ in range(5):
             grads = zeros_like_params(params)
-            for g in iter_arrays(grads):
-                g += rng.normal(size=g.shape)
+            grads.flat += rng.normal(size=grads.flat.shape)
             adam_step(params, grads, state, lr=0.05)
         return params
 
-    a, b = run(), run()
-    for x, y in zip(iter_arrays(a), iter_arrays(b)):
-        assert np.array_equal(x, y)
+    assert np.array_equal(run().flat, run().flat)
 
 
 def test_adam_rejects_non_finite_gradients():
@@ -405,36 +395,123 @@ def test_adam_rejects_non_finite_gradients():
         adam_step(params, grads, init_adam(params), lr=0.01)
 
 
+def test_adam_non_finite_gradient_updates_nothing():
+    params = tiny_params(seed=34)
+    state = init_adam(params)
+    grads = zeros_like_params(params)
+    grads.flat += RNG(35).normal(size=grads.flat.shape)
+    adam_step(params, grads, state, lr=0.01)  # moments are non-zero from here on
+    before = params.copy()
+    m, v = state.first_moment.copy(), state.second_moment.copy()
+    grads.aux_head.b[-1] = np.nan  # last entry of flat: every other array precedes it
+    with pytest.raises(TrainingDivergedError):
+        adam_step(params, grads, state, lr=0.01)
+    np.testing.assert_array_equal(params.flat, before.flat)
+    np.testing.assert_array_equal(state.first_moment, m)
+    np.testing.assert_array_equal(state.second_moment, v)
+    assert state.step_count == 1
+
+
 def test_ema_decay_endpoints_and_update():
     params = tiny_params(seed=28)
     ema = init_ema(params, decay=0.0)
     shifted = params.copy()
-    for arr in iter_arrays(shifted):
-        arr += 1.0
+    shifted.flat += 1.0
     ema_update(ema, shifted)  # decay 0 -> ema equals tracked params
-    for e, p in zip(iter_arrays(ema.params), iter_arrays(shifted)):
-        np.testing.assert_array_equal(e, p)
+    np.testing.assert_array_equal(ema.params.flat, shifted.flat)
 
     ema = init_ema(params, decay=1.0)
     ema_update(ema, shifted)  # decay 1 -> ema never moves
-    for e, p in zip(iter_arrays(ema.params), iter_arrays(params)):
-        np.testing.assert_array_equal(e, p)
+    np.testing.assert_array_equal(ema.params.flat, params.flat)
 
 
 def test_ema_standard_decay_value():
     params = tiny_params(seed=29)
-    for arr in iter_arrays(params):
-        arr[:] = 0.0
+    params.flat[:] = 0.0
     ema = init_ema(params, decay=0.999)
     ones = params.copy()
-    for arr in iter_arrays(ones):
-        arr[:] = 1.0
+    ones.flat[:] = 1.0
     ema_update(ema, ones)
-    for e in iter_arrays(ema.params):
-        np.testing.assert_allclose(e, 0.001, atol=1e-15)
+    np.testing.assert_allclose(ema.params.flat, 0.001, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     p = softmax(RNG(30).normal(size=(7, 5)) * 10)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0)
+
+
+# ---------------------------------------------------------------------------
+# Flat parameter layout
+# ---------------------------------------------------------------------------
+
+
+def test_flat_index_writes_exactly_one_named_element_in_named_order():
+    params = tiny_params(d=3, hidden=(4, 3), k=2, seed=31)
+    names = [name for name, _ in named_arrays(params)]
+    assert names == ["enc0.w", "enc0.b", "enc1.w", "enc1.b", "base.w", "base.b", "aux.w", "aux.b"]
+    # row-major order within each array, arrays in named_arrays order
+    expected = [(name, idx) for name, arr in named_arrays(params) for idx in np.ndindex(arr.shape)]
+    assert len(expected) == params.flat.size
+    for i, want in enumerate(expected):
+        before = {name: arr.copy() for name, arr in named_arrays(params)}
+        orig = params.flat[i]
+        params.flat[i] = orig + 1.0
+        changed = [
+            (name, tuple(int(j) for j in idx))
+            for name, arr in named_arrays(params)
+            for idx in zip(*np.nonzero(arr != before[name]))
+        ]
+        assert changed == [want]
+        params.flat[i] = orig
+
+
+def test_from_flat_rejects_wrong_length_and_dtype():
+    dims, k = (3, 4), 2
+    size = ModelParams.size(dims, k)
+    assert size == (3 + 1) * 4 + 2 * (4 + 1) * 2
+    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float32)):
+        with pytest.raises(ValueError):
+            ModelParams.from_flat(bad, dims, k)
+
+
+def test_copy_and_zeros_like_share_the_layout_but_not_the_memory():
+    params = tiny_params(seed=36)
+    for other in (params.copy(), zeros_like_params(params)):
+        assert other.dims == params.dims and other.flat.shape == params.flat.shape
+        assert not np.shares_memory(other.flat, params.flat)
+        for (_, a), (_, b) in zip(named_arrays(other), named_arrays(params)):
+            assert np.shares_memory(a, other.flat) and a.shape == b.shape
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_deepcopy_and_pickle_keep_the_arrays_views_of_flat(clone):
+    params = tiny_params(seed=40)
+    twin = clone(params)
+    assert np.array_equal(twin.flat, params.flat)
+    assert not np.shares_memory(twin.flat, params.flat)
+    twin.flat += 1.0  # an optimizer step on the copy must reach its forward pass
+    for (_, a), (_, b) in zip(named_arrays(twin), named_arrays(params)):
+        np.testing.assert_array_equal(a, b + 1.0)
+
+
+def test_save_load_model_round_trips_flat_exactly(tmp_path):
+    params = tiny_params(d=3, hidden=(4, 3), k=2, seed=37)
+    ema = tiny_params(d=3, hidden=(4, 3), k=2, seed=38)
+    path = tmp_path / "model.npz"
+    save_model(path, params, ema)
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(
+            f"{prefix}/{name}" for prefix in ("params", "ema") for name, _ in named_arrays(params)
+        )
+    raw_back, ema_back = load_model(path, (4, 3), 3, 2)
+    assert np.array_equal(raw_back.flat, params.flat)
+    assert np.array_equal(ema_back.flat, ema.flat)
+
+
+def test_load_model_rejects_arrays_the_config_lacks(tmp_path):
+    deeper = tiny_params(d=3, hidden=(4, 4), k=2, seed=39)
+    path = tmp_path / "model.npz"
+    save_model(path, deeper, deeper)
+    with pytest.raises(ConfigError, match="enc1.b is not part of the configured model"):
+        load_model(path, (4,), 3, 2)

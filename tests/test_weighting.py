@@ -2,35 +2,41 @@
 
 import numpy as np
 import pytest
+from oracles import ratio_weight
 
-from tailssl.weighting import batch_weights, labeled_weight, unlabeled_weight
+from tailssl.weighting import batch_weights
+
+
+def weight(counts, y, alpha):
+    """The weight of one sample of class y, through the batch form."""
+    return batch_weights(counts, np.array([y]), alpha)[0]
 
 
 def test_labeled_weight_direct_ratio():
     counts = np.array([100, 10])
-    assert labeled_weight(counts, 0, 1.0) == pytest.approx(0.1, abs=1e-15)
-    assert labeled_weight(counts, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert weight(counts, 0, 1.0) == pytest.approx(0.1, abs=1e-15)
+    assert weight(counts, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_alpha_zero_gives_unit_weights():
     counts = np.array([500, 50, 3])
     for y in range(3):
-        assert labeled_weight(counts, y, 0.0) == 1.0
+        assert weight(counts, y, 0.0) == 1.0
 
 
 def test_labeled_weight_sqrt_case():
     # (10/100)^0.5, arbitrary-precision value
-    assert labeled_weight(np.array([100, 10]), 0, 0.5) == pytest.approx(
+    assert weight(np.array([100, 10]), 0, 0.5) == pytest.approx(
         0.31622776601683794, abs=1e-12
     )
 
 
 def test_unlabeled_weight_cases():
-    assert unlabeled_weight(np.array([50, 5]), 0, 1.0) == pytest.approx(0.1, abs=1e-15)
+    assert weight(np.array([50, 5]), 0, 1.0) == pytest.approx(0.1, abs=1e-15)
     equal = np.array([7, 7, 7])
-    assert all(unlabeled_weight(equal, q, 1.3) == 1.0 for q in range(3))
+    assert all(weight(equal, q, 1.3) == 1.0 for q in range(3))
     # (2/8)^0.75, arbitrary-precision value
-    assert unlabeled_weight(np.array([64, 8, 2]), 1, 0.75) == pytest.approx(
+    assert weight(np.array([64, 8, 2]), 1, 0.75) == pytest.approx(
         0.3535533905932738, abs=1e-12
     )
 
@@ -49,8 +55,8 @@ def test_weights_in_unit_interval_and_rarest_is_one():
 def test_weight_monotone_in_class_count():
     alpha = 0.7
     base = np.array([10, 40])
-    w_small = labeled_weight(base, 1, alpha)
-    w_big = labeled_weight(np.array([10, 400]), 1, alpha)
+    w_small = weight(base, 1, alpha)
+    w_big = weight(np.array([10, 400]), 1, alpha)
     assert w_big <= w_small
 
 
@@ -58,27 +64,32 @@ def test_weight_scale_invariance():
     counts = np.array([120, 30, 6])
     for c in (2, 10, 1000):
         for q in range(3):
-            assert unlabeled_weight(counts * c, q, 0.8) == pytest.approx(
-                unlabeled_weight(counts, q, 0.8), rel=1e-12
+            assert weight(counts * c, q, 0.8) == pytest.approx(
+                weight(counts, q, 0.8), rel=1e-12
             )
 
 
 def test_weight_nonincreasing_in_alpha_for_non_rarest_class():
     counts = np.array([90, 9])
-    weights = [labeled_weight(counts, 0, a) for a in (0.0, 0.25, 0.5, 1.0, 2.0)]
+    weights = [weight(counts, 0, a) for a in (0.0, 0.25, 0.5, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(weights, weights[1:]))
 
 
 def test_rejects_unclamped_counts_and_bad_class():
     with pytest.raises(ValueError):
-        labeled_weight(np.array([0, 5]), 0, 1.0)
+        weight(np.array([0, 5]), 0, 1.0)
     with pytest.raises(ValueError):
-        unlabeled_weight(np.array([5, 5]), 2, 1.0)
+        weight(np.array([5, 5]), 2, 1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        weight(np.array([5, 7]), -1, 1.0)  # would wrap to the last class
+    with pytest.raises(ValueError, match="out of range"):
+        batch_weights(np.array([5, 7]), np.array([0, 1, 2]), 1.0)
+    assert batch_weights(np.array([5, 7]), np.zeros(0, dtype=np.int64), 1.0).shape == (0,)
 
 
 def test_batch_weights_matches_scalar_form():
     counts = np.array([33, 11, 2])
     labels = np.array([0, 2, 1, 1, 0])
     w = batch_weights(counts, labels, 0.9)
-    want = [labeled_weight(counts, int(y), 0.9) for y in labels]
+    want = [ratio_weight(counts.tolist(), int(y), 0.9) for y in labels]
     np.testing.assert_allclose(w, want, rtol=1e-15)
