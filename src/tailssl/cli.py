@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -130,17 +131,17 @@ def _load_configured_dataset(cfg: dict, config_path: str):
     for key in ("csv", "manifest"):
         if not os.path.exists(paths[key]):
             raise ConfigError(f"dataset file missing: {paths[key]} (run `tailssl generate` first)")
-    with open(paths["manifest"]) as fh:
-        manifest = json.load(fh)
+    # generate writes the manifest last, so a manifest that parses marks a finished dataset
+    cfgmod.read_json(paths["manifest"], f"cannot read {paths['manifest']}")
     oracle = paths["oracle"] if os.path.exists(paths["oracle"]) else None
     ds = load_dataset(paths["csv"], oracle, num_classes=cfg["dataset"]["num_classes"])
-    return ds, manifest, sha256_file(paths["csv"])
+    return ds, sha256_file(paths["csv"])
 
 
 def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
     """Train one seed of a resolved config into run_dir; returns the report dict."""
     data_dir = _resolve_data_dir(cfg, config_path)
-    ds, _, dataset_hash = _load_configured_dataset(cfg, config_path)
+    ds, dataset_hash = _load_configured_dataset(cfg, config_path)
     train_cfg = cfgmod.build_train_config(cfg, seed)
     os.makedirs(run_dir, exist_ok=True)
 
@@ -255,19 +256,26 @@ def save_model(path, params: ModelParams, ema_params: ModelParams) -> None:
 
 
 def load_model(path, hidden_sizes, input_dim, num_classes) -> tuple[ModelParams, ModelParams]:
-    """Raw and EMA params of the config's shape, filled from the arrays save_model wrote."""
+    """Raw and EMA params of the config's shape, filled from the arrays save_model wrote.
+
+    A file that is not such an archive, or does not fit the config, raises ConfigError.
+    """
     dims = (input_dim, *hidden_sizes)
     raw, ema = ModelParams.zeros(dims, num_classes), ModelParams.zeros(dims, num_classes)
     views = {f"{prefix}/{name}": view for prefix, model in (("params", raw), ("ema", ema))
              for name, view in named_arrays(model)}
-    with np.load(path) as data:
-        for key, view in views.items():
-            array = data[key] if key in data.files else None
-            if array is None or array.shape != view.shape:
-                found = "is missing" if array is None else f"has shape {array.shape}"
-                raise ConfigError(f"{path}: {key} {found}, the config expects {view.shape}")
-            view[...] = array
-        extra = sorted(set(data.files) - set(views))
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a saved model ({exc})") from None
+    for key, view in views.items():
+        array = arrays.get(key)
+        if array is None or array.shape != view.shape:
+            found = "is missing" if array is None else f"has shape {array.shape}"
+            raise ConfigError(f"{path}: {key} {found}, the config expects {view.shape}")
+        view[...] = array
+    extra = sorted(set(arrays) - set(views))
     if extra:
         raise ConfigError(f"{path}: {extra[0]} is not part of the configured model")
     return raw, ema
@@ -329,13 +337,9 @@ def cmd_sweep(args) -> int:
 
 
 def _read_run(run_dir: str) -> dict:
-    try:
-        with open(os.path.join(run_dir, "report.json")) as fh:
-            report = json.load(fh)
-        with open(os.path.join(run_dir, "config.resolved.json")) as fh:
-            resolved = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{run_dir}: missing run outputs ({exc})") from None
+    missing = f"{run_dir}: missing run outputs"
+    report = cfgmod.read_json(os.path.join(run_dir, "report.json"), missing)
+    resolved = cfgmod.read_json(os.path.join(run_dir, "config.resolved.json"), missing)
     return {"dir": run_dir, "report": report, "config": resolved}
 
 
@@ -397,12 +401,8 @@ def cmd_report(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     resolved_path = os.path.join(args.run, "config.resolved.json")
-    try:
-        with open(resolved_path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{args.run}: not a finished run directory ({exc})") from None
-    ds, _, _ = _load_configured_dataset(cfg, resolved_path)
+    cfg = cfgmod.read_json(resolved_path, f"{args.run}: not a finished run directory")
+    ds, _ = _load_configured_dataset(cfg, resolved_path)
     params, ema = load_model(
         os.path.join(args.run, "model.npz"),
         cfg["train"]["hidden_sizes"],

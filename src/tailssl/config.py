@@ -9,8 +9,10 @@ stored next to run outputs.
 """
 
 import copy
+import dataclasses
 import json
 import os
+import typing
 
 import jsonschema
 
@@ -21,9 +23,89 @@ from .util import canonical_json, sha256_text
 
 ENV_PREFIX = "TAILSSL_"
 
-_NUM = {"type": "number"}
-_INT = {"type": "integer"}
-_POS_INT = {"type": "integer", "minimum": 1}
+# Each config section is a dataclass; its fields give the section's names, JSON
+# types, defaults and required fields. TrainConfig's num_classes, input_dim,
+# seed and augment are filled from the other sections by build_train_config.
+SECTIONS = {"dataset": DatasetSpec, "augment": AugmentConfig, "train": TrainConfig}
+_FILLED_FROM_OTHER_SECTIONS = {"num_classes", "input_dim", "seed", "augment"}
+
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
+
+# The constraints the schema adds to a field's JSON type, per section and field.
+RANGES = {
+    "dataset": {
+        "num_classes": {"minimum": 2},
+        "feature_dim": {"minimum": 1},
+        "n1": {"minimum": 1},
+        "m1": {"minimum": 0},
+        "gamma_l": {"minimum": 1},
+        "gamma_u": {"minimum": 1},
+        "test_per_class": {"minimum": 0},
+        "separation": {"exclusiveMinimum": 0},
+    },
+    "augment": {
+        "weak_noise_sigma": {"minimum": 0},
+        "strong_noise_sigma": {"minimum": 0},
+        "strong_dropout_prob": {"minimum": 0, "maximum": 1},
+        "strong_scale_jitter": {"minimum": 0, "exclusiveMaximum": 1},
+    },
+    "train": {
+        "mode": {"enum": list(MODES)},
+        "tau": {"exclusiveMinimum": 0, "maximum": 1},
+        "alpha": {"minimum": 0},
+        "beta": {"minimum": 0},
+        "lambda_sampling": {"minimum": 0},
+        "lambda_u": {"minimum": 0},
+        "lambda_m": {"minimum": 0},
+        "batch_size": {"minimum": 1},
+        "memory_capacity": {"minimum": 1},
+        "get_fraction": {"minimum": 0, "maximum": 1},
+        "memory_content": {"enum": list(MEMORY_CONTENTS)},
+        "warmup_epochs": {"minimum": 0},
+        "epochs": {"minimum": 0},
+        "iters_per_epoch": {"minimum": 1},
+        "lr": {"exclusiveMinimum": 0},
+        "ema_decay": {"minimum": 0, "maximum": 1},
+        "adam_beta1": {"minimum": 0, "exclusiveMaximum": 1},
+        "adam_beta2": {"minimum": 0, "exclusiveMaximum": 1},
+        "adam_eps": {"exclusiveMinimum": 0},
+        "hidden_sizes": {"items": {"type": "integer", "minimum": 1}, "minItems": 1},
+    },
+}
+
+
+def _json_type(annotation) -> dict:
+    """JSON schema type of an annotation: a scalar, `X | None`, or `tuple[X, ...]`."""
+    if annotation in _JSON_TYPES:
+        return {"type": _JSON_TYPES[annotation]}
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple:
+        return {"type": "array", "items": _json_type(args[0])}
+    return {"type": [_JSON_TYPES[arg] for arg in args]}
+
+
+def _section(name: str) -> tuple[dict, dict]:
+    """Schema and defaults of one config section, from its dataclass and its ranges."""
+    cls = SECTIONS[name]
+    hints = typing.get_type_hints(cls)
+    properties, required, defaults = {}, [], {}
+    for f in dataclasses.fields(cls):
+        if name == "train" and f.name in _FILLED_FROM_OTHER_SECTIONS:
+            continue
+        properties[f.name] = {**_json_type(hints[f.name]), **RANGES[name].get(f.name, {})}
+        if f.default is dataclasses.MISSING:
+            required.append(f.name)
+        else:
+            defaults[f.name] = list(f.default) if isinstance(f.default, tuple) else f.default
+    schema = {"type": "object", "additionalProperties": False, "properties": properties}
+    if required:
+        schema["required"] = required
+    return schema, defaults
+
+
+_SECTION_SCHEMAS, _DEFAULTS = {}, {"seeds": [0], "data_dir": "data"}
+for _name in SECTIONS:
+    _SECTION_SCHEMAS[_name], _DEFAULTS[_name] = _section(_name)
 
 RUN_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -32,64 +114,9 @@ RUN_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string", "minLength": 1},
-        "seeds": {"type": "array", "items": _INT, "minItems": 1},
+        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
         "data_dir": {"type": "string"},
-        "dataset": {
-            "type": "object",
-            "required": ["num_classes", "feature_dim", "n1", "m1"],
-            "additionalProperties": False,
-            "properties": {
-                "num_classes": {"type": "integer", "minimum": 2},
-                "feature_dim": _POS_INT,
-                "n1": _POS_INT,
-                "m1": {"type": "integer", "minimum": 0},
-                "gamma_l": {"type": "number", "minimum": 1},
-                "gamma_u": {"type": "number", "minimum": 1},
-                "test_per_class": {"type": "integer", "minimum": 0},
-                "geometry_seed": _INT,
-                "sample_seed": _INT,
-                "separation": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "augment": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "weak_noise_sigma": {"type": "number", "minimum": 0},
-                "strong_noise_sigma": {"type": "number", "minimum": 0},
-                "strong_dropout_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "strong_scale_jitter": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": list(MODES)},
-                "tau": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "alpha": {"type": "number", "minimum": 0},
-                "beta": {"type": "number", "minimum": 0},
-                "lambda_sampling": {"type": "number", "minimum": 0},
-                "lambda_u": {"type": "number", "minimum": 0},
-                "lambda_m": {"type": "number", "minimum": 0},
-                "batch_size": _POS_INT,
-                "memory_capacity": _POS_INT,
-                "get_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "memory_content": {"enum": list(MEMORY_CONTENTS)},
-                "warmup_epochs": {"type": "integer", "minimum": 0},
-                "epochs": {"type": "integer", "minimum": 0},
-                "iters_per_epoch": _POS_INT,
-                "lr": {"type": "number", "exclusiveMinimum": 0},
-                "ema_decay": {"type": "number", "minimum": 0, "maximum": 1},
-                "adam_beta1": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "adam_beta2": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "adam_eps": {"type": "number", "exclusiveMinimum": 0},
-                "hidden_sizes": {"type": "array", "items": _POS_INT, "minItems": 1},
-                "aux_stopgrad": {"type": "boolean"},
-                "shot_many_min": {"type": ["integer", "null"]},
-                "shot_few_max": {"type": ["integer", "null"]},
-            },
-        },
+        **_SECTION_SCHEMAS,
     },
 }
 
@@ -107,61 +134,39 @@ SWEEP_SCHEMA = {
     },
 }
 
-_DEFAULTS = {
-    "seeds": [0],
-    "data_dir": "data",
-    "dataset": {
-        "gamma_l": 1.0,
-        "gamma_u": 1.0,
-        "test_per_class": 100,
-        "geometry_seed": 0,
-        "sample_seed": 1,
-        "separation": 3.0,
-    },
-    "augment": {
-        "weak_noise_sigma": 0.1,
-        "strong_noise_sigma": 0.4,
-        "strong_dropout_prob": 0.3,
-        "strong_scale_jitter": 0.1,
-    },
-    "train": {
-        "mode": "bmb",
-        "tau": 0.95,
-        "alpha": 0.75,
-        "beta": 1.0,
-        "lambda_sampling": 0.75,
-        "lambda_u": 1.0,
-        "lambda_m": 0.25,
-        "batch_size": 64,
-        "memory_capacity": 128,
-        "get_fraction": 0.5,
-        "memory_content": "strong",
-        "warmup_epochs": 5,
-        "epochs": 60,
-        "iters_per_epoch": 100,
-        "lr": 0.002,
-        "ema_decay": 0.999,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "hidden_sizes": [16, 8],
-        "aux_stopgrad": False,
-        "shot_many_min": None,
-        "shot_few_max": None,
-    },
-}
+_RUN_VALIDATOR = jsonschema.Draft202012Validator(RUN_SCHEMA)
+_SWEEP_VALIDATOR = jsonschema.Draft202012Validator(SWEEP_SCHEMA)
 
 
 def _merge_defaults(user: dict) -> dict:
+    """Fill absent fields; a section that is present but not an object is left for the schema."""
     merged = copy.deepcopy(user)
-    for key, value in _DEFAULTS.items():
-        if isinstance(value, dict):
-            section = dict(value)
-            section.update(merged.get(key) or {})
-            merged[key] = section
-        else:
-            merged.setdefault(key, copy.deepcopy(value))
+    for key, default in copy.deepcopy(_DEFAULTS).items():
+        value = merged.setdefault(key, default)
+        if isinstance(default, dict) and isinstance(value, dict):
+            merged[key] = {**default, **value}
     return merged
+
+
+def _check(instance, validator, kind: str) -> None:
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{kind} field {path}: {error.message}")
+
+
+def read_json(path, unreadable: str):
+    """Parse a JSON file; a file that cannot be read or parsed raises ConfigError.
+
+    `unreadable` heads the message for an OSError, which follows in parentheses.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{unreadable} ({exc})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 def apply_env_overrides(cfg: dict, env=None) -> dict:
@@ -189,22 +194,12 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
 def validate_run_config(cfg: dict) -> dict:
     """Apply defaults and schema-validate; returns the resolved config dict."""
     resolved = _merge_defaults(cfg)
-    try:
-        jsonschema.validate(resolved, RUN_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from None
+    _check(resolved, _RUN_VALIDATOR, "config")
     return resolved
 
 
 def load_run_config(path, env=None, use_env: bool = True) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    raw = read_json(path, f"cannot read config {path}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be an object")
     if use_env:
@@ -213,18 +208,8 @@ def load_run_config(path, env=None, use_env: bool = True) -> dict:
 
 
 def load_sweep_config(path, env=None, use_env: bool = True) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(raw, SWEEP_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path_str = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"sweep field {path_str}: {exc.message}") from None
+    raw = read_json(path, f"cannot read sweep config {path}")
+    _check(raw, _SWEEP_VALIDATOR, "sweep")
     base = raw["base"]
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(os.fspath(path)), base)

@@ -25,9 +25,9 @@ class DatasetSpec:
     feature_dim: int
     n1: int  # largest labeled class size
     m1: int  # largest unlabeled class size
-    gamma_l: float  # labeled imbalance ratio (head/tail)
-    gamma_u: float  # unlabeled imbalance ratio
-    test_per_class: int
+    gamma_l: float = 1.0  # labeled imbalance ratio (head/tail)
+    gamma_u: float = 1.0  # unlabeled imbalance ratio
+    test_per_class: int = 100
     geometry_seed: int = 0
     sample_seed: int = 1
     separation: float = 3.0  # pairwise distance between class means

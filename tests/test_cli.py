@@ -1,14 +1,22 @@
 """CLI harness: generate/train/sweep/report/export, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from tailssl.cli import main
 from tailssl.config import (
+    RANGES,
+    RUN_SCHEMA,
+    SECTIONS,
+    SWEEP_SCHEMA,
     apply_env_overrides,
+    config_hash,
     load_run_config,
     load_sweep_config,
     validate_run_config,
@@ -90,6 +98,26 @@ def test_generate_bad_config_exits_2(workspace, capsys):
     bad.write_text(json.dumps({"name": "x", "dataset": {"num_classes": 1}}))
     assert main(["generate", "--config", str(bad)]) == 2
     assert "config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [5, [1], "ab", None, [], 0], ids=repr)
+@pytest.mark.parametrize("section", ["dataset", "augment", "train"])
+def test_generate_section_not_an_object_exits_2(workspace, capsys, section, value):
+    tmp, _ = workspace
+    cfg = tiny_config()
+    cfg[section] = value
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(bad), "--out", str(tmp / "gen")]) == 2
+    assert f"config field {section}: {value!r} is not of type 'object'" in capsys.readouterr().err
+    assert not (tmp / "gen").exists()
+
+
+def test_env_section_not_an_object_exits_2(workspace, capsys, monkeypatch):
+    tmp, cfg_path = workspace
+    monkeypatch.setenv("TAILSSL_TRAIN", "5")
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert "config field train: 5 is not of type 'object'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +415,46 @@ def test_export_embeddings_model_config_mismatch_exits_2(workspace, capsys, hidd
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, damaged",
+    [
+        ("export-embeddings", "run/config.resolved.json"),
+        ("report", "run/report.json"),
+        ("train", "data/manifest.json"),
+    ],
+)
+def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    (tmp / damaged).write_text("{x")
+    capsys.readouterr()
+    argv = {
+        "export-embeddings": ["--run", str(tmp / "run"), "--out", str(tmp / "emb.csv")],
+        "report": ["--runs", str(tmp / "run"), "--out", str(tmp / "rep")],
+        "train": ["--config", str(cfg_path), "--out", str(tmp / "run2")],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert f"{damaged} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    model = tmp / "run" / "model.npz"
+    if damage == "garbage":
+        model.write_text("garbage")
+    else:
+        model.write_bytes(model.read_bytes()[:300])
+    capsys.readouterr()
+    out = tmp / "emb.csv"
+    assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(out)]) == 2
+    assert "model.npz: not a saved model (" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config machinery
 # ---------------------------------------------------------------------------
@@ -397,8 +465,46 @@ def test_validate_fills_defaults():
     assert cfg["train"]["lr"] == 0.002
     assert cfg["train"]["ema_decay"] == 0.999
     assert cfg["train"]["lambda_u"] == 1.0
+    assert cfg["train"]["hidden_sizes"] == [16, 8]
+    assert cfg["train"]["shot_many_min"] is None
     assert cfg["augment"]["weak_noise_sigma"] == 0.1
+    assert cfg["dataset"]["test_per_class"] == 100
+    assert cfg["dataset"]["gamma_l"] == 1.0
     assert cfg["seeds"] == [0]
+    assert "seed" not in cfg["train"] and "augment" not in cfg["train"]
+
+
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        ("configs/benchmark.json", "dd32e3f0cab67f9ecc8576b956c17ebd9438ab92e96b51fda86736db1e514569"),
+        ("configs/quickstart.json", "d7bc3307fa9fc1d7f59cdaef9f0c4b155c0a988841b0bddae28015169f05c13e"),
+    ],
+)
+def test_resolved_config_hash_is_pinned(path, digest):
+    # Catches a drifted default, or an integer default that became a float.
+    root = Path(__file__).resolve().parent.parent
+    assert config_hash(load_run_config(root / path, use_env=False)) == digest
+
+
+def test_all_defaults_config_hash_is_pinned():
+    # Only the required fields: every other dataset, augment and train value is a default.
+    cfg = validate_run_config({"name": "x", "dataset": {"num_classes": 2, "feature_dim": 3, "n1": 5, "m1": 5}})
+    assert config_hash(cfg) == "12dc0dfe2c1851c7a20c8e7922164884cb2ce701db74f46132dae3d77164c189"
+
+
+@pytest.mark.parametrize("section", sorted(RANGES))
+def test_every_range_names_a_field_of_its_section(section):
+    fields = {f.name for f in dataclasses.fields(SECTIONS[section])}
+    properties = RUN_SCHEMA["properties"][section]["properties"]
+    for name, constraints in RANGES[section].items():
+        assert name in fields and name in properties, name
+        assert {**properties[name], **constraints} == properties[name], name
+
+
+@pytest.mark.parametrize("schema", [RUN_SCHEMA, SWEEP_SCHEMA], ids=["run", "sweep"])
+def test_schemas_are_valid_draft_2020_12(schema):
+    jsonschema.Draft202012Validator.check_schema(schema)
 
 
 def test_validate_reports_field_path():
