@@ -265,7 +265,10 @@ def load_model(path, hidden_sizes, input_dim, num_classes) -> tuple[ModelParams,
     views = {f"{prefix}/{name}": view for prefix, model in (("params", raw), ("ema", ema))
              for name, view in named_arrays(model)}
     try:
-        with np.load(path) as data:
+        loaded = np.load(path)
+        if isinstance(loaded, np.ndarray):
+            raise ValueError("a single .npy array, not an .npz archive")
+        with loaded as data:
             arrays = {key: data[key] for key in data.files}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a saved model ({exc})") from None

@@ -13,14 +13,57 @@ class distribution: class k is drawn with probability proportional to
 
 Storage is preallocated arrays, with no object per record. Slot i is row i of
 `features` (capacity, d) and of `labels` (capacity,). Each class keeps a FIFO
-list of its slots, oldest first; records of a class arrive in step order, so
-eviction pops the head. Free slots sit on a stack, and an int64 array of class
-sizes is updated on every insert and eviction. `get` draws all n
-within-class positions with one vectorised `rng.integers` call and returns
-slot rows, which callers use to index `features` and `labels`.
+list of its slots, oldest first, whose length is the class size; records of a
+class arrive in step order, so eviction pops the head. Free slots sit on a
+stack.
+
+Draws. P_in and P_out depend only on a class size, so the bank tabulates both
+for every size 0..capacity once, each with the expression of its spec
+function (`accept_probability` is Python float arithmetic, the eviction
+weights a numpy power; the two round differently in the last bit). A class
+draw is an inverse-CDF draw, the method `Generator.choice` uses: cumulative
+sum of the renormalised probabilities, divided by its last entry, then the
+first entry greater than one uniform. `dequeue` does this on Python floats,
+summing in numpy's pairwise order (`_pairwise_sum`), so every victim and the
+generator state equal those of `rng.choice(support, p=...)` over the
+renormalised `eviction_distribution`. `get` does it in numpy for its n class
+draws, then draws all n within-class positions with one `rng.integers` call,
+and returns slot rows, which callers use to index `features` and `labels`.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
+
+
+def _pairwise_sum(values: list[float], start: int = 0, n: int | None = None) -> float:
+    """Sum values[start:start + n] in the order of numpy's float64 `ndarray.sum()`.
+
+    numpy sums fewer than 8 elements left to right from 0.0, up to 128 with 8
+    interleaved accumulators (then the remainder left to right), and above
+    that splits at the half rounded down to a multiple of 8.
+    """
+    if n is None:
+        n = len(values) - start
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        acc = values[start:start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
 
 
 def accept_probability(count: int, beta: float) -> float:
@@ -62,7 +105,11 @@ def retrieval_distribution(
 
 
 class MemoryBank:
-    """Exclusive-access mutable store; one logical writer, no internal locking."""
+    """Exclusive-access mutable store; one logical writer, no internal locking.
+
+    `p_in[c]` and `p_out[c]` are the accept probability and the eviction
+    weight of a class holding c records, for c = 0..capacity.
+    """
 
     def __init__(self, capacity: int, num_classes: int, beta: float, feature_dim: int):
         if capacity < 1:
@@ -78,7 +125,9 @@ class MemoryBank:
         self.beta = beta
         self.features = np.zeros((capacity, feature_dim))
         self.labels = np.zeros(capacity, dtype=np.int64)
-        self._counts = np.zeros(num_classes, dtype=np.int64)
+        self.p_in = [accept_probability(c, beta) for c in range(capacity + 1)]
+        sizes = np.arange(1, capacity + 1, dtype=np.float64)
+        self.p_out = [0.0] + (1.0 - sizes ** (-beta)).tolist()  # as in eviction_distribution
         self._fifo: list[list[int]] = [[] for _ in range(num_classes)]  # slots, oldest first
         self._free = list(range(capacity - 1, -1, -1))  # stack; slot 0 is used first
 
@@ -86,7 +135,7 @@ class MemoryBank:
         return self.capacity - len(self._free)
 
     def counts(self) -> np.ndarray:
-        return self._counts.copy()
+        return np.array([len(fifo) for fifo in self._fifo], dtype=np.int64)
 
     def rows(self, k: int) -> np.ndarray:
         """Slot rows of class k, oldest first."""
@@ -102,7 +151,6 @@ class MemoryBank:
         self.features[slot] = feature
         self.labels[slot] = label
         self._fifo[label].append(slot)
-        self._counts[label] += 1
 
     def enqueue(self, feature: np.ndarray, label: int, rng: np.random.Generator) -> bool:
         """Accept with probability 1/C_k^beta (C_k read before insertion; 1 if empty).
@@ -112,7 +160,7 @@ class MemoryBank:
         """
         if not 0 <= label < self.num_classes:
             raise ValueError(f"pseudo_label {label} out of range")
-        if rng.random() >= accept_probability(self._counts[label], self.beta):
+        if rng.random() >= self.p_in[len(self._fifo[label])]:
             return False
         if not self._free:
             self.dequeue(rng)
@@ -123,18 +171,27 @@ class MemoryBank:
         """Evict the oldest record of a victim class drawn by eviction weight.
 
         Victim class ~ 1 - 1/C_k^beta over non-empty classes; if all weights
-        are zero the draw is uniform over stored records (~ C_k). Returns the
-        freed slot, whose features/labels rows keep the evicted record until
-        the next insert.
+        are zero the draw is uniform over stored records (~ C_k). The draw and
+        the generator state match `rng.choice(support, p=...)` over the
+        renormalised `eviction_distribution`. Returns the freed slot, whose
+        features/labels rows keep the evicted record until the next insert.
         """
-        counts = self._counts
-        if not len(self):
+        stored = len(self)
+        if not stored:
             raise ValueError("cannot dequeue from an empty bank")
-        probs = eviction_distribution(counts, self.beta)
-        support = np.flatnonzero(counts)  # boundary draws must never hit empty classes
-        victim = int(rng.choice(support, p=probs[support] / probs[support].sum()))
+        sizes = [len(fifo) for fifo in self._fifo]
+        weights = [self.p_out[c] for c in sizes]
+        total = _pairwise_sum(weights)
+        if total <= 0.0:
+            weights, total = sizes, float(stored)
+        # eviction_distribution, restricted to the support and renormalised
+        support = [k for k, c in enumerate(sizes) if c]  # empty classes are never drawn
+        probs = [weights[k] / total for k in support]
+        norm = _pairwise_sum(probs)
+        cdf = list(accumulate([p / norm for p in probs]))
+        last = cdf[-1]
+        victim = support[bisect_right([x / last for x in cdf], rng.random())]
         slot = self._fifo[victim].pop(0)
-        counts[victim] -= 1
         self._free.append(slot)
         return slot
 
@@ -148,21 +205,24 @@ class MemoryBank:
         """Draw n slot rows with replacement, reversing the estimated distribution.
 
         Class k is chosen with probability proportional to 1/M_k^lambda over
-        non-empty classes; within a class records are uniform. Index
-        `features`/`labels` with the result. It is empty only when n is 0 or
-        the bank is empty.
+        non-empty classes; within a class records are uniform. The class draws
+        and the generator state match `rng.choice(support, size=n, p=...)`.
+        Index `features`/`labels` with the result. It is empty only when n is
+        0 or the bank is empty.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         estimated = np.asarray(estimated_counts, dtype=np.float64)
         if estimated.shape != (self.num_classes,):
             raise ValueError("estimated_counts must have one entry per class")
-        counts = self._counts
         if n == 0 or not len(self):
             return np.zeros(0, dtype=np.int64)
+        counts = self.counts()
         probs = retrieval_distribution(estimated, counts, lam)
         support = np.flatnonzero(counts)
-        classes = rng.choice(support, size=n, p=probs[support] / probs[support].sum())
+        cdf = (probs[support] / probs[support].sum()).cumsum()
+        cdf /= cdf[-1]
+        classes = support[cdf.searchsorted(rng.random(n), side="right")]
         positions = rng.integers(0, counts[classes])
         fifo = self._fifo
         return np.array(
@@ -171,7 +231,7 @@ class MemoryBank:
 
     def balance_entropy(self) -> float:
         """Shannon entropy of the in-memory class distribution, normalized by ln K."""
-        counts = self._counts
+        counts = self.counts()
         total = counts.sum()
         if total == 0:
             raise ValueError("balance_entropy of an empty bank is undefined")

@@ -147,6 +147,7 @@ class TrainState:
     ledger: PseudoLabelLedger
     labeled_class_counts: np.ndarray  # clamped >= 1, drives the labeled weights
     rngs: RngStreams
+    grads: ModelParams  # compute_step's gradient buffer, cleared at the start of each step
     epoch: int = 0
     step: int = 0
 
@@ -165,6 +166,7 @@ def init_state(cfg: TrainConfig, labeled_class_counts: np.ndarray) -> TrainState
         ledger=PseudoLabelLedger(cfg.num_classes),
         labeled_class_counts=np.maximum(np.asarray(labeled_class_counts, dtype=np.int64), 1),
         rngs=RngStreams(batch_rng, augment_rng, bank_rng),
+        grads=zeros_like_params(params),
     )
 
 
@@ -178,7 +180,9 @@ def compute_step(
     """Forward/backward for one step: returns metrics and the total-loss gradient.
 
     Mutates the ledger and bank (confident-sample bookkeeping) but not the
-    parameters; callers apply the optimizer step.
+    parameters; callers apply the optimizer step. The gradient is
+    `state.grads`, so it stays valid until the next compute_step on the same
+    state.
     """
     cfg = state.cfg
     p = state.params
@@ -188,7 +192,8 @@ def compute_step(
     use_aux = cfg.mode == "bmb"
     warm = state.epoch < cfg.warmup_epochs
     use_unsup = cfg.mode in ("fixmatch", "bmb") and not warm
-    grads = zeros_like_params(p)
+    grads = state.grads
+    grads.flat.fill(0.0)
     ones = np.ones(b)
     full = np.ones(b, dtype=bool)
 

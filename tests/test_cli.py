@@ -438,7 +438,7 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged):
     assert f"{damaged} is not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "npy-array"])
 def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
@@ -446,8 +446,11 @@ def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
     model = tmp / "run" / "model.npz"
     if damage == "garbage":
         model.write_text("garbage")
-    else:
+    elif damage == "truncated":
         model.write_bytes(model.read_bytes()[:300])
+    else:
+        with open(model, "wb") as f:  # np.save on a path would append .npy
+            np.save(f, np.zeros(3))
     capsys.readouterr()
     out = tmp / "emb.csv"
     assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(out)]) == 2

@@ -1,11 +1,21 @@
 """Memory bank: acceptance/eviction/retrieval probabilities, capacity, balance."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailssl.membank import MemoryBank, retrieval_distribution, stream_entropy
+from tailssl.membank import (
+    MemoryBank,
+    _pairwise_sum,
+    accept_probability,
+    eviction_distribution,
+    retrieval_distribution,
+    stream_entropy,
+)
 
 RNG = np.random.default_rng
 FEAT = np.zeros(2)
@@ -232,6 +242,180 @@ def test_get_rejects_unclamped_counts():
     bank = filled_bank([2, 2])
     with pytest.raises(ValueError):
         bank.get(np.array([0, 5]), 4, 1.0, RNG(13))
+
+
+# ---------------------------------------------------------------------------
+# Draws are bit-identical to Generator.choice
+# ---------------------------------------------------------------------------
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = (1 << 64) - 1
+RANDOM_BETA = float(RNG(70).uniform(0.05, 3.0))
+NUM_CLASSES = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 255, 256, 300, 301]
+
+
+def generator_drawing(u, seed):
+    """A PCG64 Generator whose next random() is exactly u, a multiple of 2**-53 in [0, 1).
+
+    PCG64 steps its 128-bit LCG state, then outputs the xor of the state's two
+    halves rotated right by the state's top 6 bits; random() keeps the top 53
+    output bits. The state before the step is solved backwards from u.
+    """
+    m = u * 2.0**53
+    assert 0 <= m < 2**53 and m == int(m)
+    out = int(m) << 11
+    bitgen = np.random.PCG64(seed)
+    inc = bitgen.state["state"]["inc"]
+    high = bitgen.state["state"]["state"] >> 64
+    rot = high >> 58
+    xored = ((out << rot) | (out >> (64 - rot))) & MASK64
+    stepped = (high << 64) | (xored ^ high)
+    state = (stepped - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    bitgen.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    rng = np.random.Generator(bitgen)
+    assert copy.deepcopy(rng).random() == u
+    return rng
+
+
+def boundary_uniforms(probs):
+    """Uniforms next to every inner edge of the class CDF that rng.choice builds from
+    probs: the smallest draw at or above the edge and the largest below it, where
+    one bit of the CDF decides the class."""
+    edges = np.cumsum(probs / probs.sum())
+    edges /= edges[-1]
+    out = set()
+    for edge in edges[:-1].tolist():
+        m = math.ceil(edge * 2.0**53)
+        out |= {min(m, 2**53 - 1), max(m - 1, 0)}
+    return [m * 2.0**-53 for m in sorted(out)]
+
+
+def reference_victim(bank, rng):
+    """Straight-line dequeue draw: rng.choice over the renormalised eviction_distribution."""
+    counts = bank.counts()
+    probs = eviction_distribution(counts, bank.beta)
+    support = np.flatnonzero(counts)
+    return int(rng.choice(support, p=probs[support] / probs[support].sum()))
+
+
+def victim_probs(bank):
+    counts = bank.counts()
+    return eviction_distribution(counts, bank.beta)[counts > 0]
+
+
+def assert_dequeue_matches_reference(bank, fast, slow):
+    """One dequeue on `fast` against the reference draw on `slow`, a twin generator."""
+    want = reference_victim(bank, slow)
+    want_slot = int(bank.rows(want)[0])
+    slot = bank.dequeue(fast)
+    assert (int(bank.labels[slot]), slot) == (want, want_slot)
+    return want
+
+
+def random_counts(k, seed, high=20):
+    """k class sizes in [0, high), some zero, at least one non-zero."""
+    counts = RNG(seed).integers(0, high, size=k)
+    counts[seed % k] = max(counts[seed % k], 1)
+    if k > 2:
+        counts[(seed + 1) % k] = 0
+    return counts.tolist()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
+@pytest.mark.parametrize("k", NUM_CLASSES)
+def test_dequeue_draws_equal_generator_choice(k, beta):
+    """Victim, freed slot and generator state equal rng.choice's: first along a
+    stream of dequeues that drains the bank's counts, then at every CDF edge."""
+    seed = 1000 * k + int(10 * beta)
+    bank = filled_bank(random_counts(k, seed), beta=beta)
+    fast, slow = RNG(seed), RNG(seed)
+    for _ in range(min(len(bank), 120)):
+        assert_dequeue_matches_reference(bank, fast, slow)
+    assert fast.random() == slow.random()
+
+    if not len(bank):
+        bank = filled_bank(random_counts(k, seed + 1), beta=beta)
+    for u in boundary_uniforms(victim_probs(bank)):
+        fast, slow = generator_drawing(u, seed), generator_drawing(u, seed)
+        victim = assert_dequeue_matches_reference(bank, fast, slow)
+        assert fast.random() == slow.random()
+        bank.insert(FEAT, victim)  # back to the same counts
+
+
+@pytest.mark.parametrize(
+    "counts, beta",
+    [
+        ((1, 1), 0.5),  # beta > 0, every count 1: all weights vanish
+        ((1, 0, 1, 1, 1), 2.0),
+        ((0, 1) * 150, RANDOM_BETA),
+        ((2, 2), 0.0),  # beta = 0: weights vanish whatever the counts
+        ((3, 0, 1), 0.0),
+        ((5, 0, 2, 1) * 40, 0.0),
+    ],
+)
+def test_dequeue_fallback_draws_equal_generator_choice(counts, beta):
+    """When every eviction weight vanishes the draw falls back to the counts. Most of
+    these CDFs have edges a uniform can hit exactly, so ties are probed too."""
+    bank = filled_bank(list(counts), beta=beta)
+    probs = victim_probs(bank)
+    np.testing.assert_array_equal(probs, np.array([c for c in counts if c]) / sum(counts))
+    for u in boundary_uniforms(probs):
+        fast, slow = generator_drawing(u, 5), generator_drawing(u, 5)
+        victim = assert_dequeue_matches_reference(bank, fast, slow)
+        assert fast.random() == slow.random()
+        bank.insert(FEAT, victim)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
+def test_tables_equal_accept_probability_and_eviction_weights(beta):
+    capacity = 300
+    bank = MemoryBank(capacity, 3, beta, 2)
+    assert bank.p_in == [accept_probability(c, beta) for c in range(capacity + 1)]
+    # eviction_distribution over every size at once, in a shuffled order, is the
+    # table's weights normalised by their numpy sum
+    sizes = RNG(71).permutation(capacity + 1)
+    weights = np.array([bank.p_out[c] for c in sizes.tolist()])
+    if beta == 0.0:
+        assert not weights.any()
+    else:
+        np.testing.assert_array_equal(
+            eviction_distribution(sizes, beta), weights / weights.sum()
+        )
+    assert bank.p_out[0] == 0.0
+
+
+def test_pairwise_sum_equals_numpy_sum():
+    rng = RNG(72)
+    for trial in range(3000):
+        values = rng.random(int(rng.integers(1, 301))) * 10.0 ** rng.uniform(-6, 6)
+        if trial % 2:
+            values[rng.random(len(values)) < 0.3] = 0.0
+        assert _pairwise_sum(values.tolist()) == values.sum()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
+@pytest.mark.parametrize("k", [1, 2, 8, 9, 129, 300])
+def test_get_class_draws_equal_generator_choice(k, lam):
+    """Rows and generator state equal the rng.choice reference, for seeded draws
+    and for a first uniform at every edge of the retrieval CDF."""
+    seed = 2000 * k + int(10 * lam)
+    bank = churned_bank(random_counts(k, seed), seed=seed)
+    counts = bank.counts()
+    estimated = RNG(seed).integers(1, 500, size=k)
+    probs = retrieval_distribution(estimated, counts, lam)[counts > 0]
+    rngs = [(RNG(seed), RNG(seed))] + [
+        (generator_drawing(u, seed), generator_drawing(u, seed)) for u in boundary_uniforms(probs)
+    ]
+    for fast, slow in rngs:
+        rows = bank.get(estimated, 3, lam, fast)
+        want = reference_get(bank, estimated, 3, lam, slow)
+        labels = bank.labels[rows].tolist()
+        got = [(k, bank.rows(k).tolist().index(r)) for k, r in zip(labels, rows.tolist())]
+        assert got == want
+        assert fast.random() == slow.random()
 
 
 # ---------------------------------------------------------------------------

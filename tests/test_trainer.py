@@ -11,6 +11,7 @@ from oracles import argmax_first, ce_sum, linear, mlp_forward, ratio_weight
 
 from tailssl.data import AugmentConfig, Dataset, DatasetSpec, Split, generate_dataset
 from tailssl.errors import TrainingDivergedError
+from tailssl.membank import MemoryBank
 from tailssl.trainer import (
     TrainConfig,
     compute_step,
@@ -497,3 +498,34 @@ def test_fit_epoch_log_fingerprint_is_pinned():
     assert log[-1]["enqueue_accept_rate"] == 1.0
     text = json.dumps(log, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVICTING_FIT_LOG_SHA256
+
+
+@pytest.mark.parametrize(
+    "beta, capacity, evictions, sha256",
+    [
+        (1.0, 16, 866, "2777f2c4548413f71ff5fb5d4a508d0e50a031215ebe8a9a5b6ebbb1514d6c4c"),
+        (0.5, 24, 1716, "bba55d81782f798b1c6ce00f77e06f7b6ef3fd62cce2196de98512d54c2315d5"),
+    ],
+    ids=["beta-1", "beta-0.5"],
+)
+def test_fit_epoch_log_fingerprint_is_pinned_with_eviction_weights(
+    monkeypatch, beta, capacity, evictions, sha256
+):
+    """Small bmb fits whose beta > 0 bank draws victims by 1 - 1/C_k^beta; the
+    hashes were recorded before the bank's draws were tabulated."""
+    spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
+                       test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
+    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+                      mode="bmb", beta=beta, memory_content="both", memory_capacity=capacity,
+                      warmup_epochs=1, epochs=6, iters_per_epoch=30, tau=0.6, seed=3)
+    dequeue, calls = MemoryBank.dequeue, []
+
+    def counted(bank, rng):
+        calls.append(rng)
+        return dequeue(bank, rng)
+
+    monkeypatch.setattr(MemoryBank, "dequeue", counted)
+    state, log = fit(generate_dataset(spec), cfg)
+    assert len(calls) == evictions
+    text = json.dumps(log, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
