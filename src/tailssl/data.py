@@ -317,7 +317,7 @@ def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> 
 
 
 def load_oracle_labels(path, num_classes: int) -> dict[int, int]:
-    """Map sample id -> true label; every label must lie in [0, num_classes)."""
+    """Map sample id -> true label; one row per id, each label in [0, num_classes)."""
     labels: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -327,13 +327,19 @@ def load_oracle_labels(path, num_classes: int) -> dict[int, int]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: expected 2 fields (id, true_label), got {len(row)}"
+                )
             try:
                 sid, label = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
             if not 0 <= label < num_classes:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: true label {label} outside [0, {num_classes})"
                 )
+            if sid in labels:
+                raise DatasetFormatError(f"{path}:{lineno}: duplicate id {sid}")
             labels[sid] = label
     return labels

@@ -20,21 +20,29 @@ class PseudoLabelLedger:
 
     def record(self, sample_id: int, label: int) -> None:
         """Replace the sample's previous label (if any) with the new one."""
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"label {label} out of range")
-        prev = self.latest.get(sample_id)
-        if prev is not None:
-            self.counts[prev] -= 1
-        self.counts[label] += 1
-        self.latest[sample_id] = label
+        self.record_batch(np.array([sample_id]), np.array([label]))
+
+    def record_batch(self, sample_ids: np.ndarray, labels: np.ndarray) -> None:
+        """Record labels[i] for sample_ids[i]; a repeated id keeps its last label.
+
+        The counts move once per distinct id, to the same values as recording
+        the pairs one at a time.
+        """
+        if len(sample_ids) != len(labels):
+            raise ValueError("sample_ids and labels must have the same length")
+        if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
+            raise ValueError(f"label out of range for {self.num_classes} classes")
+        new = dict(zip(sample_ids.tolist(), labels.tolist()))
+        latest = self.latest
+        old = [latest[i] for i in new if i in latest]
+        latest.update(new)
+        k = self.num_classes
+        self.counts += np.bincount(list(new.values()), minlength=k)
+        self.counts -= np.bincount(old, minlength=k)
 
     def estimated_counts(self, clamp_min: int = 1) -> np.ndarray:
         """Counts clamped from below, so downstream reciprocal weights stay finite."""
         return np.maximum(self.counts, clamp_min)
-
-    def min_count(self, clamp_min: int = 1) -> int:
-        """Estimated size of the rarest class (clamped)."""
-        return int(self.estimated_counts(clamp_min).min())
 
     def total(self) -> int:
         return len(self.latest)

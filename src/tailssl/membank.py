@@ -23,12 +23,25 @@ function (`accept_probability` is Python float arithmetic, the eviction
 weights a numpy power; the two round differently in the last bit). A class
 draw is an inverse-CDF draw, the method `Generator.choice` uses: cumulative
 sum of the renormalised probabilities, divided by its last entry, then the
-first entry greater than one uniform. `dequeue` does this on Python floats,
-summing in numpy's pairwise order (`_pairwise_sum`), so every victim and the
-generator state equal those of `rng.choice(support, p=...)` over the
-renormalised `eviction_distribution`. `get` does it in numpy for its n class
-draws, then draws all n within-class positions with one `rng.integers` call,
-and returns slot rows, which callers use to index `features` and `labels`.
+first entry greater than one uniform. `_victim` does this on Python floats,
+summing in numpy's pairwise order (`_pairwise_sum`), so every victim equals
+that of `rng.choice(support, p=...)` over the renormalised
+`eviction_distribution` given the same uniform. `get` does it in numpy for its
+n class draws, then draws all n within-class positions with one
+`rng.integers` call, and returns slot rows, which callers use to index
+`features` and `labels`.
+
+Writes come a batch at a time. `offer` runs a batch of attempts in order, each
+using one uniform to accept and, when the bank is full, one more to pick a
+victim; `enqueue` and `dequeue` are its one-record forms. It draws the 2n
+uniforms its n attempts may need as one block, which gives the same values as
+2n scalar `rng.random()` calls, then restores the saved generator state and
+calls `rng.random(used)` for the ones it used. Rewinding with
+`bit_generator.advance(-unused)` instead would not do: `advance` also drops
+the unused half of a 64-bit word that a 32-bit draw in `rng.integers` may
+leave buffered (the `has_uint32`/`uinteger` fields of the state), and the next
+bounded integer draw would then differ. Restoring the state keeps that buffer and works for
+any bit generator.
 """
 
 from bisect import bisect_right
@@ -128,8 +141,10 @@ class MemoryBank:
         self.p_in = [accept_probability(c, beta) for c in range(capacity + 1)]
         sizes = np.arange(1, capacity + 1, dtype=np.float64)
         self.p_out = [0.0] + (1.0 - sizes ** (-beta)).tolist()  # as in eviction_distribution
+        self._weighted = any(self.p_out)  # else every victim draw falls back to the sizes
         self._fifo: list[list[int]] = [[] for _ in range(num_classes)]  # slots, oldest first
         self._free = list(range(capacity - 1, -1, -1))  # stack; slot 0 is used first
+        self.evictions = 0  # records evicted since construction
 
     def __len__(self) -> int:
         return self.capacity - len(self._free)
@@ -158,14 +173,53 @@ class MemoryBank:
         An accepted insert at capacity dequeues exactly once first, so the
         capacity invariant holds after every call.
         """
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"pseudo_label {label} out of range")
-        if rng.random() >= self.p_in[len(self._fifo[label])]:
-            return False
-        if not self._free:
-            self.dequeue(rng)
-        self.insert(feature, label)
-        return True
+        return self.offer(np.reshape(feature, (1, -1)), np.array([label]), rng) == 1
+
+    def offer(self, features: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> int:
+        """Enqueue rows features[i] with labels[i] in order; returns how many were accepted.
+
+        Every draw, victim and stored row, and the generator state afterwards,
+        equal those of calling `enqueue` on each row in turn.
+        """
+        n = len(labels)
+        if features.shape != (n, self.features.shape[1]):
+            raise ValueError("features must have one row of feature_dim per label")
+        if not n:
+            return 0
+        labels_list = labels.tolist()
+        if min(labels_list) < 0 or max(labels_list) >= self.num_classes:
+            raise ValueError(f"pseudo_label out of range for {self.num_classes} classes")
+        saved = rng.bit_generator.state
+        u = rng.random(2 * n).tolist()
+        rng.bit_generator.state = saved
+        p_in, fifo, free = self.p_in, self._fifo, self._free
+        sizes = [len(f) for f in fifo]
+        stored = len(self)
+        used = 0
+        writes: dict[int, int] = {}  # slot -> row of its last write
+        for i, label in enumerate(labels_list):
+            draw = u[used]
+            used += 1
+            if draw >= p_in[sizes[label]]:
+                continue
+            if free:
+                slot = free.pop()
+            else:
+                victim = self._victim(sizes, u[used])
+                used += 1
+                slot = fifo[victim].pop(0)
+                sizes[victim] -= 1
+            fifo[label].append(slot)
+            sizes[label] += 1
+            writes[slot] = i
+        rng.random(used)
+        if writes:
+            slots, rows = list(writes), list(writes.values())
+            self.features[slots] = features[rows]
+            self.labels[slots] = labels[rows]
+        evicted = used - n  # each attempt draws once, each eviction once more
+        self.evictions += evicted
+        return len(self) - stored + evicted  # an accept fills a free slot or evicts
 
     def dequeue(self, rng: np.random.Generator) -> int:
         """Evict the oldest record of a victim class drawn by eviction weight.
@@ -176,24 +230,42 @@ class MemoryBank:
         renormalised `eviction_distribution`. Returns the freed slot, whose
         features/labels rows keep the evicted record until the next insert.
         """
-        stored = len(self)
-        if not stored:
+        if not len(self):
             raise ValueError("cannot dequeue from an empty bank")
-        sizes = [len(fifo) for fifo in self._fifo]
-        weights = [self.p_out[c] for c in sizes]
-        total = _pairwise_sum(weights)
-        if total <= 0.0:
-            weights, total = sizes, float(stored)
-        # eviction_distribution, restricted to the support and renormalised
-        support = [k for k, c in enumerate(sizes) if c]  # empty classes are never drawn
-        probs = [weights[k] / total for k in support]
-        norm = _pairwise_sum(probs)
-        cdf = list(accumulate([p / norm for p in probs]))
-        last = cdf[-1]
-        victim = support[bisect_right([x / last for x in cdf], rng.random())]
-        slot = self._fifo[victim].pop(0)
+        slot = self._fifo[self._victim([len(f) for f in self._fifo], rng.random())].pop(0)
         self._free.append(slot)
+        self.evictions += 1
         return slot
+
+    def _victim(self, sizes: list[int], u: float) -> int:
+        """Victim class for the uniform u, given every class's size (not all 0).
+
+        Skips only steps that cannot change a value: weights when every table
+        weight is 0, the support when no class is empty, and a division by a
+        norm or last CDF entry of exactly 1.0.
+        """
+        total = 0.0
+        if self._weighted:
+            weights = [self.p_out[c] for c in sizes]
+            total = _pairwise_sum(weights)
+        if total <= 0.0:
+            weights, total = sizes, float(sum(sizes))
+        # eviction_distribution, restricted to the support and renormalised;
+        # empty classes are never drawn
+        support = [k for k, c in enumerate(sizes) if c] if 0 in sizes else None
+        if support is not None:
+            weights = [weights[k] for k in support]
+        probs = [w / total for w in weights]
+        norm = _pairwise_sum(probs)
+        if norm != 1.0:
+            probs = [p / norm for p in probs]
+        cdf = list(accumulate(probs))
+        last = cdf[-1]
+        if last == 1.0:
+            i = bisect_right(cdf, u)
+        else:
+            i = bisect_right(cdf, u, key=lambda c: c / last)
+        return i if support is None else support[i]
 
     def get(
         self,

@@ -180,7 +180,19 @@ def weighted_masked_ce(
         raise ValueError("divisor must be positive")
     if n and (targets.min() < 0 or targets.max() >= k):
         raise ValueError(f"target index out of range for {k} classes")
+    return weighted_masked_ce_unchecked(logits, targets, weights, mask, divisor)
 
+
+def weighted_masked_ce_unchecked(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    mask: np.ndarray,
+    divisor: int,
+) -> tuple[float, np.ndarray]:
+    """`weighted_masked_ce` for inputs already known to be valid: float64
+    logits (n, k), n targets in [0, k), n float64 weights, n bools, divisor > 0."""
+    n = len(logits)
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.arange(n)

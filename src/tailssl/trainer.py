@@ -59,11 +59,11 @@ from .numerics import (
     init_ema,
     init_params,
     softmax,
-    weighted_masked_ce,
+    weighted_masked_ce_unchecked,
     zeros_like_params,
 )
 from .util import round_half_up, spawn_rngs
-from .weighting import batch_weights
+from .weighting import batch_weights_unchecked
 
 MODES = ("vanilla", "fixmatch", "bmb")
 MEMORY_CONTENTS = ("weak", "strong", "both")
@@ -182,16 +182,21 @@ def compute_step(
     Mutates the ledger and bank (confident-sample bookkeeping) but not the
     parameters; callers apply the optimizer step. The gradient is
     `state.grads`, so it stays valid until the next compute_step on the same
-    state.
+    state. The inputs are checked here, once; the layers below trust them.
     """
     cfg = state.cfg
     p = state.params
     b = cfg.batch_size
-    if len(labeled_x) != b or len(labeled_y) != b:
-        raise ValueError("labeled batch size must equal cfg.batch_size")
     use_aux = cfg.mode == "bmb"
     warm = state.epoch < cfg.warmup_epochs
     use_unsup = cfg.mode in ("fixmatch", "bmb") and not warm
+    if len(labeled_x) != b or len(labeled_y) != b:
+        raise ValueError("labeled batch size must equal cfg.batch_size")
+    if labeled_y.min() < 0 or labeled_y.max() >= cfg.num_classes:
+        raise ValueError(f"labeled_y outside [0, {cfg.num_classes})")
+    if use_unsup and (len(unlabeled_x) != b or len(unlabeled_ids) != b):
+        raise ValueError("unlabeled batch size (ids and rows) must equal cfg.batch_size")
+    ce = weighted_masked_ce_unchecked
     grads = state.grads
     grads.flat.fill(0.0)
     ones = np.ones(b)
@@ -201,14 +206,14 @@ def compute_step(
     xw = weak_augment(labeled_x, cfg.augment, state.rngs.augment)
     feats_x, cache_x = encoder_forward(p, xw)
     logits_bx = head_forward(p.base_head, feats_x)
-    loss_s_b, dlog_bx = weighted_masked_ce(logits_bx, labeled_y, ones, full, b)
+    loss_s_b, dlog_bx = ce(logits_bx, labeled_y, ones, full, b)
     g_base, dfeat_x = head_backward(p.base_head, feats_x, dlog_bx)
     _add_head(grads.base_head, g_base)
     loss_s_a = 0.0
     if use_aux:
-        w_lab = batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)
+        w_lab = batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)
         logits_ax = head_forward(p.aux_head, feats_x)
-        loss_s_a, dlog_ax = weighted_masked_ce(logits_ax, labeled_y, w_lab, full, b)
+        loss_s_a, dlog_ax = ce(logits_ax, labeled_y, w_lab, full, b)
         g_aux, dfeat_ax = head_backward(p.aux_head, feats_x, dlog_ax)
         _add_head(grads.aux_head, g_aux)
         if not cfg.aux_stopgrad:
@@ -219,8 +224,6 @@ def compute_step(
     mask_rate = 0.0
     accept_rate = 0.0
     if use_unsup:
-        if len(unlabeled_x) != b:
-            raise ValueError("unlabeled batch size must equal cfg.batch_size")
         uw = weak_augment(unlabeled_x, cfg.augment, state.rngs.augment)
         us = strong_augment(unlabeled_x, cfg.augment, state.rngs.augment)
 
@@ -235,7 +238,7 @@ def compute_step(
 
         feats_us, cache_us = encoder_forward(p, us)
         logits_b_us = head_forward(p.base_head, feats_us)
-        loss_u_b, dlog_ub = weighted_masked_ce(logits_b_us, qhat_b, ones, mask, b)
+        loss_u_b, dlog_ub = ce(logits_b_us, qhat_b, ones, mask, b)
         g_base_u, dfeat_us = head_backward(p.base_head, feats_us, dlog_ub)
         _add_head(grads.base_head, g_base_u, scale=cfg.lambda_u)
         dfeat_us = dfeat_us * cfg.lambda_u
@@ -243,9 +246,9 @@ def compute_step(
         if use_aux:
             qhat_a = head_forward(p.aux_head, feats_uw).argmax(axis=1)
             est_pre = state.ledger.estimated_counts()
-            w_unl = batch_weights(est_pre, qhat_a, cfg.alpha)
+            w_unl = batch_weights_unchecked(est_pre, qhat_a, cfg.alpha)
             logits_a_us = head_forward(p.aux_head, feats_us)
-            loss_u_a, dlog_ua = weighted_masked_ce(logits_a_us, qhat_a, w_unl, mask, b)
+            loss_u_a, dlog_ua = ce(logits_a_us, qhat_a, w_unl, mask, b)
             g_aux_u, dfeat_au = head_backward(p.aux_head, feats_us, dlog_ua)
             _add_head(grads.aux_head, g_aux_u, scale=cfg.lambda_u)
             if not cfg.aux_stopgrad:
@@ -254,18 +257,19 @@ def compute_step(
 
         if use_aux:
             # (3) confident samples feed the ledger and the bank (auxiliary labels,
-            # since those drive reversed sampling and the unlabeled weights)
-            attempts = accepted = 0
-            chosen = {"weak": [feats_uw], "strong": [feats_us], "both": [feats_uw, feats_us]}[
-                cfg.memory_content
-            ]
-            for j in np.flatnonzero(mask):
-                label = int(qhat_a[j])
-                state.ledger.record(int(unlabeled_ids[j]), label)
-                for feats in chosen:
-                    attempts += 1
-                    accepted += int(state.bank.enqueue(feats[j], label, state.rngs.bank))
-            accept_rate = accepted / attempts if attempts else 0.0
+            # since those drive reversed sampling and the unlabeled weights); with
+            # both views, each sample offers its weak then its strong feature
+            confident = np.flatnonzero(mask)
+            labels = qhat_a[confident]
+            state.ledger.record_batch(unlabeled_ids[confident], labels)
+            if cfg.memory_content == "both":
+                offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
+                offered = offered.reshape(-1, feats_us.shape[1])
+                labels = labels.repeat(2)
+            else:
+                offered = (feats_uw if cfg.memory_content == "weak" else feats_us)[confident]
+            accepted = state.bank.offer(offered, labels, state.rngs.bank)
+            accept_rate = accepted / len(labels) if len(labels) else 0.0
 
             # (4) memory loss over re-sampled features; gradients reach only the
             # auxiliary head because the stored features are constants
@@ -277,7 +281,7 @@ def compute_step(
                 feats_m = state.bank.features[rows]
                 labels_m = state.bank.labels[rows]
                 logits_m = head_forward(p.aux_head, feats_m)
-                loss_mem, dlog_m = weighted_masked_ce(
+                loss_mem, dlog_m = ce(
                     logits_m,
                     labels_m,
                     np.ones(len(rows)),

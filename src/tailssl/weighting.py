@@ -18,4 +18,9 @@ def batch_weights(counts: np.ndarray, labels: np.ndarray, alpha: float) -> np.nd
         raise ValueError("alpha must be >= 0")
     if labels.size and (labels.min() < 0 or labels.max() >= len(counts)):
         raise ValueError(f"class index out of range for {len(counts)} classes")
+    return batch_weights_unchecked(counts, labels, alpha)
+
+
+def batch_weights_unchecked(counts: np.ndarray, labels: np.ndarray, alpha: float) -> np.ndarray:
+    """`batch_weights` for inputs already known to be valid (counts an array >= 1)."""
     return (counts.min() / counts[labels]) ** alpha

@@ -229,6 +229,34 @@ def test_train_oracle_label_outside_classes_exits_2(workspace, capsys, label):
     assert f"dataset.oracle.csv:2: true label {label} outside [0, 3)" in capsys.readouterr().err
 
 
+def test_train_oracle_duplicate_id_exits_2(workspace, capsys):
+    """A second row for an id used to overwrite the first one silently."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    oracle_path = tmp / "data" / "dataset.oracle.csv"
+    lines = read(oracle_path).splitlines(keepends=True)
+    sid, label = lines[1].strip().split(",")
+    lines.append(f"{sid},{(int(label) + 1) % 3}\n")
+    oracle_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    assert f"dataset.oracle.csv:{len(lines)}: duplicate id {sid}" in capsys.readouterr().err
+
+
+def test_train_oracle_extra_field_exits_2(workspace, capsys):
+    """A row with a third field used to be read as its first two."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    oracle_path = tmp / "data" / "dataset.oracle.csv"
+    lines = read(oracle_path).splitlines(keepends=True)
+    lines[1] = lines[1].rstrip("\n") + ",extra\n"
+    oracle_path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "dataset.oracle.csv:2: expected 2 fields (id, true_label), got 3" in err
+
+
 def test_train_balanced_dataset_writes_strict_jsonl(workspace):
     tmp, _ = workspace
     cfg = tiny_config()

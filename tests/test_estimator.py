@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import record_each
 
 from tailssl.estimator import PseudoLabelLedger
 
@@ -68,18 +69,6 @@ def test_estimated_counts_no_clamp_needed():
     assert ledger.estimated_counts().tolist() == [3, 9, 12]
 
 
-def test_min_count_values():
-    ledger = PseudoLabelLedger(2)
-    for i in range(7):
-        ledger.record(i, 1)
-    assert ledger.min_count() == 1  # clamped floor of the empty class
-    ledger2 = PseudoLabelLedger(3)
-    labels = [0] * 5 + [1] * 3 + [2] * 11
-    for i, lab in enumerate(labels):
-        ledger2.record(i, lab)
-    assert ledger2.min_count() == 3
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4)), max_size=200))
 def test_recount_property(ops):
@@ -91,3 +80,39 @@ def test_recount_property(ops):
         recount[label] += 1
     assert np.array_equal(ledger.counts, recount)
     assert ledger.total() == len({sid for sid, _ in ops})
+
+
+def test_record_batch_repeated_id_keeps_last_label_and_counts_it_once():
+    ledger = PseudoLabelLedger(3)
+    ledger.record(5, 0)
+    ledger.record_batch(np.array([5, 7, 5, 5]), np.array([1, 2, 2, 1]))
+    assert ledger.latest == {5: 1, 7: 2}
+    assert ledger.counts.tolist() == [0, 1, 1]
+
+
+def test_record_batch_rejects_bad_labels_and_lengths():
+    ledger = PseudoLabelLedger(3)
+    for ids, labels in [([1, 2], [0, 3]), ([1], [-1]), ([1, 2], [0])]:
+        with pytest.raises(ValueError):
+            ledger.record_batch(np.array(ids), np.array(labels))
+    assert ledger.total() == 0 and ledger.counts.tolist() == [0, 0, 0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=30), max_size=8
+    )
+)
+def test_record_batch_equals_record_each(batches):
+    """Batches with ids repeated inside and across them, against the per-record loop."""
+    ledger = PseudoLabelLedger(5)
+    latest, counts = {}, np.zeros(5, dtype=np.int64)
+    for batch in batches:
+        ids = np.array([sid for sid, _ in batch], dtype=np.int64)
+        labels = np.array([label for _, label in batch], dtype=np.int64)
+        ledger.record_batch(ids, labels)
+        record_each(latest, counts, ids, labels)
+        assert ledger.latest == latest
+        assert list(ledger.latest) == list(latest)  # same insertion order
+        assert ledger.counts.tolist() == counts.tolist()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import enqueue_each
 
 from tailssl.membank import (
     MemoryBank,
@@ -416,6 +417,95 @@ def test_get_class_draws_equal_generator_choice(k, lam):
         got = [(k, bank.rows(k).tolist().index(r)) for k, r in zip(labels, rows.tolist())]
         assert got == want
         assert fast.random() == slow.random()
+
+
+# ---------------------------------------------------------------------------
+# offer: a batch of enqueues
+# ---------------------------------------------------------------------------
+
+
+def bank_state(bank):
+    """Everything a later draw, get or offer can depend on."""
+    return (
+        [list(f) for f in bank._fifo],
+        list(bank._free),
+        bank.features.tolist(),
+        bank.labels.tolist(),
+        bank.evictions,
+    )
+
+
+def assert_offer_matches_enqueue_each(fast_bank, slow_bank, features, labels, fast, slow):
+    """One offer on (fast_bank, fast) against the per-record loop on twins.
+
+    Bounded integer draws first leave half of a 64-bit word buffered in the
+    generator (one draw, or two when half a word is buffered already), which
+    the block's rewind must keep.
+    """
+    highs = np.array([3, 1000])[: 1 + fast.bit_generator.state["has_uint32"]]
+    np.testing.assert_array_equal(fast.integers(0, highs), slow.integers(0, highs))
+    assert fast.bit_generator.state["has_uint32"] == 1
+    accepted = fast_bank.offer(features, labels, fast)
+    assert accepted == enqueue_each(slow_bank, features, labels, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert bank_state(fast_bank) == bank_state(slow_bank)
+    return accepted
+
+
+@pytest.mark.parametrize("start", ["empty", "full"])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_offer_equals_enqueue_each_draw_for_draw(beta, start):
+    """Blocks of 1-40 rows, K = 5, capacity 24: the bank fills part way through
+    a block, and once full most accepts evict, so slots are reused in a block."""
+    data = RNG(int(beta * 10) + (start == "full"))
+    bank = MemoryBank(24, 5, beta, 3)
+    if start == "full":
+        for i in range(24):
+            bank.insert(data.normal(size=3), int(data.integers(5)))
+    twin = copy.deepcopy(bank)
+    fast, slow = RNG(77), RNG(77)
+    total_accepted = 0
+    for _ in range(25):
+        n = int(data.integers(1, 41))
+        features = data.normal(size=(n, 3))
+        labels = data.integers(0, 5, size=n)
+        total_accepted += assert_offer_matches_enqueue_each(
+            bank, twin, features, labels, fast, slow
+        )
+    assert total_accepted > 0 and bank.evictions > 0 and len(bank) == 24
+    assert fast.integers(0, 2**40, size=4).tolist() == slow.integers(0, 2**40, size=4).tolist()
+
+
+def test_offer_keeps_the_last_write_to_a_slot():
+    """Capacity 1, beta 0: every row is accepted into slot 0, evicting the one before."""
+    bank = MemoryBank(1, 3, 0.0, 2)
+    twin = copy.deepcopy(bank)
+    features = np.arange(10.0).reshape(5, 2)
+    labels = np.array([0, 2, 1, 2, 1])
+    accepted = assert_offer_matches_enqueue_each(bank, twin, features, labels, RNG(3), RNG(3))
+    assert accepted == 5 and bank.evictions == 4
+    assert bank.features[0].tolist() == [8.0, 9.0] and bank.labels[0] == 1
+
+
+def test_offer_of_nothing_draws_nothing():
+    bank, rng = MemoryBank(4, 2, 1.0, 2), RNG(5)
+    before = rng.bit_generator.state
+    assert bank.offer(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), rng) == 0
+    assert rng.bit_generator.state == before and len(bank) == 0
+
+
+def test_offer_rejects_bad_labels_and_shapes_before_drawing():
+    bank, rng = MemoryBank(4, 2, 1.0, 2), RNG(6)
+    before = rng.bit_generator.state
+    for features, labels in [
+        (np.zeros((2, 2)), np.array([0, 2])),
+        (np.zeros((2, 2)), np.array([-1, 0])),
+        (np.zeros((2, 3)), np.array([0, 1])),
+        (np.zeros((3, 2)), np.array([0, 1])),
+    ]:
+        with pytest.raises(ValueError):
+            bank.offer(features, labels, rng)
+    assert rng.bit_generator.state == before and len(bank) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,27 @@ import math
 
 import numpy as np
 import pytest
-from oracles import argmax_first, ce_sum, linear, mlp_forward, ratio_weight
+from oracles import (
+    argmax_first,
+    ce_sum,
+    enqueue_each,
+    linear,
+    mlp_forward,
+    ratio_weight,
+    record_each,
+)
 
-from tailssl.data import AugmentConfig, Dataset, DatasetSpec, Split, generate_dataset
+from tailssl.data import (
+    AugmentConfig,
+    Dataset,
+    DatasetSpec,
+    Split,
+    generate_dataset,
+    strong_augment,
+    weak_augment,
+)
 from tailssl.errors import TrainingDivergedError
-from tailssl.membank import MemoryBank
+from tailssl.numerics import encoder_forward, head_forward, softmax
 from tailssl.trainer import (
     TrainConfig,
     compute_step,
@@ -249,6 +265,63 @@ def test_all_below_threshold_gives_zero_unsupervised_losses():
 # ---------------------------------------------------------------------------
 
 
+def replay_bookkeeping(before, lab_x, unl_ids, unl_x):
+    """The step's ledger and bank writes, one record at a time, on `before`
+    (a copy of the state taken just before compute_step): the views are
+    recomputed from the same augmentation draws, every confident sample is
+    recorded and offers its view(s) in order, then the memory draw follows."""
+    cfg, p, rngs = before.cfg, before.params, before.rngs
+    weak_augment(lab_x, cfg.augment, rngs.augment)
+    feats_uw, _ = encoder_forward(p, weak_augment(unl_x, cfg.augment, rngs.augment))
+    feats_us, _ = encoder_forward(p, strong_augment(unl_x, cfg.augment, rngs.augment))
+    mask = softmax(head_forward(p.base_head, feats_uw)).max(axis=1) >= cfg.tau
+    qhat_a = head_forward(p.aux_head, feats_uw).argmax(axis=1)
+    views = {"weak": [feats_uw], "strong": [feats_us], "both": [feats_uw, feats_us]}
+    for j in np.flatnonzero(mask):
+        record_each(before.ledger.latest, before.ledger.counts, unl_ids[j:j + 1], qhat_a[j:j + 1])
+        for feats in views[cfg.memory_content]:
+            enqueue_each(before.bank, feats[j:j + 1], qhat_a[j:j + 1], rngs.bank)
+    n_mem = int(np.floor(cfg.get_fraction * cfg.batch_size + 0.5))
+    before.bank.get(before.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, rngs.bank)
+
+
+@pytest.mark.parametrize("start", ["empty", "full"])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("memory_content", ["weak", "strong", "both"])
+def test_step_bookkeeping_equals_per_record_loop(memory_content, beta, start):
+    """Bank slots, features, labels and evictions, the ledger and the bank
+    generator after each of four steps equal the per-record replay's; half of
+    a 64-bit word is buffered in the generator before each step. All 8 samples are confident (K = 2, tau = 0.5), so a
+    capacity-6 bank fills within the first step; ids repeat within a batch."""
+    cfg = micro_cfg(memory_content=memory_content, beta=beta, memory_capacity=6,
+                    batch_size=8, augment=AugmentConfig())
+    state = make_state(cfg)
+    if start == "full":
+        rng = np.random.default_rng(17)
+        for i in range(6):
+            state.bank.insert(rng.normal(size=4), i % 2)
+    unl_ids = np.array([100, 101, 100, 102, 101, 100, 103, 104])
+    for seed in range(4):
+        lab_x, lab_y, _, unl_x = micro_batches(seed=20 + seed, b=8)
+        bank_rng = state.rngs.bank
+        bank_rng.integers(0, np.array([3, 1000])[: 1 + bank_rng.bit_generator.state["has_uint32"]])
+        assert bank_rng.bit_generator.state["has_uint32"] == 1
+        before = copy.deepcopy(state)
+        compute_step(state, lab_x, lab_y, unl_ids, unl_x)
+        replay_bookkeeping(before, lab_x, unl_ids, unl_x)
+        for attr in ("_fifo", "_free", "evictions"):
+            assert getattr(state.bank, attr) == getattr(before.bank, attr)
+        np.testing.assert_array_equal(state.bank.features, before.bank.features)
+        np.testing.assert_array_equal(state.bank.labels, before.bank.labels)
+        assert state.ledger.latest == before.ledger.latest
+        np.testing.assert_array_equal(state.ledger.counts, before.ledger.counts)
+        assert bank_rng.bit_generator.state == before.rngs.bank.bit_generator.state
+    assert state.bank.evictions > 0
+    assert bank_rng.integers(0, 2**40, size=3).tolist() == (
+        before.rngs.bank.integers(0, 2**40, size=3).tolist()
+    )
+
+
 def test_memory_loss_gradients_reach_only_aux_head():
     cfg = micro_cfg(lambda_u=0.3, lambda_m=1.0, tau=0.5)
     state = make_state(cfg)
@@ -470,6 +543,24 @@ def test_fit_requires_labeled_data_and_unlabeled_for_ssl_modes():
     assert len(log) == 1
 
 
+def test_compute_step_rejects_short_unlabeled_ids():
+    """Every sample is confident here (K = 2, tau = 0.5), so each needs an id."""
+    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=15)
+    state = make_state(micro_cfg())
+    with pytest.raises(ValueError, match="unlabeled batch size"):
+        compute_step(state, lab_x, lab_y, unl_ids[:2], unl_x)
+    assert len(state.bank) == 0 and state.ledger.total() == 0
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_compute_step_rejects_labeled_label_outside_classes(bad):
+    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=16)
+    lab_y[1] = bad
+    for mode in ("bmb", "vanilla"):
+        with pytest.raises(ValueError, match="labeled_y outside"):
+            compute_step(make_state(micro_cfg(mode=mode)), lab_x, lab_y, unl_ids, unl_x)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         micro_cfg(mode="nope")
@@ -500,6 +591,17 @@ def test_fit_epoch_log_fingerprint_is_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVICTING_FIT_LOG_SHA256
 
 
+def pinned_fit(beta, memory_content, capacity):
+    spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
+                       test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
+    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+                      mode="bmb", beta=beta, memory_content=memory_content,
+                      memory_capacity=capacity, warmup_epochs=1, epochs=6, iters_per_epoch=30,
+                      tau=0.6, seed=3)
+    state, log = fit(generate_dataset(spec), cfg)
+    return state, hashlib.sha256(json.dumps(log, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "beta, capacity, evictions, sha256",
     [
@@ -509,23 +611,32 @@ def test_fit_epoch_log_fingerprint_is_pinned():
     ids=["beta-1", "beta-0.5"],
 )
 def test_fit_epoch_log_fingerprint_is_pinned_with_eviction_weights(
-    monkeypatch, beta, capacity, evictions, sha256
+    beta, capacity, evictions, sha256
 ):
     """Small bmb fits whose beta > 0 bank draws victims by 1 - 1/C_k^beta; the
     hashes were recorded before the bank's draws were tabulated."""
-    spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
-                       test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
-    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
-                      mode="bmb", beta=beta, memory_content="both", memory_capacity=capacity,
-                      warmup_epochs=1, epochs=6, iters_per_epoch=30, tau=0.6, seed=3)
-    dequeue, calls = MemoryBank.dequeue, []
+    state, digest = pinned_fit(beta, "both", capacity)
+    assert state.bank.evictions == evictions
+    assert digest == sha256
 
-    def counted(bank, rng):
-        calls.append(rng)
-        return dequeue(bank, rng)
 
-    monkeypatch.setattr(MemoryBank, "dequeue", counted)
-    state, log = fit(generate_dataset(spec), cfg)
-    assert len(calls) == evictions
-    text = json.dumps(log, sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+@pytest.mark.parametrize(
+    "memory_content, beta, capacity, evictions, sha256",
+    [
+        ("weak", 0.5, 24, 876, "aa227e906359a74b1758281303fac3e80ee7c45979e97ad62b89bfccddb850f1"),
+        ("strong", 0.0, 64, 2626,
+         "bc06bbb2a1a4cde3c7695ba57f6c39e8adcfe49cf6405fd45c4bb833815d0f76"),
+        ("strong", 1.0, 16, 457,
+         "85b476cfd2b7d025899b37061d21d0434c8468ae7f22cda51386a7e4c2b535a1"),
+    ],
+    ids=["weak-beta-0.5", "strong-beta-0", "strong-beta-1"],
+)
+def test_fit_epoch_log_fingerprint_is_pinned_per_feature_view(
+    memory_content, beta, capacity, evictions, sha256
+):
+    """The pinned fits above offer both views; these offer one. Hashes and
+    eviction counts were recorded while the bank still enqueued one record
+    per call."""
+    state, digest = pinned_fit(beta, memory_content, capacity)
+    assert state.bank.evictions == evictions
+    assert digest == sha256
