@@ -143,6 +143,11 @@ def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
     data_dir = _resolve_data_dir(cfg, config_path)
     ds, dataset_hash = _load_configured_dataset(cfg, config_path)
     train_cfg = cfgmod.build_train_config(cfg, seed)
+    csv_path = dataset_paths(data_dir)["csv"]
+    if len(ds.labeled) == 0:
+        raise ConfigError(f"{csv_path}: no labeled train rows; training needs at least one")
+    if train_cfg.mode in ("fixmatch", "bmb") and len(ds.unlabeled) == 0:
+        raise ConfigError(f"{csv_path}: no unlabeled train rows; mode {train_cfg.mode} needs some")
     os.makedirs(run_dir, exist_ok=True)
 
     state, log = fit(ds, train_cfg)
@@ -177,11 +182,16 @@ def cmd_train(args) -> int:
     cfg = cfgmod.load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
     report = run_training(cfg, args.out, seed, args.config)
+    head = _headline(report)
     print(
-        f"run {cfg['name']} seed {seed}: top1={report['last20_mean']['top1']:.4f} "
-        f"avg_recall={report['last20_mean']['avg_class_recall']:.4f}"
+        f"run {cfg['name']} seed {seed}: top1={_fmt(head['top1'])} "
+        f"avg_recall={_fmt(head['avg_class_recall'])}"
     )
     return 0
+
+
+def _fmt(value) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def _write_snapshots(run_dir: str, log: list[dict], ds) -> None:
@@ -249,6 +259,21 @@ def build_report(name, seed, config_hash, dataset_hash, mode, log) -> dict:
     return report
 
 
+def _headline(report: dict) -> dict:
+    """Window means and final bank entropy of a report; None where the run has
+    none (no epochs, or no test rows), which csv writes as an empty cell."""
+    mean = report["last20_mean"] or {"group_acc": {}}
+    groups = mean["group_acc"]
+    return {
+        "top1": mean.get("top1"),
+        "avg_class_recall": mean.get("avg_class_recall"),
+        "many_acc": groups.get("many"),
+        "medium_acc": groups.get("medium"),
+        "few_acc": groups.get("few"),
+        "bank_entropy": (report["final"] or {}).get("bank_entropy"),
+    }
+
+
 def save_model(path, params: ModelParams, ema_params: ModelParams) -> None:
     arrays = {f"params/{k}": v for k, v in named_arrays(params)}
     arrays.update({f"ema/{k}": v for k, v in named_arrays(ema_params)})
@@ -306,21 +331,12 @@ def cmd_sweep(args) -> int:
             except (ConfigError, DatasetFormatError, TrainingDivergedError) as exc:
                 failures.append({"value": value, "seed": seed, "error": str(exc)})
                 continue
-            mean = report["last20_mean"]
-            rows.append(
-                {
-                    "param_value": value,
-                    "seed": seed,
-                    "top1": mean["top1"],
-                    "avg_class_recall": mean["avg_class_recall"],
-                    "few_acc": mean["group_acc"]["few"],
-                    "bank_entropy": report["final"]["bank_entropy"],
-                }
-            )
+            rows.append({"param_value": value, "seed": seed, **_headline(report)})
     with open(os.path.join(args.out, "aggregate.csv"), "w", newline="") as fh:
         w = csv.DictWriter(
             fh,
             fieldnames=["param_value", "seed", "top1", "avg_class_recall", "few_acc", "bank_entropy"],
+            extrasaction="ignore",
         )
         w.writeheader()
         w.writerows(rows)
@@ -339,10 +355,32 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_run_file(path: str, kind: str, keys, unreadable: str) -> dict:
+    """A JSON run file that must be an object holding every dotted key path in keys."""
+    data = cfgmod.read_json(path, unreadable)
+    for key in keys:
+        node = data
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ConfigError(f"{path}: not a tailssl {kind} (missing '{key}')")
+            node = node[part]
+    return data
+
+
 def _read_run(run_dir: str) -> dict:
     missing = f"{run_dir}: missing run outputs"
-    report = cfgmod.read_json(os.path.join(run_dir, "report.json"), missing)
-    resolved = cfgmod.read_json(os.path.join(run_dir, "config.resolved.json"), missing)
+    report = _read_run_file(
+        os.path.join(run_dir, "report.json"),
+        "report",
+        ("name", "seed", "mode", "dataset_hash", "final", "last20_mean"),
+        missing,
+    )
+    resolved = _read_run_file(
+        os.path.join(run_dir, "config.resolved.json"),
+        "resolved config",
+        ("train.beta", "train.lambda_sampling", "train.alpha", "train.memory_content"),
+        missing,
+    )
     return {"dir": run_dir, "report": report, "config": resolved}
 
 
@@ -358,7 +396,7 @@ def cmd_report(args) -> int:
         w.writerow(["run", "seed", "class", "recall"])
         for r in runs:
             rep = r["report"]
-            for k, rec in enumerate(rep["final"]["per_class_recall"]):
+            for k, rec in enumerate((rep["final"] or {}).get("per_class_recall", [])):
                 w.writerow([rep["name"], rep["seed"], k, "" if rec is None else rec])
 
     with open(os.path.join(args.out, "bank_distribution.csv"), "w", newline="") as fh:
@@ -383,14 +421,10 @@ def cmd_report(args) -> int:
         )
         for r in runs:
             rep, train = r["report"], r["config"]["train"]
-            mean = rep["last20_mean"]
             w.writerow(
                 [
                     rep["name"], rep["seed"], rep["mode"], train["beta"], train["lambda_sampling"],
-                    train["alpha"], train["memory_content"], mean["top1"],
-                    mean["avg_class_recall"], mean["group_acc"]["many"],
-                    mean["group_acc"]["medium"], mean["group_acc"]["few"],
-                    rep["final"]["bank_entropy"],
+                    train["alpha"], train["memory_content"], *_headline(rep).values(),
                 ]
             )
     print(f"wrote report tables for {len(runs)} run(s) to {args.out}")
@@ -404,7 +438,12 @@ def cmd_report(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     resolved_path = os.path.join(args.run, "config.resolved.json")
-    cfg = cfgmod.read_json(resolved_path, f"{args.run}: not a finished run directory")
+    cfg = _read_run_file(
+        resolved_path,
+        "resolved config",
+        ("data_dir", "dataset.feature_dim", "dataset.num_classes", "train.hidden_sizes"),
+        f"{args.run}: not a finished run directory",
+    )
     ds, _ = _load_configured_dataset(cfg, resolved_path)
     params, ema = load_model(
         os.path.join(args.run, "model.npz"),

@@ -3,8 +3,10 @@
 Everything here is float64 numpy: an MLP encoder with ReLU activations, two
 linear classifier heads on the shared feature space, weighted/masked softmax
 cross-entropy with exact analytic gradients, Adam, and EMA parameter tracking.
-All operations are deterministic functions of their inputs; the test suite
-checks every gradient path against central finite differences.
+The backward passes return no gradient arrays: they add into views of a
+gradient buffer that the caller owns, so several loss terms can share one
+buffer. All operations are deterministic functions of their inputs; the test
+suite checks every gradient path against central finite differences.
 """
 
 from dataclasses import dataclass
@@ -204,34 +206,33 @@ def weighted_masked_ce_unchecked(
 
 
 def head_backward(
-    head: LinearLayer, features: np.ndarray, dlogits: np.ndarray
-) -> tuple[LinearLayer, np.ndarray]:
-    """Gradients of a linear head: returns (head grads, dfeatures)."""
+    head: LinearLayer, features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """Add scale times the linear head's gradients into grad; returns dfeatures (unscaled)."""
     if dlogits.shape != (features.shape[0], head.w.shape[1]):
         raise ValueError("dlogits shape does not match head output")
-    gw = features.T @ dlogits
-    gb = dlogits.sum(axis=0)
-    dfeatures = dlogits @ head.w.T
-    return LinearLayer(gw, gb), dfeatures
+    grad.w += scale * (features.T @ dlogits)
+    grad.b += scale * dlogits.sum(axis=0)
+    return dlogits @ head.w.T
 
 
 def encoder_backward(
-    params: ModelParams, cache: EncoderCache, dfeatures: np.ndarray
-) -> list[LinearLayer]:
-    """Backprop dfeatures through the cached encoder pass; exact ReLU subgradient at 0 is 0."""
+    params: ModelParams, cache: EncoderCache, dfeatures: np.ndarray, grads: ModelParams
+) -> None:
+    """Backprop dfeatures through the cached encoder pass, adding each layer's
+    gradients into grads.encoder_layers; exact ReLU subgradient at 0 is 0."""
     if len(cache.inputs) != len(params.encoder_layers):
         raise ValueError("cache does not match encoder depth")
     if dfeatures.shape != (cache.inputs[0].shape[0], params.feature_dim):
         raise ValueError("dfeatures shape does not match cached forward pass")
-    grads: list[LinearLayer] = [None] * len(params.encoder_layers)  # type: ignore[list-item]
     d = dfeatures
     for i in reversed(range(len(params.encoder_layers))):
-        layer = params.encoder_layers[i]
         dz = d * (cache.preacts[i] > 0.0)
-        grads[i] = LinearLayer(cache.inputs[i].T @ dz, dz.sum(axis=0))
+        grads.encoder_layers[i].w += cache.inputs[i].T @ dz
+        grads.encoder_layers[i].b += dz.sum(axis=0)
         if i > 0:
-            d = dz @ layer.w.T
-    return grads
+            d = dz @ params.encoder_layers[i].w.T
 
 
 # ---------------------------------------------------------------------------

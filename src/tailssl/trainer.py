@@ -47,7 +47,6 @@ from .metrics import (
 from .numerics import (
     AdamState,
     EmaParams,
-    LinearLayer,
     ModelParams,
     adam_step,
     ema_update,
@@ -196,7 +195,6 @@ def compute_step(
         raise ValueError(f"labeled_y outside [0, {cfg.num_classes})")
     if use_unsup and (len(unlabeled_x) != b or len(unlabeled_ids) != b):
         raise ValueError("unlabeled batch size (ids and rows) must equal cfg.batch_size")
-    ce = weighted_masked_ce_unchecked
     grads = state.grads
     grads.flat.fill(0.0)
     ones = np.ones(b)
@@ -205,20 +203,16 @@ def compute_step(
     # (1) labeled branch, weak view only
     xw = weak_augment(labeled_x, cfg.augment, state.rngs.augment)
     feats_x, cache_x = encoder_forward(p, xw)
-    logits_bx = head_forward(p.base_head, feats_x)
-    loss_s_b, dlog_bx = ce(logits_bx, labeled_y, ones, full, b)
-    g_base, dfeat_x = head_backward(p.base_head, feats_x, dlog_bx)
-    _add_head(grads.base_head, g_base)
+    loss_s_b, dfeat_x = _head_loss(p.base_head, grads.base_head, feats_x, labeled_y, ones, full)
     loss_s_a = 0.0
     if use_aux:
         w_lab = batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)
-        logits_ax = head_forward(p.aux_head, feats_x)
-        loss_s_a, dlog_ax = ce(logits_ax, labeled_y, w_lab, full, b)
-        g_aux, dfeat_ax = head_backward(p.aux_head, feats_x, dlog_ax)
-        _add_head(grads.aux_head, g_aux)
+        loss_s_a, dfeat_ax = _head_loss(
+            p.aux_head, grads.aux_head, feats_x, labeled_y, w_lab, full
+        )
         if not cfg.aux_stopgrad:
             dfeat_x = dfeat_x + dfeat_ax
-    _accumulate_encoder(grads, p, cache_x, dfeat_x)
+    encoder_backward(p, cache_x, dfeat_x, grads)
 
     loss_u_b = loss_u_a = loss_mem = 0.0
     mask_rate = 0.0
@@ -237,23 +231,21 @@ def compute_step(
         mask_rate = float(mask.mean())
 
         feats_us, cache_us = encoder_forward(p, us)
-        logits_b_us = head_forward(p.base_head, feats_us)
-        loss_u_b, dlog_ub = ce(logits_b_us, qhat_b, ones, mask, b)
-        g_base_u, dfeat_us = head_backward(p.base_head, feats_us, dlog_ub)
-        _add_head(grads.base_head, g_base_u, scale=cfg.lambda_u)
+        loss_u_b, dfeat_us = _head_loss(
+            p.base_head, grads.base_head, feats_us, qhat_b, ones, mask, cfg.lambda_u
+        )
         dfeat_us = dfeat_us * cfg.lambda_u
 
         if use_aux:
             qhat_a = head_forward(p.aux_head, feats_uw).argmax(axis=1)
             est_pre = state.ledger.estimated_counts()
             w_unl = batch_weights_unchecked(est_pre, qhat_a, cfg.alpha)
-            logits_a_us = head_forward(p.aux_head, feats_us)
-            loss_u_a, dlog_ua = ce(logits_a_us, qhat_a, w_unl, mask, b)
-            g_aux_u, dfeat_au = head_backward(p.aux_head, feats_us, dlog_ua)
-            _add_head(grads.aux_head, g_aux_u, scale=cfg.lambda_u)
+            loss_u_a, dfeat_au = _head_loss(
+                p.aux_head, grads.aux_head, feats_us, qhat_a, w_unl, mask, cfg.lambda_u
+            )
             if not cfg.aux_stopgrad:
                 dfeat_us = dfeat_us + cfg.lambda_u * dfeat_au
-        _accumulate_encoder(grads, p, cache_us, dfeat_us)
+        encoder_backward(p, cache_us, dfeat_us, grads)
 
         if use_aux:
             # (3) confident samples feed the ledger and the bank (auxiliary labels,
@@ -278,18 +270,15 @@ def compute_step(
                 state.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, state.rngs.bank
             )
             if len(rows):
-                feats_m = state.bank.features[rows]
-                labels_m = state.bank.labels[rows]
-                logits_m = head_forward(p.aux_head, feats_m)
-                loss_mem, dlog_m = ce(
-                    logits_m,
-                    labels_m,
+                loss_mem, _ = _head_loss(
+                    p.aux_head,
+                    grads.aux_head,
+                    state.bank.features[rows],
+                    state.bank.labels[rows],
                     np.ones(len(rows)),
                     np.ones(len(rows), dtype=bool),
-                    len(rows),
+                    cfg.lambda_m,
                 )
-                g_aux_m, _ = head_backward(p.aux_head, feats_m, dlog_m)
-                _add_head(grads.aux_head, g_aux_m, scale=cfg.lambda_m)
 
     # (5) total loss per the two-branch decomposition
     loss_total = (
@@ -314,6 +303,14 @@ def compute_step(
     return metrics, grads
 
 
+def _head_loss(head, grad, features, targets, weights, mask, scale=1.0):
+    """Mean-over-batch CE of one head: adds scale times its head gradients into
+    grad and returns (loss, dfeatures), both unscaled."""
+    logits = head_forward(head, features)
+    loss, dlogits = weighted_masked_ce_unchecked(logits, targets, weights, mask, len(features))
+    return loss, head_backward(head, features, dlogits, grad, scale)
+
+
 def train_step(
     state: TrainState,
     labeled_x: np.ndarray,
@@ -330,17 +327,6 @@ def train_step(
     ema_update(state.ema, state.params)
     state.step += 1
     return metrics
-
-
-def _add_head(acc: LinearLayer, g: LinearLayer, scale: float = 1.0) -> None:
-    acc.w += scale * g.w
-    acc.b += scale * g.b
-
-
-def _accumulate_encoder(grads: ModelParams, params: ModelParams, cache, dfeatures) -> None:
-    for acc, g in zip(grads.encoder_layers, encoder_backward(params, cache, dfeatures)):
-        acc.w += g.w
-        acc.b += g.b
 
 
 def predict(state: TrainState, x: np.ndarray, use_ema: bool = True) -> np.ndarray:

@@ -257,6 +257,73 @@ def test_train_oracle_extra_field_exits_2(workspace, capsys):
     assert "dataset.oracle.csv:2: expected 2 fields (id, true_label), got 3" in err
 
 
+@pytest.mark.parametrize("mode", ["fixmatch", "bmb"])
+def test_train_ssl_mode_without_unlabeled_rows_exits_2(workspace, capsys, mode):
+    """dataset.m1 = 0 is a valid config; fit used to raise an uncaught ValueError."""
+    tmp, _ = workspace
+    cfg = tiny_config(mode=mode)
+    cfg["dataset"]["m1"] = 0
+    path = tmp / "no_unlabeled.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset.csv: no unlabeled train rows; mode {mode} needs some" in err
+    assert not (tmp / "run").exists()
+    cfg["train"]["mode"] = "vanilla"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 0
+
+
+def test_train_without_labeled_rows_exits_2(workspace, capsys):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    csv_path = tmp / "data" / "dataset.csv"
+    lines = read(csv_path).splitlines(keepends=True)
+    kept = [l for l in lines if not (l.split(",")[1] == "train" and l.split(",")[2] != "-1")]
+    assert len(kept) < len(lines)
+    csv_path.write_text("".join(kept))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    assert "dataset.csv: no labeled train rows" in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+
+
+def test_train_and_report_zero_epochs(workspace, capsys):
+    """epochs = 0 is valid; train and report used to die on the missing metrics."""
+    tmp, _ = workspace
+    path = tmp / "zero.json"
+    path.write_text(json.dumps(tiny_config(epochs=0)))
+    main(["generate", "--config", str(path)])
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 0
+    assert "top1=n/a avg_recall=n/a" in capsys.readouterr().out
+    report = json.loads(read(tmp / "run" / "report.json"))
+    assert (report["epochs_run"], report["final"], report["last20_mean"]) == (0, None, None)
+    assert main(["report", "--runs", str(tmp / "run"), "--out", str(tmp / "rep")]) == 0
+    with open(tmp / "rep" / "per_class_recall.csv") as fh:
+        assert list(csv.DictReader(fh)) == []
+    with open(tmp / "rep" / "accuracy_table.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["mode"] == "bmb"
+    for key in ("top1", "avg_class_recall", "many_acc", "medium_acc", "few_acc", "bank_entropy"):
+        assert row[key] == ""
+
+
+def test_train_empty_test_split_prints_n_a(workspace, capsys):
+    """test_per_class = 0 leaves every accuracy NaN; train used to die formatting None."""
+    tmp, _ = workspace
+    cfg = tiny_config()
+    cfg["dataset"]["test_per_class"] = 0
+    path = tmp / "no_test.json"
+    path.write_text(json.dumps(cfg))
+    main(["generate", "--config", str(path)])
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 0
+    assert "top1=n/a avg_recall=n/a" in capsys.readouterr().out
+
+
 def test_train_balanced_dataset_writes_strict_jsonl(workspace):
     tmp, _ = workspace
     cfg = tiny_config()
@@ -339,6 +406,23 @@ def test_sweep_cells_fail_without_dataset(workspace, capsys):
     assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 4
     manifest = json.loads(read(tmp / "sw" / "sweep_manifest.json"))
     assert len(manifest["failed_cells"]) == 2  # one per seed
+
+
+def test_sweep_records_cells_whose_mode_needs_missing_unlabeled_rows(workspace, capsys):
+    tmp, _ = workspace
+    base = tiny_config()
+    base["dataset"]["m1"] = 0
+    sweep = {"parameter": "mode", "values": ["vanilla", "bmb"], "base": base}
+    sweep_path = tmp / "sweep.json"
+    sweep_path.write_text(json.dumps(sweep))
+    (tmp / "base.json").write_text(json.dumps(base))
+    main(["generate", "--config", str(tmp / "base.json")])
+    assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 4
+    manifest = json.loads(read(tmp / "sw" / "sweep_manifest.json"))
+    assert [(c["value"], c["seed"]) for c in manifest["failed_cells"]] == [("bmb", 0), ("bmb", 1)]
+    assert all("no unlabeled train rows" in c["error"] for c in manifest["failed_cells"])
+    with open(tmp / "sw" / "aggregate.csv") as fh:
+        assert [r["param_value"] for r in csv.DictReader(fh)] == ["vanilla", "vanilla"]
 
 
 def test_sweep_rejects_invalid_value(workspace):
@@ -443,19 +527,35 @@ def test_export_embeddings_model_config_mismatch_exits_2(workspace, capsys, hidd
     assert not out.exists()
 
 
+NOT_JSON = "{x"
+
+
 @pytest.mark.parametrize(
-    "command, damaged",
+    "command, damaged, content, message",
     [
-        ("export-embeddings", "run/config.resolved.json"),
-        ("report", "run/report.json"),
-        ("train", "data/manifest.json"),
+        pytest.param("export-embeddings", "run/config.resolved.json", NOT_JSON,
+                     " is not valid JSON", id="export-embeddings-run/config.resolved.json"),
+        pytest.param("report", "run/report.json", NOT_JSON, " is not valid JSON",
+                     id="report-run/report.json"),
+        pytest.param("train", "data/manifest.json", NOT_JSON, " is not valid JSON",
+                     id="train-data/manifest.json"),
+        pytest.param("report", "run/report.json", "[]",
+                     ": not a tailssl report (missing 'name')", id="report-list"),
+        pytest.param("report", "run/report.json", "{}",
+                     ": not a tailssl report (missing 'name')", id="report-empty-object"),
+        pytest.param("report", "run/config.resolved.json", '{"train": {}}',
+                     ": not a tailssl resolved config (missing 'train.beta')",
+                     id="report-config-without-train-fields"),
+        pytest.param("export-embeddings", "run/config.resolved.json", "{}",
+                     ": not a tailssl resolved config (missing 'data_dir')",
+                     id="export-embeddings-empty-object"),
     ],
 )
-def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged):
+def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged, content, message):
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
     main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
-    (tmp / damaged).write_text("{x")
+    (tmp / damaged).write_text(content)
     capsys.readouterr()
     argv = {
         "export-embeddings": ["--run", str(tmp / "run"), "--out", str(tmp / "emb.csv")],
@@ -463,7 +563,7 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged):
         "train": ["--config", str(cfg_path), "--out", str(tmp / "run2")],
     }[command]
     assert main([command, *argv]) == 2
-    assert f"{damaged} is not valid JSON" in capsys.readouterr().err
+    assert f"{damaged}{message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "npy-array"])

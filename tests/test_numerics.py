@@ -259,14 +259,10 @@ def analytic_full_grads(params, batch, targets, weights, mask, head_name):
     head = params.base_head if head_name == "base" else params.aux_head
     logits = head_forward(head, feats)
     _, dlogits = weighted_masked_ce(logits, targets, weights, mask, len(batch))
-    g_head, dfeat = head_backward(head, feats, dlogits)
     grads = zeros_like_params(params)
     target = grads.base_head if head_name == "base" else grads.aux_head
-    target.w += g_head.w
-    target.b += g_head.b
-    for acc, g in zip(grads.encoder_layers, encoder_backward(params, cache, dfeat)):
-        acc.w += g.w
-        acc.b += g.b
+    dfeat = head_backward(head, feats, dlogits, target)
+    encoder_backward(params, cache, dfeat, grads)
     return grads
 
 
@@ -274,8 +270,9 @@ def test_zero_upstream_gradient_gives_zero_param_gradients():
     params = tiny_params(seed=14)
     batch = RNG(15).normal(size=(3, 3))
     feats, cache = encoder_forward(params, batch)
-    grads = encoder_backward(params, cache, np.zeros_like(feats))
-    assert all(np.all(g.w == 0) and np.all(g.b == 0) for g in grads)
+    grads = zeros_like_params(params)
+    encoder_backward(params, cache, np.zeros_like(feats), grads)
+    assert np.all(grads.flat == 0)
 
 
 def test_single_sample_backward_matches_finite_differences():
@@ -303,10 +300,12 @@ def test_encoder_gradients_add_across_losses():
     feats, cache = encoder_forward(params, batch)
     _, d1 = weighted_masked_ce(head_forward(params.base_head, feats), t1, ones, mask, 4)
     _, d2 = weighted_masked_ce(head_forward(params.aux_head, feats), t2, ones, mask, 4)
-    _, df1 = head_backward(params.base_head, feats, d1)
-    _, df2 = head_backward(params.aux_head, feats, d2)
-    joint = encoder_backward(params, cache, df1 + df2)
-    for sep_b, sep_a, j in zip(g_base.encoder_layers, g_aux.encoder_layers, joint):
+    scratch = zeros_like_params(params)
+    df1 = head_backward(params.base_head, feats, d1, scratch.base_head)
+    df2 = head_backward(params.aux_head, feats, d2, scratch.aux_head)
+    joint = zeros_like_params(params)
+    encoder_backward(params, cache, df1 + df2, joint)
+    for sep_b, sep_a, j in zip(g_base.encoder_layers, g_aux.encoder_layers, joint.encoder_layers):
         np.testing.assert_allclose(sep_b.w + sep_a.w, j.w, atol=1e-13)
         np.testing.assert_allclose(sep_b.b + sep_a.b, j.b, atol=1e-13)
 
@@ -315,7 +314,44 @@ def test_backward_rejects_mismatched_cache():
     params = tiny_params(seed=20)
     _, cache = encoder_forward(params, RNG(21).normal(size=(3, 3)))
     with pytest.raises(ValueError):
-        encoder_backward(params, cache, np.zeros((2, params.feature_dim)))
+        encoder_backward(
+            params, cache, np.zeros((2, params.feature_dim)), zeros_like_params(params)
+        )
+
+
+def test_head_backward_adds_scaled_gradients_into_the_buffer():
+    head = LinearLayer(RNG(22).normal(size=(4, 3)), RNG(23).normal(size=3))
+    feats = RNG(24).normal(size=(5, 4))
+    dlogits = RNG(25).normal(size=(5, 3))
+    grad = LinearLayer(RNG(26).normal(size=(4, 3)), RNG(27).normal(size=3))
+    want_w, want_b = grad.w.copy(), grad.b.copy()
+    for scale in (0.5, 2.0):
+        want_w += scale * (feats.T @ dlogits)
+        want_b += scale * dlogits.sum(axis=0)
+        dfeat = head_backward(head, feats, dlogits, grad, scale)
+        np.testing.assert_array_equal(dfeat, dlogits @ head.w.T)  # never scaled
+    np.testing.assert_array_equal(grad.w, want_w)
+    np.testing.assert_array_equal(grad.b, want_b)
+    with pytest.raises(ValueError):
+        head_backward(head, feats, dlogits[:, :2], grad)
+
+
+def test_encoder_backward_adds_both_passes_into_one_buffer():
+    params = tiny_params(d=4, hidden=(5, 3), k=3, seed=28)
+    passes = []
+    for seed in (29, 30):
+        feats, cache = encoder_forward(params, RNG(seed).normal(size=(6, 4)))
+        passes.append((cache, RNG(seed + 100).normal(size=feats.shape)))
+    alone = []
+    for cache, dfeat in passes:
+        alone.append(zeros_like_params(params))
+        encoder_backward(params, cache, dfeat, alone[-1])
+    grads = zeros_like_params(params)
+    grads.flat[:] = RNG(31).normal(size=grads.flat.shape)
+    want = grads.flat + alone[0].flat + alone[1].flat
+    for cache, dfeat in passes:
+        encoder_backward(params, cache, dfeat, grads)
+    np.testing.assert_array_equal(grads.flat, want)  # heads keep their start values too
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

@@ -26,6 +26,7 @@ from tailssl.data import (
     strong_augment,
     weak_augment,
 )
+import tailssl.trainer as trainer_module
 from tailssl.errors import TrainingDivergedError
 from tailssl.numerics import encoder_forward, head_forward, softmax
 from tailssl.trainer import (
@@ -640,3 +641,43 @@ def test_fit_epoch_log_fingerprint_is_pinned_per_feature_view(
     state, digest = pinned_fit(beta, memory_content, capacity)
     assert state.bank.evictions == evictions
     assert digest == sha256
+
+
+# ---------------------------------------------------------------------------
+# Trace points
+# ---------------------------------------------------------------------------
+
+# The benchmark tracer (bench/tracing.py) times layers by patching these
+# trainer globals and skips a name that is gone, so its spans would read 0.
+TRACED_TRAINER_GLOBALS = (
+    "train_step", "predict", "evaluate", "weak_augment", "strong_augment",
+    "encoder_forward", "encoder_backward", "head_forward", "head_backward",
+    "adam_step", "ema_update", "zeros_like_params",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_TRAINER_GLOBALS)
+def test_traced_name_is_a_trainer_global(name):
+    assert callable(getattr(trainer_module, name, None))
+
+
+def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
+    calls = dict.fromkeys(
+        ("weak_augment", "strong_augment", "encoder_forward", "encoder_backward",
+         "head_forward", "head_backward"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trainer_module, name, counted(name, getattr(trainer_module, name)))
+    state = make_state(micro_cfg(tau=0.01))
+    for i in range(8):
+        state.bank.insert(np.ones(4), i % 2)
+    metrics, _ = compute_step(state, *micro_batches(seed=13))
+    assert metrics.loss_mem > 0.0
+    assert calls == {"weak_augment": 2, "strong_augment": 1, "encoder_forward": 3,
+                     "encoder_backward": 2, "head_forward": 7, "head_backward": 5}
