@@ -23,13 +23,19 @@ function (`accept_probability` is Python float arithmetic, the eviction
 weights a numpy power; the two round differently in the last bit). A class
 draw is an inverse-CDF draw, the method `Generator.choice` uses: cumulative
 sum of the renormalised probabilities, divided by its last entry, then the
-first entry greater than one uniform. `_victim` does this on Python floats,
-summing in numpy's pairwise order (`_pairwise_sum`), so every victim equals
-that of `rng.choice(support, p=...)` over the renormalised
-`eviction_distribution` given the same uniform. `get` does it in numpy for its
-n class draws, then draws all n within-class positions with one
-`rng.integers` call, and returns slot rows, which callers use to index
-`features` and `labels`.
+first entry greater than one uniform. `_victim_exact` does this on Python
+floats, summing in numpy's pairwise order (`_pairwise_sum`), so every victim
+equals that of `rng.choice(support, p=...)` over the renormalised
+`eviction_distribution` given the same uniform. `_victim`, which the writes
+call, is a shortcut: it bisects the running sum of the class weights at the
+uniform times their total. That running sum and the CDF of `_victim_exact`
+each lie within about (2K + 6) * 2**-53 of the exact CDF, relative to the
+total, so the two can pick different classes only for a uniform that close to
+an edge; within 2**-30 of an edge `_victim` defers to `_victim_exact`, and
+every victim and generator state stay the same. `get` does the inverse-CDF
+draw in numpy for its n class draws, then draws all n within-class positions
+with one `rng.integers` call, and returns slot rows, which callers use to
+index `features` and `labels`.
 
 Writes come a batch at a time. `offer` runs a batch of attempts in order, each
 using one uniform to accept and, when the bank is full, one more to pick a
@@ -214,7 +220,8 @@ class MemoryBank:
             writes[slot] = i
         rng.random(used)
         if writes:
-            slots, rows = list(writes), list(writes.values())
+            slots = np.fromiter(writes, dtype=np.int64, count=len(writes))
+            rows = np.fromiter(writes.values(), dtype=np.int64, count=len(writes))
             self.features[slots] = features[rows]
             self.labels[slots] = labels[rows]
         evicted = used - n  # each attempt draws once, each eviction once more
@@ -239,6 +246,26 @@ class MemoryBank:
 
     def _victim(self, sizes: list[int], u: float) -> int:
         """Victim class for the uniform u, given every class's size (not all 0).
+
+        Bisects a running sum of the class weights (the table weights, or the
+        sizes when every table weight is 0) at u times their total. Where that
+        point lies within 2**-30 of the total from an edge of the running sum,
+        rounding could tell the two recipes apart, so `_victim_exact` decides.
+        """
+        p_out = self.p_out
+        prefix = list(accumulate([p_out[c] for c in sizes])) if self._weighted else [0.0]
+        if prefix[-1] <= 0.0:
+            prefix = list(accumulate(sizes))
+        total = prefix[-1]
+        x = u * total
+        i = bisect_right(prefix, x)
+        tol = total * 2.0**-30
+        if i == len(prefix) or prefix[i] - x <= tol or (i and x - prefix[i - 1] <= tol):
+            return self._victim_exact(sizes, u)
+        return i
+
+    def _victim_exact(self, sizes: list[int], u: float) -> int:
+        """`_victim` by the recipe of `Generator.choice`, on Python floats.
 
         Skips only steps that cannot change a value: weights when every table
         weight is 0, the support when no class is empty, and a division by a
@@ -289,10 +316,14 @@ class MemoryBank:
             raise ValueError("estimated_counts must have one entry per class")
         if n == 0 or not len(self):
             return np.zeros(0, dtype=np.int64)
+        if (estimated < 1).any():
+            raise ValueError("estimated counts must be clamped >= 1")
         counts = self.counts()
-        probs = retrieval_distribution(estimated, counts, lam)
         support = np.flatnonzero(counts)
-        cdf = (probs[support] / probs[support].sum()).cumsum()
+        # retrieval_distribution, restricted to the support and renormalised
+        weights = np.where(counts > 0, estimated ** (-lam), 0.0)
+        probs = weights[support] / weights.sum()
+        cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         classes = support[cdf.searchsorted(rng.random(n), side="right")]
         positions = rng.integers(0, counts[classes])

@@ -7,10 +7,19 @@ The backward passes return no gradient arrays: they add into views of a
 gradient buffer that the caller owns, so several loss terms can share one
 buffer. All operations are deterministic functions of their inputs; the test
 suite checks every gradient path against central finite differences.
+
+Stacked passes. A batch may carry a leading block axis, (B, n, d), and the two
+heads form one stacked layer, w (2, d, K) and b (2, K). The encoder runs every
+block, the stacked head scores every block with every head, and the CE takes
+one loss per (head, block). numpy's stacked and broadcast matmuls compute each
+block with the same BLAS call as a 2-D matmul of that block, and a reduction
+over the last axis or over the rows of a block adds in the same order as on
+the block alone, so a stacked pass gives bit for bit the values of one pass
+per block. The backward passes add each block's gradients in block order.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,8 +28,12 @@ from .errors import TrainingDivergedError
 
 @dataclass
 class LinearLayer:
-    w: np.ndarray  # (fan_in, fan_out)
-    b: np.ndarray  # (fan_out,)
+    w: np.ndarray  # (fan_in, fan_out), or (H, fan_in, fan_out) for H stacked layers
+    b: np.ndarray  # (fan_out,), or (H, fan_out)
+
+    def __getitem__(self, index) -> "LinearLayer":
+        """Views of one stacked layer (an int index) or of a range of them (a slice)."""
+        return LinearLayer(self.w[index], self.b[index])
 
 
 @dataclass
@@ -28,28 +41,34 @@ class ModelParams:
     """Shared MLP encoder plus base and auxiliary linear heads.
 
     Every array is a view into one float64 vector `flat`. Gradients reuse this
-    container, and the Adam moments and the EMA share the same layout.
+    container, and the Adam moments and the EMA share the same layout. `heads`
+    stacks both heads, base first; `base_head` and `aux_head` are its two
+    layers.
     """
 
     flat: np.ndarray
     encoder_layers: list[LinearLayer]
+    heads: LinearLayer
     base_head: LinearLayer
     aux_head: LinearLayer
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...], num_classes: int) -> "ModelParams":
-        """Views into flat: encoder layers, base head, aux head; per layer row-major w, then b."""
+        """Views into flat, each row-major: per encoder layer w, then b; then the
+        stacked heads' w (2, d, K), then their b (2, K)."""
         size = cls.size(dims, num_classes)
         if flat.dtype != np.float64 or flat.shape != (size,):
             raise ValueError(f"need {size} float64 parameters, got {flat.dtype} {flat.shape}")
-        heads = [(dims[-1], num_classes)] * 2
         layers, pos = [], 0
-        for fan_in, fan_out in [*zip(dims, dims[1:]), *heads]:
+        for fan_in, fan_out in zip(dims, dims[1:]):
             end = pos + fan_in * fan_out
             w = flat[pos:end].reshape(fan_in, fan_out)
             layers.append(LinearLayer(w, flat[end : end + fan_out]))
             pos = end + fan_out
-        return cls(flat, layers[:-2], layers[-2], layers[-1])
+        end = pos + 2 * dims[-1] * num_classes
+        heads = LinearLayer(flat[pos:end].reshape(2, dims[-1], num_classes),
+                            flat[end:].reshape(2, num_classes))
+        return cls(flat, layers, heads, heads[0], heads[1])
 
     @staticmethod
     def size(dims: tuple[int, ...], num_classes: int) -> int:
@@ -86,10 +105,13 @@ class ModelParams:
 
 def named_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
     """(name, view) for every array, in flat order."""
-    names = [f"enc{i}" for i in range(len(params.encoder_layers))] + ["base", "aux"]
-    for name, layer in zip(names, [*params.encoder_layers, params.base_head, params.aux_head]):
-        yield f"{name}.w", layer.w
-        yield f"{name}.b", layer.b
+    for i, layer in enumerate(params.encoder_layers):
+        yield f"enc{i}.w", layer.w
+        yield f"enc{i}.b", layer.b
+    yield "base.w", params.base_head.w
+    yield "aux.w", params.aux_head.w
+    yield "base.b", params.base_head.b
+    yield "aux.b", params.aux_head.b
 
 
 def init_params(
@@ -127,9 +149,12 @@ class EncoderCache:
 
 
 def encoder_forward(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
-    """ReLU MLP forward. Returns (features, cache); features = relu of the last layer."""
+    """ReLU MLP forward of a batch (n, D) or of stacked blocks (B, n, D).
+
+    Returns (features, cache); features = relu of the last layer.
+    """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
+    if batch.ndim not in (2, 3) or batch.shape[-1] != params.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input dim {params.input_dim}"
         )
@@ -144,11 +169,24 @@ def encoder_forward(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray,
 
 
 def head_forward(head: LinearLayer, features: np.ndarray) -> np.ndarray:
-    if features.ndim != 2 or features.shape[1] != head.w.shape[0]:
+    """Logits of features (n, d) or (B, n, d); a stacked head (H, d, K) scores
+    every block with every head and returns (H, B, n, K)."""
+    if features.ndim not in (2, 3) or features.shape[-1] != head.w.shape[-2]:
         raise ValueError(
-            f"features shape {features.shape} incompatible with head input dim {head.w.shape[0]}"
+            f"features shape {features.shape} incompatible with head input dim {head.w.shape[-2]}"
         )
-    return features @ head.w + head.b
+    w, b = _broadcast_heads(head, features)
+    return features @ w + b
+
+
+def _broadcast_heads(head: LinearLayer, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """head.w and head.b shaped to broadcast against features' leading axes."""
+    if head.w.ndim == 2:
+        return head.w, head.b
+    blocks = (1,) * (features.ndim - 2)
+    return head.w.reshape(len(head.w), *blocks, *head.w.shape[1:]), head.b.reshape(
+        len(head.b), *blocks, 1, head.b.shape[1]
+    )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -193,44 +231,88 @@ def weighted_masked_ce_unchecked(
     divisor: int,
 ) -> tuple[float, np.ndarray]:
     """`weighted_masked_ce` for inputs already known to be valid: float64
-    logits (n, k), n targets in [0, k), n float64 weights, n bools, divisor > 0."""
-    n = len(logits)
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    rows = np.arange(n)
+    logits (..., n, k), targets (...,  n) in [0, k), float64 weights and bool
+    mask that broadcast to the targets' shape, divisor > 0.
+
+    Leading axes index independent blocks of rows: the loss is one per block,
+    a float for 2-D logits, and dlogits has the logits' shape.
+    """
+    k = logits.shape[-1]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     coef = np.where(mask, weights, 0.0) / float(divisor)
-    loss = float(-(coef * logp[rows, targets]).sum())
-    dlogits = np.exp(logp) * coef[:, None]
-    dlogits[rows, targets] -= coef
-    return loss, dlogits
+    # position of each target logit in the row-major flattened logits
+    at = np.arange(0, targets.size * k, k).reshape(targets.shape) + targets
+    loss = -(coef * logp.reshape(-1)[at]).sum(axis=-1)
+    dlogits = np.exp(logp, order="C")  # C order, so reshape(-1) below is a view
+    dlogits *= coef[..., None]
+    dlogits.reshape(-1)[at] -= coef
+    return (float(loss) if loss.ndim == 0 else loss), dlogits
 
 
 def head_backward(
     head: LinearLayer, features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer,
-    scale: float = 1.0,
+    scale: float | Sequence[float] = 1.0,
 ) -> np.ndarray:
-    """Add scale times the linear head's gradients into grad; returns dfeatures (unscaled)."""
-    if dlogits.shape != (features.shape[0], head.w.shape[1]):
+    """Add scale times the head's gradients into grad; returns dfeatures (unscaled).
+
+    Shapes are those of `head_forward`. For stacked blocks (B, n, d), scale
+    has one entry per block, and the blocks are added in order.
+    """
+    if dlogits.shape != head.w.shape[:-2] + features.shape[:-1] + head.w.shape[-1:]:
         raise ValueError("dlogits shape does not match head output")
-    grad.w += scale * (features.T @ dlogits)
-    grad.b += scale * dlogits.sum(axis=0)
-    return dlogits @ head.w.T
+    gw = np.swapaxes(features, -1, -2) @ dlogits
+    gb = dlogits.sum(axis=-2)
+    if features.ndim == 2:
+        grad.w += scale * gw
+        grad.b += scale * gb
+    else:
+        _add_blocks(grad, gw, gb, scale)
+    w, _ = _broadcast_heads(head, features)
+    return dlogits @ np.swapaxes(w, -1, -2)
+
+
+def _add_blocks(
+    grad: LinearLayer, gw: np.ndarray, gb: np.ndarray, scales: Sequence[float]
+) -> None:
+    """grad += scales[j] times block j of (gw, gb), for j in order; the block
+    axis is gw's third and gb's second from last."""
+    for j, s in enumerate(scales):
+        if s == 1.0:  # 1.0 * x == x, so skip the product
+            grad.w += gw[..., j, :, :]
+            grad.b += gb[..., j, :]
+        else:
+            grad.w += s * gw[..., j, :, :]
+            grad.b += s * gb[..., j, :]
 
 
 def encoder_backward(
     params: ModelParams, cache: EncoderCache, dfeatures: np.ndarray, grads: ModelParams
 ) -> None:
     """Backprop dfeatures through the cached encoder pass, adding each layer's
-    gradients into grads.encoder_layers; exact ReLU subgradient at 0 is 0."""
+    gradients into grads.encoder_layers; exact ReLU subgradient at 0 is 0.
+
+    After a stacked pass, dfeatures (B', n, d) covers its first B' blocks, and
+    each layer adds their gradients in block order.
+    """
     if len(cache.inputs) != len(params.encoder_layers):
         raise ValueError("cache does not match encoder depth")
-    if dfeatures.shape != (cache.inputs[0].shape[0], params.feature_dim):
+    inputs, preacts = cache.inputs, cache.preacts
+    if dfeatures.ndim == 3:
+        inputs = [a[: len(dfeatures)] for a in inputs]
+        preacts = [a[: len(dfeatures)] for a in preacts]
+    if dfeatures.shape != inputs[0].shape[:-1] + (params.feature_dim,):
         raise ValueError("dfeatures shape does not match cached forward pass")
     d = dfeatures
     for i in reversed(range(len(params.encoder_layers))):
-        dz = d * (cache.preacts[i] > 0.0)
-        grads.encoder_layers[i].w += cache.inputs[i].T @ dz
-        grads.encoder_layers[i].b += dz.sum(axis=0)
+        dz = d * (preacts[i] > 0.0)
+        gw = np.swapaxes(inputs[i], -1, -2) @ dz
+        gb = dz.sum(axis=-2)
+        if dz.ndim == 2:
+            grads.encoder_layers[i].w += gw
+            grads.encoder_layers[i].b += gb
+        else:
+            _add_blocks(grads.encoder_layers[i], gw, gb, [1.0] * len(dz))
         if i > 0:
             d = dz @ params.encoder_layers[i].w.T
 

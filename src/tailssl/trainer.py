@@ -20,6 +20,15 @@ the class-rebalanced bank, and is the only head used at inference. Per step:
   5. total = L_s_base + lu*L_u_base + L_s_aux + lu*L_u_aux + lm*L_mem,
      one Adam step, one EMA update.
 
+The step batches its numerics: one weak-augment draw covers the labeled and
+unlabeled rows, one encoder pass runs the blocks labeled weak | unlabeled
+strong | unlabeled weak, the stacked heads score every block at once, and one
+CE call and one backward pass cover the labeled and strong-view losses of
+both heads. Stacked passes give the values of one pass per block bit for bit
+(see `numerics`), and each gradient array still adds its labeled, strong-view
+and memory terms in that order, so the step equals one that runs each loss on
+its own.
+
 During warmup epochs every unlabeled term is dropped and the ledger/bank stay
 untouched. Modes: "vanilla" = supervised base head only, "fixmatch" = base
 head with consistency, "bmb" = the full two-head setup.
@@ -197,88 +206,95 @@ def compute_step(
         raise ValueError("unlabeled batch size (ids and rows) must equal cfg.batch_size")
     grads = state.grads
     grads.flat.fill(0.0)
+    n_heads = 2 if use_aux else 1  # vanilla and fixmatch train the base head alone
+    heads, grad_heads = p.heads[:n_heads], grads.heads[:n_heads]
     ones = np.ones(b)
     full = np.ones(b, dtype=bool)
 
-    # (1) labeled branch, weak view only
-    xw = weak_augment(labeled_x, cfg.augment, state.rngs.augment)
-    feats_x, cache_x = encoder_forward(p, xw)
-    loss_s_b, dfeat_x = _head_loss(p.base_head, grads.base_head, feats_x, labeled_y, ones, full)
-    loss_s_a = 0.0
-    if use_aux:
-        w_lab = batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)
-        loss_s_a, dfeat_ax = _head_loss(
-            p.aux_head, grads.aux_head, feats_x, labeled_y, w_lab, full
-        )
-        if not cfg.aux_stopgrad:
-            dfeat_x = dfeat_x + dfeat_ax
-    encoder_backward(p, cache_x, dfeat_x, grads)
-
-    loss_u_b = loss_u_a = loss_mem = 0.0
-    mask_rate = 0.0
-    accept_rate = 0.0
+    # (1) the weak views of the labeled and unlabeled rows in one draw, then
+    # the strong view; blocks: labeled weak | unlabeled strong | unlabeled weak,
+    # so the blocks that carry a loss come first
+    aug, aug_rng = cfg.augment, state.rngs.augment
     if use_unsup:
-        uw = weak_augment(unlabeled_x, cfg.augment, state.rngs.augment)
-        us = strong_augment(unlabeled_x, cfg.augment, state.rngs.augment)
+        weak = weak_augment(np.concatenate((labeled_x, unlabeled_x)), aug, aug_rng)
+        x = np.stack((weak[:b], strong_augment(unlabeled_x, aug, aug_rng), weak[b:]))
+    else:
+        x = weak_augment(labeled_x, aug, aug_rng)[None]
+    feats, cache = encoder_forward(p, x)
+    logits = head_forward(heads, feats)  # (head, block, row, class)
 
+    # per head and loss block: CE targets and weights; per block: mask, scale
+    targets, weights, masks, scales = [[labeled_y]], [[ones]], [full], [1.0]
+    if use_aux:
+        targets.append([labeled_y])
+        weights.append([batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)])
+    mask_rate = accept_rate = loss_mem = 0.0
+    if use_unsup:
         # (2) pseudo labels and mask from the weak view (constants: no gradient
-        # flows through the weak unlabeled pass)
-        feats_uw, _ = encoder_forward(p, uw)
-        probs_b = softmax(head_forward(p.base_head, feats_uw))
+        # flows through that block)
+        probs_b = softmax(logits[0, 2])
         conf = probs_b.max(axis=1)
         qhat_b = probs_b.argmax(axis=1)
         mask = conf >= cfg.tau
-        mask_rate = float(mask.mean())
-
-        feats_us, cache_us = encoder_forward(p, us)
-        loss_u_b, dfeat_us = _head_loss(
-            p.base_head, grads.base_head, feats_us, qhat_b, ones, mask, cfg.lambda_u
-        )
-        dfeat_us = dfeat_us * cfg.lambda_u
-
+        mask_rate = int(np.count_nonzero(mask)) / b  # == mask.mean(), exactly
+        targets[0].append(qhat_b)
+        weights[0].append(ones)
+        masks.append(mask)
+        scales.append(cfg.lambda_u)
         if use_aux:
-            qhat_a = head_forward(p.aux_head, feats_uw).argmax(axis=1)
+            qhat_a = logits[1, 2].argmax(axis=1)
             est_pre = state.ledger.estimated_counts()
-            w_unl = batch_weights_unchecked(est_pre, qhat_a, cfg.alpha)
-            loss_u_a, dfeat_au = _head_loss(
-                p.aux_head, grads.aux_head, feats_us, qhat_a, w_unl, mask, cfg.lambda_u
-            )
-            if not cfg.aux_stopgrad:
-                dfeat_us = dfeat_us + cfg.lambda_u * dfeat_au
-        encoder_backward(p, cache_us, dfeat_us, grads)
+            targets[1].append(qhat_a)
+            weights[1].append(batch_weights_unchecked(est_pre, qhat_a, cfg.alpha))
 
-        if use_aux:
-            # (3) confident samples feed the ledger and the bank (auxiliary labels,
-            # since those drive reversed sampling and the unlabeled weights); with
-            # both views, each sample offers its weak then its strong feature
-            confident = np.flatnonzero(mask)
-            labels = qhat_a[confident]
-            state.ledger.record_batch(unlabeled_ids[confident], labels)
-            if cfg.memory_content == "both":
-                offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
-                offered = offered.reshape(-1, feats_us.shape[1])
-                labels = labels.repeat(2)
-            else:
-                offered = (feats_uw if cfg.memory_content == "weak" else feats_us)[confident]
-            accepted = state.bank.offer(offered, labels, state.rngs.bank)
-            accept_rate = accepted / len(labels) if len(labels) else 0.0
+    # labeled and strong-view losses of both heads: one CE, one backward each
+    n_loss = len(masks)
+    losses, dlogits = weighted_masked_ce_unchecked(
+        logits[:, :n_loss], np.array(targets), np.array(weights), np.array(masks), b
+    )
+    dfeat = head_backward(heads, feats[:n_loss], dlogits, grad_heads, scales)
+    block_scale = np.array(scales)[:, None, None]
+    dfeat_enc = dfeat[0] * block_scale
+    if use_aux and not cfg.aux_stopgrad:
+        dfeat_enc += block_scale * dfeat[1]
+    encoder_backward(p, cache, dfeat_enc, grads)
+    table = np.zeros((2, 2))
+    table[:n_heads, :n_loss] = losses
+    (loss_s_b, loss_u_b), (loss_s_a, loss_u_a) = table.tolist()
 
-            # (4) memory loss over re-sampled features; gradients reach only the
-            # auxiliary head because the stored features are constants
-            n_mem = round_half_up(cfg.get_fraction * b)
-            rows = state.bank.get(
-                state.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, state.rngs.bank
+    if use_unsup and use_aux:
+        # (3) confident samples feed the ledger and the bank (auxiliary labels,
+        # since those drive reversed sampling and the unlabeled weights); with
+        # both views, each sample offers its weak then its strong feature
+        feats_us, feats_uw = feats[1], feats[2]
+        confident = np.flatnonzero(mask)
+        labels = qhat_a[confident]
+        state.ledger.record_batch(unlabeled_ids[confident], labels)
+        if cfg.memory_content == "both":
+            offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
+            offered = offered.reshape(-1, feats_us.shape[1])
+            labels = labels.repeat(2)
+        else:
+            offered = (feats_uw if cfg.memory_content == "weak" else feats_us)[confident]
+        accepted = state.bank.offer(offered, labels, state.rngs.bank)
+        accept_rate = accepted / len(labels) if len(labels) else 0.0
+
+        # (4) memory loss over re-sampled features; gradients reach only the
+        # auxiliary head because the stored features are constants
+        n_mem = round_half_up(cfg.get_fraction * b)
+        rows = state.bank.get(
+            state.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, state.rngs.bank
+        )
+        if len(rows):
+            loss_mem, _ = _head_loss(
+                p.aux_head,
+                grads.aux_head,
+                state.bank.features[rows],
+                state.bank.labels[rows],
+                np.ones(len(rows)),
+                np.ones(len(rows), dtype=bool),
+                cfg.lambda_m,
             )
-            if len(rows):
-                loss_mem, _ = _head_loss(
-                    p.aux_head,
-                    grads.aux_head,
-                    state.bank.features[rows],
-                    state.bank.labels[rows],
-                    np.ones(len(rows)),
-                    np.ones(len(rows), dtype=bool),
-                    cfg.lambda_m,
-                )
 
     # (5) total loss per the two-branch decomposition
     loss_total = (

@@ -1,7 +1,9 @@
 """Independent straight-line re-implementations used as test oracles.
 
-Loops and math.exp only; deliberately naive so they share no code path with
-the package.
+The formula oracles use loops and math.exp only; deliberately naive so they
+share no code path with the package. The per-record and per-term references
+below them (`enqueue_each`, `record_each`, `step_per_term`) keep the package's
+earlier, simpler forms of its batched code, which must match them bit for bit.
 """
 
 import math
@@ -117,3 +119,138 @@ def record_each(latest, counts, ids, labels):
             counts[latest[sid]] -= 1
         counts[label] += 1
         latest[sid] = label
+
+
+def _ce(logits, targets, weights, mask, divisor):
+    n = len(logits)
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(n)
+    coef = np.where(mask, weights, 0.0) / float(divisor)
+    loss = float(-(coef * logp[rows, targets]).sum())
+    dlogits = np.exp(logp) * coef[:, None]
+    dlogits[rows, targets] -= coef
+    return loss, dlogits
+
+
+def _head_term(head, grad, features, targets, weights, mask, scale=1.0):
+    loss, dlogits = _ce(features @ head.w + head.b, targets, weights, mask, len(features))
+    grad.w += scale * (features.T @ dlogits)
+    grad.b += scale * dlogits.sum(axis=0)
+    return loss, dlogits @ head.w.T
+
+
+def _encode(params, x):
+    inputs, preacts, h = [], [], x
+    for layer in params.encoder_layers:
+        inputs.append(h)
+        z = h @ layer.w + layer.b
+        preacts.append(z)
+        h = np.maximum(z, 0.0)
+    return h, (inputs, preacts)
+
+
+def _encode_backward(params, cache, dfeatures, grads):
+    inputs, preacts = cache
+    d = dfeatures
+    for i in reversed(range(len(inputs))):
+        dz = d * (preacts[i] > 0.0)
+        grads.encoder_layers[i].w += inputs[i].T @ dz
+        grads.encoder_layers[i].b += dz.sum(axis=0)
+        if i > 0:
+            d = dz @ params.encoder_layers[i].w.T
+
+
+def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
+    """One training step with one encoder pass per view and one CE per head
+    term: the reference for trainer.compute_step, bit for bit.
+
+    Augments the labeled weak view, then the unlabeled weak and strong views,
+    from state.rngs.augment; each of the five head losses is its own forward,
+    CE and backward. Each gradient array adds its labeled, then strong-view,
+    then memory term. The ledger, bank and bank generator are updated as the
+    step does. Returns (dict of StepMetrics fields, gradient ModelParams).
+    """
+    from tailssl.data import strong_augment, weak_augment
+    from tailssl.numerics import zeros_like_params
+    from tailssl.util import round_half_up
+    from tailssl.weighting import batch_weights_unchecked
+
+    cfg, p, rngs = state.cfg, state.params, state.rngs
+    b = cfg.batch_size
+    use_aux = cfg.mode == "bmb"
+    use_unsup = cfg.mode in ("fixmatch", "bmb") and state.epoch >= cfg.warmup_epochs
+    grads = zeros_like_params(p)
+    ones = np.ones(b)
+    full = np.ones(b, dtype=bool)
+
+    feats_x, cache_x = _encode(p, weak_augment(labeled_x, cfg.augment, rngs.augment))
+    loss_s_b, dfeat_x = _head_term(p.base_head, grads.base_head, feats_x, labeled_y, ones, full)
+    loss_s_a = 0.0
+    if use_aux:
+        w_lab = batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)
+        loss_s_a, dfeat_ax = _head_term(
+            p.aux_head, grads.aux_head, feats_x, labeled_y, w_lab, full
+        )
+        if not cfg.aux_stopgrad:
+            dfeat_x = dfeat_x + dfeat_ax
+    _encode_backward(p, cache_x, dfeat_x, grads)
+
+    loss_u_b = loss_u_a = loss_mem = mask_rate = accept_rate = 0.0
+    if use_unsup:
+        uw = weak_augment(unlabeled_x, cfg.augment, rngs.augment)
+        us = strong_augment(unlabeled_x, cfg.augment, rngs.augment)
+        feats_uw, _ = _encode(p, uw)
+        logits_uw = feats_uw @ p.base_head.w + p.base_head.b
+        z = np.exp(logits_uw - logits_uw.max(axis=1, keepdims=True))
+        probs_b = z / z.sum(axis=1, keepdims=True)
+        qhat_b = probs_b.argmax(axis=1)
+        mask = probs_b.max(axis=1) >= cfg.tau
+        mask_rate = float(mask.mean())
+
+        feats_us, cache_us = _encode(p, us)
+        loss_u_b, dfeat_us = _head_term(
+            p.base_head, grads.base_head, feats_us, qhat_b, ones, mask, cfg.lambda_u
+        )
+        dfeat_us = dfeat_us * cfg.lambda_u
+        if use_aux:
+            qhat_a = (feats_uw @ p.aux_head.w + p.aux_head.b).argmax(axis=1)
+            w_unl = batch_weights_unchecked(state.ledger.estimated_counts(), qhat_a, cfg.alpha)
+            loss_u_a, dfeat_au = _head_term(
+                p.aux_head, grads.aux_head, feats_us, qhat_a, w_unl, mask, cfg.lambda_u
+            )
+            if not cfg.aux_stopgrad:
+                dfeat_us = dfeat_us + cfg.lambda_u * dfeat_au
+        _encode_backward(p, cache_us, dfeat_us, grads)
+
+        if use_aux:
+            confident = np.flatnonzero(mask)
+            labels = qhat_a[confident]
+            state.ledger.record_batch(unlabeled_ids[confident], labels)
+            if cfg.memory_content == "both":
+                offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
+                offered = offered.reshape(-1, feats_us.shape[1])
+                labels = labels.repeat(2)
+            else:
+                offered = (feats_uw if cfg.memory_content == "weak" else feats_us)[confident]
+            accepted = state.bank.offer(offered, labels, rngs.bank)
+            accept_rate = accepted / len(labels) if len(labels) else 0.0
+            rows = state.bank.get(
+                state.ledger.estimated_counts(), round_half_up(cfg.get_fraction * b),
+                cfg.lambda_sampling, rngs.bank,
+            )
+            if len(rows):
+                loss_mem, _ = _head_term(
+                    p.aux_head, grads.aux_head, state.bank.features[rows],
+                    state.bank.labels[rows], np.ones(len(rows)),
+                    np.ones(len(rows), dtype=bool), cfg.lambda_m,
+                )
+
+    loss_total = (
+        loss_s_b + cfg.lambda_u * loss_u_b + loss_s_a + cfg.lambda_u * loss_u_a
+        + cfg.lambda_m * loss_mem
+    )
+    metrics = dict(loss_s_b=loss_s_b, loss_u_b=loss_u_b, loss_s_a=loss_s_a, loss_u_a=loss_u_a,
+                   loss_mem=loss_mem, loss_total=loss_total, mask_rate=mask_rate,
+                   enqueue_accept_rate=accept_rate)
+    return metrics, grads

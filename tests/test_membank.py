@@ -508,6 +508,64 @@ def test_offer_rejects_bad_labels_and_shapes_before_drawing():
     assert rng.bit_generator.state == before and len(bank) == 0
 
 
+def count_exact_victims(monkeypatch):
+    """Counts the calls of the bank's exact victim recipe, which still runs."""
+    calls = []
+    exact = MemoryBank._victim_exact
+
+    def counted(self, sizes, u):
+        calls.append(u)
+        return exact(self, sizes, u)
+
+    monkeypatch.setattr(MemoryBank, "_victim_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_offer_victims_at_every_cdf_edge_equal_enqueue_each(beta, monkeypatch):
+    """A full bank, K = 9 with class 4 empty, takes one row of class 4, which
+    is always accepted; the eviction's uniform sits at each edge of the victim
+    CDF and at both ends of [0, 1). Each inner-edge uniform takes the exact
+    recipe."""
+    counts = [7, 1, 3, 12, 0, 2, 5, 1, 9]
+    base = filled_bank(counts, capacity=sum(counts), beta=beta)
+    edges = boundary_uniforms(victim_probs(base))
+    exact = count_exact_victims(monkeypatch)
+    for u in [*edges, 0.0, 1.0 - 2.0**-53]:
+        bank, twin = copy.deepcopy(base), copy.deepcopy(base)
+        fast, slow = generator_drawing(u, 11), generator_drawing(u, 11)
+        for rng in (fast, slow):  # the accept draw comes first, then u
+            rng.bit_generator.advance(-1)
+        before = len(exact)
+        assert bank.offer(np.ones((1, 2)), np.array([4]), fast) == 1
+        assert enqueue_each(twin, np.ones((1, 2)), np.array([4]), slow) == 1
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert bank_state(bank) == bank_state(twin)
+        assert bank.evictions == 1 and len(bank.rows(4)) == 1
+        if u in edges:
+            assert len(exact) - before == 1
+    assert len(edges) >= 8
+
+
+def test_generic_offer_stream_never_needs_the_exact_victim(monkeypatch):
+    """Seeded offers on full banks evict often, and every victim comes from
+    the running sum alone."""
+    exact = count_exact_victims(monkeypatch)
+    evictions = 0
+    for beta in (0.0, 0.5, 1.0):
+        data = RNG(int(10 * beta) + 90)
+        bank = MemoryBank(24, 7, beta, 3)
+        twin = copy.deepcopy(bank)
+        fast, slow = RNG(91), RNG(91)
+        for _ in range(30):
+            n = int(data.integers(1, 41))
+            assert_offer_matches_enqueue_each(
+                bank, twin, data.normal(size=(n, 3)), data.integers(0, 7, size=n), fast, slow
+            )
+        evictions += bank.evictions
+    assert evictions > 500 and exact == []
+
+
 # ---------------------------------------------------------------------------
 # counts and entropy
 # ---------------------------------------------------------------------------

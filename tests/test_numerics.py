@@ -485,7 +485,7 @@ def test_softmax_rows_sum_to_one():
 def test_flat_index_writes_exactly_one_named_element_in_named_order():
     params = tiny_params(d=3, hidden=(4, 3), k=2, seed=31)
     names = [name for name, _ in named_arrays(params)]
-    assert names == ["enc0.w", "enc0.b", "enc1.w", "enc1.b", "base.w", "base.b", "aux.w", "aux.b"]
+    assert names == ["enc0.w", "enc0.b", "enc1.w", "enc1.b", "base.w", "aux.w", "base.b", "aux.b"]
     # row-major order within each array, arrays in named_arrays order
     expected = [(name, idx) for name, arr in named_arrays(params) for idx in np.ndindex(arr.shape)]
     assert len(expected) == params.flat.size
@@ -543,6 +543,26 @@ def test_save_load_model_round_trips_flat_exactly(tmp_path):
     raw_back, ema_back = load_model(path, (4, 3), 3, 2)
     assert np.array_equal(raw_back.flat, params.flat)
     assert np.array_equal(ema_back.flat, ema.flat)
+
+
+def test_load_model_reads_an_archive_in_the_per_head_member_order(tmp_path):
+    """Archives written while each head was its own block of flat list base.w,
+    base.b, aux.w, aux.b; members load by name, whatever their order."""
+    order = ["enc0.w", "enc0.b", "enc1.w", "enc1.b", "base.w", "base.b", "aux.w", "aux.b"]
+    models = {"params": tiny_params(d=3, hidden=(4, 3), k=2, seed=41),
+              "ema": tiny_params(d=3, hidden=(4, 3), k=2, seed=42)}
+    arrays = {}
+    for prefix, model in models.items():
+        named = dict(named_arrays(model))
+        arrays.update({f"{prefix}/{name}": named[name].copy() for name in order})
+    path = tmp_path / "model.npz"
+    np.savez(path, **arrays)
+    with np.load(path) as data:
+        assert data.files == list(arrays)
+    for prefix, back in zip(models, load_model(path, (4, 3), 3, 2)):
+        for name, view in named_arrays(back):
+            assert np.array_equal(view, arrays[f"{prefix}/{name}"])
+        assert np.array_equal(back.flat, models[prefix].flat)
 
 
 def test_load_model_rejects_arrays_the_config_lacks(tmp_path):
