@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:

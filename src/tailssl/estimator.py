@@ -18,10 +18,6 @@ class PseudoLabelLedger:
         self.latest: dict[int, int] = {}
         self.counts = np.zeros(num_classes, dtype=np.int64)
 
-    def record(self, sample_id: int, label: int) -> None:
-        """Replace the sample's previous label (if any) with the new one."""
-        self.record_batch(np.array([sample_id]), np.array([label]))
-
     def record_batch(self, sample_ids: np.ndarray, labels: np.ndarray) -> None:
         """Record labels[i] for sample_ids[i]; a repeated id keeps its last label.
 
@@ -40,9 +36,9 @@ class PseudoLabelLedger:
         self.counts += np.bincount(list(new.values()), minlength=k)
         self.counts -= np.bincount(old, minlength=k)
 
-    def estimated_counts(self, clamp_min: int = 1) -> np.ndarray:
-        """Counts clamped from below, so downstream reciprocal weights stay finite."""
-        return np.maximum(self.counts, clamp_min)
+    def estimated_counts(self) -> np.ndarray:
+        """Counts clamped from below at 1, so downstream reciprocal weights stay finite."""
+        return np.maximum(self.counts, 1)
 
     def total(self) -> int:
         return len(self.latest)

@@ -39,15 +39,15 @@ index `features` and `labels`.
 
 Writes come a batch at a time. `offer` runs a batch of attempts in order, each
 using one uniform to accept and, when the bank is full, one more to pick a
-victim; `enqueue` and `dequeue` are its one-record forms. It draws the 2n
-uniforms its n attempts may need as one block, which gives the same values as
-2n scalar `rng.random()` calls, then restores the saved generator state and
-calls `rng.random(used)` for the ones it used. Rewinding with
-`bit_generator.advance(-unused)` instead would not do: `advance` also drops
-the unused half of a 64-bit word that a 32-bit draw in `rng.integers` may
-leave buffered (the `has_uint32`/`uinteger` fields of the state), and the next
-bounded integer draw would then differ. Restoring the state keeps that buffer and works for
-any bit generator.
+victim; it is the only write that draws (`insert` copies a record into a free
+slot with no draw). It draws the 2n uniforms its n attempts may need as one
+block, which gives the same values as 2n scalar `rng.random()` calls, then
+restores the saved generator state and calls `rng.random(used)` for the ones
+it used. Rewinding with `bit_generator.advance(-unused)` instead would not do:
+`advance` also drops the unused half of a 64-bit word that a 32-bit draw in
+`rng.integers` may leave buffered (the `has_uint32`/`uinteger` fields of the
+state), and the next bounded integer draw would then differ. Restoring the
+state keeps that buffer and works for any bit generator.
 """
 
 from bisect import bisect_right
@@ -173,19 +173,14 @@ class MemoryBank:
         self.labels[slot] = label
         self._fifo[label].append(slot)
 
-    def enqueue(self, feature: np.ndarray, label: int, rng: np.random.Generator) -> bool:
-        """Accept with probability 1/C_k^beta (C_k read before insertion; 1 if empty).
-
-        An accepted insert at capacity dequeues exactly once first, so the
-        capacity invariant holds after every call.
-        """
-        return self.offer(np.reshape(feature, (1, -1)), np.array([label]), rng) == 1
-
     def offer(self, features: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> int:
-        """Enqueue rows features[i] with labels[i] in order; returns how many were accepted.
+        """Offer rows features[i] with labels[i] in order; returns how many were accepted.
 
-        Every draw, victim and stored row, and the generator state afterwards,
-        equal those of calling `enqueue` on each row in turn.
+        A row of class k is accepted with probability 1/C_k^beta (1 for an
+        empty class); on a full bank an accept first evicts the oldest record
+        of a class drawn by `_victim`. Victims and the generator state
+        afterwards equal those of one `rng.random()` per attempt plus, per
+        eviction, `rng.choice` over the renormalised `eviction_distribution`.
         """
         n = len(labels)
         if features.shape != (n, self.features.shape[1]):
@@ -227,22 +222,6 @@ class MemoryBank:
         evicted = used - n  # each attempt draws once, each eviction once more
         self.evictions += evicted
         return len(self) - stored + evicted  # an accept fills a free slot or evicts
-
-    def dequeue(self, rng: np.random.Generator) -> int:
-        """Evict the oldest record of a victim class drawn by eviction weight.
-
-        Victim class ~ 1 - 1/C_k^beta over non-empty classes; if all weights
-        are zero the draw is uniform over stored records (~ C_k). The draw and
-        the generator state match `rng.choice(support, p=...)` over the
-        renormalised `eviction_distribution`. Returns the freed slot, whose
-        features/labels rows keep the evicted record until the next insert.
-        """
-        if not len(self):
-            raise ValueError("cannot dequeue from an empty bank")
-        slot = self._fifo[self._victim([len(f) for f in self._fifo], rng.random())].pop(0)
-        self._free.append(slot)
-        self.evictions += 1
-        return slot
 
     def _victim(self, sizes: list[int], u: float) -> int:
         """Victim class for the uniform u, given every class's size (not all 0).

@@ -4,7 +4,6 @@ All functions are pure and order-independent. Classes absent from the test set
 get NaN recall and are excluded from the averaged class recall.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,19 +18,6 @@ class EvalReport:
     avg_class_recall: float
     confusion: np.ndarray  # (K, K) int64; rows = truth, cols = prediction
     group_acc: dict[str, float] | None = None
-
-    def to_dict(self) -> dict:
-        rec = [None if math.isnan(r) else float(r) for r in self.per_class_recall]
-        out = {
-            "top1": self.top1,
-            "avg_class_recall": self.avg_class_recall,
-            "per_class_recall": rec,
-        }
-        if self.group_acc is not None:
-            out["group_acc"] = {
-                g: (None if math.isnan(v) else v) for g, v in self.group_acc.items()
-            }
-        return out
 
 
 def evaluate(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> EvalReport:

@@ -208,34 +208,13 @@ def weighted_masked_ce(
     The divisor stays the nominal batch size even when the mask removes rows.
     Returns the loss and its exact gradient w.r.t. the logits; masked rows get
     a zero gradient row.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    n, k = logits.shape
-    targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if not (len(targets) == len(weights) == len(mask) == n):
-        raise ValueError("targets/weights/mask must match logits rows")
-    if divisor <= 0:
-        raise ValueError("divisor must be positive")
-    if n and (targets.min() < 0 or targets.max() >= k):
-        raise ValueError(f"target index out of range for {k} classes")
-    return weighted_masked_ce_unchecked(logits, targets, weights, mask, divisor)
-
-
-def weighted_masked_ce_unchecked(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    mask: np.ndarray,
-    divisor: int,
-) -> tuple[float, np.ndarray]:
-    """`weighted_masked_ce` for inputs already known to be valid: float64
-    logits (..., n, k), targets (...,  n) in [0, k), float64 weights and bool
-    mask that broadcast to the targets' shape, divisor > 0.
 
     Leading axes index independent blocks of rows: the loss is one per block,
     a float for 2-D logits, and dlogits has the logits' shape.
+
+    Nothing is checked: the caller passes float64 logits (..., n, k), integer
+    targets (..., n) in [0, k), float64 weights and a bool mask that broadcast
+    to the targets' shape, and a divisor > 0.
     """
     k = logits.shape[-1]
     z = logits - logits.max(axis=-1, keepdims=True)

@@ -67,11 +67,11 @@ from .numerics import (
     init_ema,
     init_params,
     softmax,
-    weighted_masked_ce_unchecked,
+    weighted_masked_ce,
     zeros_like_params,
 )
 from .util import round_half_up, spawn_rngs
-from .weighting import batch_weights_unchecked
+from .weighting import batch_weights
 
 MODES = ("vanilla", "fixmatch", "bmb")
 MEMORY_CONTENTS = ("weak", "strong", "both")
@@ -227,7 +227,7 @@ def compute_step(
     targets, weights, masks, scales = [[labeled_y]], [[ones]], [full], [1.0]
     if use_aux:
         targets.append([labeled_y])
-        weights.append([batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)])
+        weights.append([batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)])
     mask_rate = accept_rate = loss_mem = 0.0
     if use_unsup:
         # (2) pseudo labels and mask from the weak view (constants: no gradient
@@ -245,11 +245,11 @@ def compute_step(
             qhat_a = logits[1, 2].argmax(axis=1)
             est_pre = state.ledger.estimated_counts()
             targets[1].append(qhat_a)
-            weights[1].append(batch_weights_unchecked(est_pre, qhat_a, cfg.alpha))
+            weights[1].append(batch_weights(est_pre, qhat_a, cfg.alpha))
 
     # labeled and strong-view losses of both heads: one CE, one backward each
     n_loss = len(masks)
-    losses, dlogits = weighted_masked_ce_unchecked(
+    losses, dlogits = weighted_masked_ce(
         logits[:, :n_loss], np.array(targets), np.array(weights), np.array(masks), b
     )
     dfeat = head_backward(heads, feats[:n_loss], dlogits, grad_heads, scales)
@@ -323,7 +323,7 @@ def _head_loss(head, grad, features, targets, weights, mask, scale=1.0):
     """Mean-over-batch CE of one head: adds scale times its head gradients into
     grad and returns (loss, dfeatures), both unscaled."""
     logits = head_forward(head, features)
-    loss, dlogits = weighted_masked_ce_unchecked(logits, targets, weights, mask, len(features))
+    loss, dlogits = weighted_masked_ce(logits, targets, weights, mask, len(features))
     return loss, head_backward(head, features, dlogits, grad, scale)
 
 
@@ -345,13 +345,14 @@ def train_step(
     return metrics
 
 
-def predict(state: TrainState, x: np.ndarray, use_ema: bool = True) -> np.ndarray:
-    """Class indices from the inference head (auxiliary in bmb mode, base otherwise).
+def predict(state: TrainState, x: np.ndarray) -> np.ndarray:
+    """Class indices from the EMA parameters' inference head (auxiliary in bmb
+    mode, base otherwise).
 
     Inputs are scored un-augmented; argmax ties break toward the smaller class
     index.
     """
-    params = state.ema.params if use_ema else state.params
+    params = state.ema.params
     feats, _ = encoder_forward(params, x)
     head = params.aux_head if state.cfg.mode == "bmb" else params.base_head
     return head_forward(head, feats).argmax(axis=1)
@@ -403,7 +404,7 @@ def fit(
             accept_rates.append(m.enqueue_accept_rate)
 
         report = with_groups(
-            evaluate(predict(state, data.test.x, use_ema=True), data.test.y, cfg.num_classes),
+            evaluate(predict(state, data.test.x), data.test.y, cfg.num_classes),
             groups,
         )
         bank_entropy = state.bank.balance_entropy() if len(state.bank) else None

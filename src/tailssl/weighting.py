@@ -9,18 +9,10 @@ import numpy as np
 
 
 def batch_weights(counts: np.ndarray, labels: np.ndarray, alpha: float) -> np.ndarray:
-    """Ratio weights for a batch of class labels, each in [0, len(counts))."""
-    counts = np.asarray(counts, dtype=np.float64)
-    labels = np.asarray(labels)
-    if (counts < 1).any():
-        raise ValueError("class counts must be >= 1 (clamp before weighting)")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if labels.size and (labels.min() < 0 or labels.max() >= len(counts)):
-        raise ValueError(f"class index out of range for {len(counts)} classes")
-    return batch_weights_unchecked(counts, labels, alpha)
+    """Ratio weights for a batch of class labels.
 
-
-def batch_weights_unchecked(counts: np.ndarray, labels: np.ndarray, alpha: float) -> np.ndarray:
-    """`batch_weights` for inputs already known to be valid (counts an array >= 1)."""
+    Nothing is checked. The caller passes counts as an array with every entry
+    >= 1 (clamp before weighting), integer labels in [0, len(counts)) and
+    alpha >= 0.
+    """
     return (counts.min() / counts[labels]) ** alpha

@@ -174,7 +174,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
     from tailssl.data import strong_augment, weak_augment
     from tailssl.numerics import zeros_like_params
     from tailssl.util import round_half_up
-    from tailssl.weighting import batch_weights_unchecked
+    from tailssl.weighting import batch_weights
 
     cfg, p, rngs = state.cfg, state.params, state.rngs
     b = cfg.batch_size
@@ -188,7 +188,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
     loss_s_b, dfeat_x = _head_term(p.base_head, grads.base_head, feats_x, labeled_y, ones, full)
     loss_s_a = 0.0
     if use_aux:
-        w_lab = batch_weights_unchecked(state.labeled_class_counts, labeled_y, cfg.alpha)
+        w_lab = batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)
         loss_s_a, dfeat_ax = _head_term(
             p.aux_head, grads.aux_head, feats_x, labeled_y, w_lab, full
         )
@@ -215,7 +215,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
         dfeat_us = dfeat_us * cfg.lambda_u
         if use_aux:
             qhat_a = (feats_uw @ p.aux_head.w + p.aux_head.b).argmax(axis=1)
-            w_unl = batch_weights_unchecked(state.ledger.estimated_counts(), qhat_a, cfg.alpha)
+            w_unl = batch_weights(state.ledger.estimated_counts(), qhat_a, cfg.alpha)
             loss_u_a, dfeat_au = _head_term(
                 p.aux_head, grads.aux_head, feats_us, qhat_a, w_unl, mask, cfg.lambda_u
             )

@@ -142,17 +142,14 @@ def test_criterion_1_formula_oracles():
     mc = RNG(102)
     hits = 0
     for _ in range(100_000):
-        if bank.enqueue(feat, 0, mc):
+        if bank.offer(feat[None], np.zeros(1, dtype=np.int64), mc):
             hits += 1
             bank = filled(10, [4])  # back to C_0 = 4
     assert abs(hits / 100_000 - 0.25) < 0.01
 
+    # victim draws as offer makes them on a full bank, one uniform each
     bank = filled(200, [100, 10])
-    hits = 0
-    for _ in range(100_000):
-        k = int(bank.labels[bank.dequeue(mc)])
-        hits += k == 0
-        bank.insert(feat, k)
+    hits = sum(bank._victim([100, 10], mc.random()) == 0 for _ in range(100_000))
     want = float(mpf("0.99") / mpf("1.89"))
     assert abs(hits / 100_000 - want) < 0.01
 
@@ -264,8 +261,7 @@ def _impl_bank_run(beta: float, seed: int):
     rng = RNG(seed)
     labels = rng.choice(BANK_SIM["num_classes"], p=p, size=BANK_SIM["n_arrivals"])
     bank = MemoryBank(BANK_SIM["capacity"], BANK_SIM["num_classes"], beta, 1)
-    for k in labels:
-        bank.enqueue(np.zeros(1), int(k), rng)
+    bank.offer(np.zeros((len(labels), 1)), labels, rng)
     return bank.balance_entropy(), stream_entropy(np.bincount(labels, minlength=BANK_SIM["num_classes"]))
 
 
@@ -345,8 +341,8 @@ def test_criterion_4_estimator_exactness():
     rng = RNG(401)
     k = 13
     ledger = PseudoLabelLedger(k)
-    for _ in range(100_000):
-        ledger.record(int(rng.integers(0, 4000)), int(rng.integers(0, k)))
+    for _ in range(1000):  # batches of 100; ids repeat within and across batches
+        ledger.record_batch(rng.integers(0, 4000, size=100), rng.integers(0, k, size=100))
     recount = np.zeros(k, dtype=np.int64)
     for label in ledger.latest.values():
         recount[label] += 1
@@ -412,7 +408,7 @@ def test_criterion_5_composition_gating_isolation():
     r = RNG(502)
     for i in range(8):
         base_state.bank.insert(np.abs(r.normal(size=4)), i % 2)
-        base_state.ledger.record(700 + i, i % 2)
+    base_state.ledger.record_batch(700 + np.arange(8), np.arange(8) % 2)
     lab_x, lab_y = r.normal(size=(4, 3)), r.integers(0, 2, size=4)
     ids, unl_x = np.arange(4), r.normal(size=(4, 3))
     on = copy.deepcopy(base_state)

@@ -566,6 +566,32 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged, 
     assert f"{damaged}{message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "sweep", "report", "export-embeddings"])
+def test_out_path_of_the_wrong_kind_exits_2(workspace, capsys, command):
+    """--out names an existing file where a directory is written, or for
+    export-embeddings a directory where a CSV file is written."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    sweep_path = tmp / "sweep.json"
+    sweep_path.write_text(json.dumps({"parameter": "beta", "values": [1.0], "base": tiny_config()}))
+    out = tmp / "taken"
+    if command == "export-embeddings":
+        out.mkdir()
+    else:
+        out.write_text("")
+    capsys.readouterr()
+    argv = {
+        "generate": ["--config", str(cfg_path)],
+        "train": ["--config", str(cfg_path)],
+        "sweep": ["--config", str(sweep_path)],
+        "report": ["--runs", str(tmp / "run")],
+        "export-embeddings": ["--run", str(tmp / "run")],
+    }[command]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "npy-array"])
 def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
     tmp, cfg_path = workspace

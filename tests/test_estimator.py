@@ -9,25 +9,30 @@ from oracles import record_each
 from tailssl.estimator import PseudoLabelLedger
 
 
+def record(ledger, sample_id, label):
+    """One (id, label) pair through record_batch."""
+    ledger.record_batch(np.array([sample_id]), np.array([label]))
+
+
 def test_record_fresh_sample():
     ledger = PseudoLabelLedger(4)
-    ledger.record(7, 2)
+    record(ledger, 7, 2)
     assert ledger.counts.tolist() == [0, 0, 1, 0]
     assert ledger.latest == {7: 2}
 
 
 def test_record_replaces_previous_label():
     ledger = PseudoLabelLedger(6)
-    ledger.record(7, 2)
-    ledger.record(7, 5)
+    record(ledger, 7, 2)
+    record(ledger, 7, 5)
     assert ledger.counts.tolist() == [0, 0, 0, 0, 0, 1]
     assert ledger.latest == {7: 5}
 
 
 def test_record_idempotent_for_same_pair():
     ledger = PseudoLabelLedger(3)
-    ledger.record(1, 2)
-    ledger.record(1, 2)
+    record(ledger, 1, 2)
+    record(ledger, 1, 2)
     assert ledger.counts.tolist() == [0, 0, 1]
     assert ledger.total() == 1
 
@@ -35,16 +40,16 @@ def test_record_idempotent_for_same_pair():
 def test_record_rejects_out_of_range_label():
     ledger = PseudoLabelLedger(3)
     with pytest.raises(ValueError):
-        ledger.record(0, 3)
+        record(ledger, 0, 3)
     with pytest.raises(ValueError):
-        ledger.record(0, -1)
+        record(ledger, 0, -1)
 
 
 def test_counts_match_brute_force_recount_after_10k_records():
     rng = np.random.default_rng(0)
     ledger = PseudoLabelLedger(7)
-    for _ in range(10_000):
-        ledger.record(int(rng.integers(0, 500)), int(rng.integers(0, 7)))
+    for _ in range(100):  # batches of 100; ids repeat within and across batches
+        ledger.record_batch(rng.integers(0, 500, size=100), rng.integers(0, 7, size=100))
     recount = np.zeros(7, dtype=np.int64)
     for label in ledger.latest.values():
         recount[label] += 1
@@ -55,17 +60,15 @@ def test_counts_match_brute_force_recount_after_10k_records():
 def test_estimated_counts_clamping():
     ledger = PseudoLabelLedger(4)
     assert ledger.estimated_counts().tolist() == [1, 1, 1, 1]
-    for _ in range(7):
-        ledger.record(_, 1)
+    ledger.record_batch(np.arange(7), np.ones(7, dtype=np.int64))
     assert ledger.estimated_counts().tolist() == [1, 7, 1, 1]
     assert ledger.counts.tolist() == [0, 7, 0, 0]  # raw counts untouched
 
 
 def test_estimated_counts_no_clamp_needed():
     ledger = PseudoLabelLedger(3)
-    labels = [0] * 3 + [1] * 9 + [2] * 12
-    for i, lab in enumerate(labels):
-        ledger.record(i, lab)
+    labels = np.array([0] * 3 + [1] * 9 + [2] * 12)
+    ledger.record_batch(np.arange(len(labels)), labels)
     assert ledger.estimated_counts().tolist() == [3, 9, 12]
 
 
@@ -74,7 +77,7 @@ def test_estimated_counts_no_clamp_needed():
 def test_recount_property(ops):
     ledger = PseudoLabelLedger(5)
     for sid, label in ops:
-        ledger.record(sid, label)
+        record(ledger, sid, label)
     recount = np.zeros(5, dtype=np.int64)
     for label in ledger.latest.values():
         recount[label] += 1
@@ -84,7 +87,7 @@ def test_recount_property(ops):
 
 def test_record_batch_repeated_id_keeps_last_label_and_counts_it_once():
     ledger = PseudoLabelLedger(3)
-    ledger.record(5, 0)
+    record(ledger, 5, 0)
     ledger.record_batch(np.array([5, 7, 5, 5]), np.array([1, 2, 2, 1]))
     assert ledger.latest == {5: 1, 7: 2}
     assert ledger.counts.tolist() == [0, 1, 1]

@@ -41,49 +41,71 @@ def class_tags(bank, k):
     return bank.features[bank.rows(k), 0].tolist()
 
 
+def offer_one(bank, feature, label, rng):
+    """One record through `offer`; True when it was accepted."""
+    return bank.offer(np.reshape(feature, (1, -1)), np.array([label]), rng) == 1
+
+
+def evict(bank, rng):
+    """One eviction as `offer` makes it on a full bank: `_victim` on one
+    uniform, then the oldest slot of that class is freed. Returns the slot,
+    whose rows keep the evicted record until the next insert."""
+    slot = bank._fifo[bank._victim([len(f) for f in bank._fifo], rng.random())].pop(0)
+    bank._free.append(slot)
+    return slot
+
+
 # ---------------------------------------------------------------------------
-# enqueue
+# offer: acceptance
 # ---------------------------------------------------------------------------
 
 
-def test_enqueue_always_accepts_empty_or_singleton_class():
+def test_offer_always_accepts_empty_or_singleton_class():
     for c, beta in [(0, 0.0), (0, 3.0), (1, 0.5), (1, 7.0)]:
         rng = RNG(0)
         for _ in range(50):
             bank = filled_bank([c, 5], beta=beta)  # a fresh bank keeps C_0 at c
-            assert bank.enqueue(FEAT, 0, rng)
+            assert offer_one(bank, FEAT, 0, rng)
 
 
-def test_enqueue_acceptance_rate_quarter_monte_carlo():
+def test_offer_acceptance_rate_quarter_monte_carlo():
     # C_k = 4, beta = 1 -> P_in = 0.25; 100k trials within +-0.01
     bank = filled_bank([4], beta=1.0)
     rng = RNG(1)
     hits = 0
     trials = 100_000
     for _ in range(trials):
-        if bank.enqueue(FEAT, 0, rng):
+        if offer_one(bank, FEAT, 0, rng):
             hits += 1
             bank = filled_bank([4], beta=1.0)  # back to C_0 = 4
     assert abs(hits / trials - 0.25) < 0.01
 
 
-def test_enqueue_beta_zero_always_accepts():
+def test_offer_beta_zero_always_accepts():
     bank = filled_bank([50, 3], beta=0.0)
-    rng = RNG(2)
-    assert all(bank.enqueue(FEAT, 0, rng) for _ in range(200))
+    assert bank.offer(np.zeros((200, 2)), np.zeros(200, dtype=np.int64), RNG(2)) == 200
 
 
-def test_enqueue_rejects_bad_label():
+def test_offer_rejects_bad_label():
     bank = MemoryBank(4, 2, 1.0, 2)
     with pytest.raises(ValueError):
-        bank.enqueue(FEAT, 2, RNG(3))
+        offer_one(bank, FEAT, 2, RNG(3))
 
 
-def test_enqueue_at_capacity_keeps_total_constant():
+def test_offer_at_capacity_keeps_total_constant():
     bank = filled_bank([3, 3], capacity=6, beta=0.0)
     before = len(bank)
-    assert bank.enqueue(FEAT, 0, RNG(4))
+    assert offer_one(bank, FEAT, 0, RNG(4))
     assert len(bank) == before == 6
+
+
+def test_offer_into_an_empty_bank_never_evicts():
+    bank, rng = MemoryBank(1, 2, 1.0, 2), RNG(8)
+    twin = RNG(8)
+    assert offer_one(bank, FEAT, 1, rng)
+    assert bank.evictions == 0 and bank.counts().tolist() == [0, 1]
+    twin.random()  # the accept draw, and no victim draw
+    assert rng.random() == twin.random()
 
 
 def test_insert_rejects_full_bank_and_bad_label():
@@ -95,75 +117,65 @@ def test_insert_rejects_full_bank_and_bad_label():
 
 
 # ---------------------------------------------------------------------------
-# dequeue
+# offer: eviction
 # ---------------------------------------------------------------------------
 
 
-def test_dequeue_only_nonzero_weight_class_is_victim():
+def test_victim_only_nonzero_weight_class():
     # C = (10, 1), beta=1: weights (0.9, 0) -> class 0 always evicted
     for seed in range(20):
         bank = filled_bank([10, 1], beta=1.0)
-        victim = bank.dequeue(RNG(seed))
+        victim = evict(bank, RNG(seed))
         assert bank.labels[victim] == 0
 
 
-def test_dequeue_removes_oldest_within_class():
-    bank = filled_bank([5, 1], beta=1.0)
+def test_offer_evicts_oldest_within_class():
+    # a full bank, C = (5, 1), beta = 1: a class-1 row is always accepted
+    # (C_1 = 1), and class 0 is the only victim with a nonzero weight
+    bank = filled_bank([5, 1], capacity=6, beta=1.0)
     assert class_tags(bank, 0) == [0.0, 1.0, 2.0, 3.0, 4.0]
-    victim = bank.dequeue(RNG(5))
-    assert bank.features[victim, 0] == 0.0
+    assert offer_one(bank, np.array([9.0, 0.0]), 1, RNG(5))
+    assert bank.evictions == 1
     assert class_tags(bank, 0) == [1.0, 2.0, 3.0, 4.0]
+    assert class_tags(bank, 1) == [5.0, 9.0]
 
 
-def test_dequeue_evicts_each_class_in_insertion_order():
-    # beta = 0 accepts every arrival, so once full every enqueue evicts
+def test_offer_evicts_each_class_in_insertion_order():
+    # beta = 0 accepts every arrival, so once full every offered row evicts
     bank = MemoryBank(16, 3, 0.0, 1)
     rng = RNG(21)
     evictions = 0
     for tag, k in enumerate(RNG(22).integers(0, 3, size=400).tolist()):
         full = len(bank) == bank.capacity
         want = [class_tags(bank, c) + ([float(tag)] if c == k else []) for c in range(3)]
-        assert bank.enqueue(np.array([float(tag)]), k, rng)
+        assert offer_one(bank, np.array([float(tag)]), k, rng)
         got = [class_tags(bank, c) for c in range(3)]
         if full:
             (victim,) = [c for c in range(3) if len(got[c]) < len(want[c])]
             want[victim].pop(0)  # the victim class loses its oldest record
             evictions += 1
         assert got == want
-    assert evictions == 400 - bank.capacity
+    assert evictions == bank.evictions == 400 - bank.capacity
 
 
-def test_dequeue_uniform_fallback_over_equal_classes_monte_carlo():
+def test_victim_uniform_fallback_over_equal_classes_monte_carlo():
     # beta=0 with counts (5, 5): all eviction weights vanish; fallback is
     # uniform over stored records, so each class evicts at rate 1/2.
-    hits = 0
-    trials = 100_000
-    rng = RNG(6)
     bank = filled_bank([5, 5], beta=0.0)
-    for _ in range(trials):
-        k = int(bank.labels[bank.dequeue(rng)])
-        hits += k == 0
-        bank.insert(FEAT, k)
+    rng = RNG(6)
+    trials = 100_000
+    hits = sum(bank._victim([5, 5], rng.random()) == 0 for _ in range(trials))
     assert abs(hits / trials - 0.5) < 0.02
 
 
-def test_dequeue_weighted_victim_frequencies_monte_carlo():
+def test_victim_weighted_frequencies_monte_carlo():
     # C = (100, 10), beta=1 -> normalized weights (0.99, 0.9)/1.89
     want0 = 0.99 / 1.89  # 0.523809..., arbitrary-precision normalization
-    hits = 0
-    trials = 100_000
-    rng = RNG(7)
     bank = filled_bank([100, 10], beta=1.0)
-    for _ in range(trials):
-        k = int(bank.labels[bank.dequeue(rng)])
-        hits += k == 0
-        bank.insert(FEAT, k)
+    rng = RNG(7)
+    trials = 100_000
+    hits = sum(bank._victim([100, 10], rng.random()) == 0 for _ in range(trials))
     assert abs(hits / trials - want0) < 0.01
-
-
-def test_dequeue_empty_bank_raises():
-    with pytest.raises(ValueError):
-        MemoryBank(4, 2, 1.0, 2).dequeue(RNG(8))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +225,7 @@ def churned_bank(counts, seed):
     bank = filled_bank(counts, beta=1.0)
     rng = RNG(seed)
     for _ in range(sum(counts) // 2):
-        bank.insert(FEAT, int(bank.labels[bank.dequeue(rng)]))
+        bank.insert(FEAT, int(bank.labels[evict(bank, rng)]))
     return bank
 
 
@@ -295,7 +307,7 @@ def boundary_uniforms(probs):
 
 
 def reference_victim(bank, rng):
-    """Straight-line dequeue draw: rng.choice over the renormalised eviction_distribution."""
+    """Straight-line victim draw: rng.choice over the renormalised eviction_distribution."""
     counts = bank.counts()
     probs = eviction_distribution(counts, bank.beta)
     support = np.flatnonzero(counts)
@@ -307,11 +319,11 @@ def victim_probs(bank):
     return eviction_distribution(counts, bank.beta)[counts > 0]
 
 
-def assert_dequeue_matches_reference(bank, fast, slow):
-    """One dequeue on `fast` against the reference draw on `slow`, a twin generator."""
+def assert_victim_matches_reference(bank, fast, slow):
+    """One eviction on `fast` against the reference draw on `slow`, a twin generator."""
     want = reference_victim(bank, slow)
     want_slot = int(bank.rows(want)[0])
-    slot = bank.dequeue(fast)
+    slot = evict(bank, fast)
     assert (int(bank.labels[slot]), slot) == (want, want_slot)
     return want
 
@@ -327,21 +339,21 @@ def random_counts(k, seed, high=20):
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
 @pytest.mark.parametrize("k", NUM_CLASSES)
-def test_dequeue_draws_equal_generator_choice(k, beta):
+def test_victim_draws_equal_generator_choice(k, beta):
     """Victim, freed slot and generator state equal rng.choice's: first along a
-    stream of dequeues that drains the bank's counts, then at every CDF edge."""
+    stream of evictions that drains the bank's counts, then at every CDF edge."""
     seed = 1000 * k + int(10 * beta)
     bank = filled_bank(random_counts(k, seed), beta=beta)
     fast, slow = RNG(seed), RNG(seed)
     for _ in range(min(len(bank), 120)):
-        assert_dequeue_matches_reference(bank, fast, slow)
+        assert_victim_matches_reference(bank, fast, slow)
     assert fast.random() == slow.random()
 
     if not len(bank):
         bank = filled_bank(random_counts(k, seed + 1), beta=beta)
     for u in boundary_uniforms(victim_probs(bank)):
         fast, slow = generator_drawing(u, seed), generator_drawing(u, seed)
-        victim = assert_dequeue_matches_reference(bank, fast, slow)
+        victim = assert_victim_matches_reference(bank, fast, slow)
         assert fast.random() == slow.random()
         bank.insert(FEAT, victim)  # back to the same counts
 
@@ -357,7 +369,7 @@ def test_dequeue_draws_equal_generator_choice(k, beta):
         ((5, 0, 2, 1) * 40, 0.0),
     ],
 )
-def test_dequeue_fallback_draws_equal_generator_choice(counts, beta):
+def test_victim_fallback_draws_equal_generator_choice(counts, beta):
     """When every eviction weight vanishes the draw falls back to the counts. Most of
     these CDFs have edges a uniform can hit exactly, so ties are probed too."""
     bank = filled_bank(list(counts), beta=beta)
@@ -365,7 +377,7 @@ def test_dequeue_fallback_draws_equal_generator_choice(counts, beta):
     np.testing.assert_array_equal(probs, np.array([c for c in counts if c]) / sum(counts))
     for u in boundary_uniforms(probs):
         fast, slow = generator_drawing(u, 5), generator_drawing(u, 5)
-        victim = assert_dequeue_matches_reference(bank, fast, slow)
+        victim = assert_victim_matches_reference(bank, fast, slow)
         assert fast.random() == slow.random()
         bank.insert(FEAT, victim)
 
@@ -420,7 +432,7 @@ def test_get_class_draws_equal_generator_choice(k, lam):
 
 
 # ---------------------------------------------------------------------------
-# offer: a batch of enqueues
+# offer: a batch of attempts
 # ---------------------------------------------------------------------------
 
 
@@ -575,9 +587,9 @@ def test_counts_fresh_bank_is_zero():
     assert MemoryBank(8, 5, 1.0, 2).counts().tolist() == [0] * 5
 
 
-def test_counts_one_hot_after_single_enqueue():
+def test_counts_one_hot_after_single_offer():
     bank = MemoryBank(8, 5, 1.0, 2)
-    bank.enqueue(FEAT, 2, RNG(14))
+    offer_one(bank, FEAT, 2, RNG(14))
     assert bank.counts().tolist() == [0, 0, 1, 0, 0]
 
 
@@ -587,9 +599,9 @@ def test_counts_match_brute_force_recount_after_op_sequence():
     for _ in range(2000):
         op = rng.random()
         if op < 0.7 or len(bank) == 0:
-            bank.enqueue(FEAT, int(rng.integers(6)), rng)
+            offer_one(bank, FEAT, int(rng.integers(6)), rng)
         elif op < 0.85:
-            bank.dequeue(rng)
+            evict(bank, rng)
         else:
             bank.get(np.maximum(rng.integers(1, 50, size=6), 1), 5, 1.0, rng)
         recount = np.zeros(6, dtype=int)
@@ -632,19 +644,19 @@ def test_balance_entropy_empty_bank_raises():
     ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=60),
     seed=st.integers(0, 2**31),
 )
-def test_capacity_never_exceeded_and_dequeue_decrements(capacity, beta, ops, seed):
+def test_capacity_never_exceeded_and_eviction_decrements(capacity, beta, ops, seed):
     bank = MemoryBank(capacity, 4, beta, 2)
     rng = RNG(seed)
     for label, kind in ops:
         before = len(bank)
         if kind == 0 or before == 0:
-            accepted = bank.enqueue(FEAT, label, rng)
+            accepted = offer_one(bank, FEAT, label, rng)
             if before >= capacity:
                 assert len(bank) == before if accepted else before
             elif accepted:
                 assert len(bank) == before + 1
         elif kind == 1:
-            bank.dequeue(rng)
+            evict(bank, rng)
             assert len(bank) == before - 1
         else:
             bank.get(np.ones(4), 3, 1.0, rng)
@@ -668,8 +680,7 @@ def simulate_stream(beta, seed, num_classes=10, capacity=256, n_arrivals=20_000,
     rng = RNG(seed)
     labels = rng.choice(num_classes, p=p, size=n_arrivals)
     bank = MemoryBank(capacity, num_classes, beta, 2)
-    for k in labels:
-        bank.enqueue(FEAT, int(k), rng)
+    bank.offer(np.zeros((n_arrivals, 2)), labels, rng)
     return bank, stream_entropy(np.bincount(labels, minlength=num_classes))
 
 

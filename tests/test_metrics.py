@@ -126,11 +126,3 @@ def test_estimation_error_cases():
 def test_estimation_error_rejects_zero_sum():
     with pytest.raises(ValueError):
         estimation_error(np.array([0, 0]), np.array([1, 1]))
-
-
-def test_report_to_dict_serializes_nan_as_none():
-    truths = np.array([0, 0])
-    preds = np.array([0, 0])
-    report = evaluate(preds, truths, 2)
-    d = report.to_dict()
-    assert d["per_class_recall"] == [1.0, None]

@@ -114,7 +114,7 @@ def test_micro_step_matches_straight_line_recomputation():
     rng = np.random.default_rng(9)
     for i in range(6):
         state.bank.insert(np.abs(rng.normal(size=4)), i % 2)
-        state.ledger.record(500 + i, i % 2)
+    state.ledger.record_batch(500 + np.arange(6), np.arange(6) % 2)
 
     params = state.params.copy()
     oracle_bank = copy.deepcopy(state.bank)
@@ -157,8 +157,9 @@ def test_micro_step_matches_straight_line_recomputation():
     replay_rng.bit_generator.state = bank_rng_state
     for j in range(b):
         if mask[j]:
-            oracle_ledger.record(int(unl_ids[j]), int(qhat_a[j]))
-            oracle_bank.enqueue(feats_u[j].copy(), int(qhat_a[j]), replay_rng)
+            ids, labels = unl_ids[j:j + 1], qhat_a[j:j + 1]
+            record_each(oracle_ledger.latest, oracle_ledger.counts, ids, labels)
+            enqueue_each(oracle_bank, feats_u[j:j + 1], labels, replay_rng)
     n_mem = int(np.floor(cfg.get_fraction * b + 0.5))
     rows = oracle_bank.get(
         np.maximum(oracle_ledger.counts, 1), n_mem, cfg.lambda_sampling, replay_rng
@@ -368,7 +369,7 @@ def test_memory_loss_gradients_reach_only_aux_head():
     rng = np.random.default_rng(11)
     for i in range(8):
         state.bank.insert(np.abs(rng.normal(size=4)), i % 2)
-        state.ledger.record(900 + i, i % 2)
+    state.ledger.record_batch(900 + np.arange(8), np.arange(8) % 2)
     lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=12)
 
     with_mem = copy.deepcopy(state)
@@ -716,7 +717,7 @@ def test_fit_epoch_log_fingerprint_is_pinned_per_mode(overrides, evictions, sha2
 TRACED_TRAINER_GLOBALS = (
     "train_step", "predict", "evaluate", "weak_augment", "strong_augment",
     "encoder_forward", "encoder_backward", "head_forward", "head_backward",
-    "adam_step", "ema_update", "zeros_like_params",
+    "weighted_masked_ce", "batch_weights", "adam_step", "ema_update", "zeros_like_params",
 )
 
 
@@ -728,7 +729,7 @@ def test_traced_name_is_a_trainer_global(name):
 def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
     calls = dict.fromkeys(
         ("weak_augment", "strong_augment", "encoder_forward", "encoder_backward",
-         "head_forward", "head_backward"), 0)
+         "head_forward", "head_backward", "weighted_masked_ce", "batch_weights"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -743,5 +744,8 @@ def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
         state.bank.insert(np.ones(4), i % 2)
     metrics, _ = compute_step(state, *micro_batches(seed=13))
     assert metrics.loss_mem > 0.0
+    # CE: the stacked labeled/strong-view call and the memory term; weights:
+    # the labeled and the unlabeled auxiliary targets
     assert calls == {"weak_augment": 1, "strong_augment": 1, "encoder_forward": 1,
-                     "encoder_backward": 1, "head_forward": 2, "head_backward": 2}
+                     "encoder_backward": 1, "head_forward": 2, "head_backward": 2,
+                     "weighted_masked_ce": 2, "batch_weights": 2}
