@@ -132,7 +132,9 @@ def _load_configured_dataset(cfg: dict, config_path: str):
         if not os.path.exists(paths[key]):
             raise ConfigError(f"dataset file missing: {paths[key]} (run `tailssl generate` first)")
     # generate writes the manifest last, so a manifest that parses marks a finished dataset
-    cfgmod.read_json(paths["manifest"], f"cannot read {paths['manifest']}")
+    manifest = cfgmod.read_json(paths["manifest"], f"cannot read {paths['manifest']}")
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{paths['manifest']}: not a tailssl dataset manifest (not an object)")
     oracle = paths["oracle"] if os.path.exists(paths["oracle"]) else None
     ds = load_dataset(paths["csv"], oracle, num_classes=cfg["dataset"]["num_classes"])
     return ds, sha256_file(paths["csv"])
@@ -381,7 +383,22 @@ def _read_run(run_dir: str) -> dict:
         ("train.beta", "train.lambda_sampling", "train.alpha", "train.memory_content"),
         missing,
     )
-    return {"dir": run_dir, "report": report, "config": resolved}
+    snapshots = _read_bank_snapshots(os.path.join(run_dir, "bank_snapshots.csv"))
+    return {"report": report, "config": resolved, "bank_snapshots": snapshots}
+
+
+def _read_bank_snapshots(path: str) -> list[dict]:
+    """The rows of a run's bank_snapshots.csv, whose header must hold epoch, class and count."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    missing = [key for key in ("epoch", "class", "count") if key not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: not a tailssl bank snapshot (missing column '{missing[0]}')")
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -403,13 +420,10 @@ def cmd_report(args) -> int:
         w = csv.writer(fh)
         w.writerow(["run", "seed", "epoch", "class", "count"])
         for r in runs:
-            snap = os.path.join(r["dir"], "bank_snapshots.csv")
-            with open(snap, newline="") as sfh:
-                reader = csv.DictReader(sfh)
-                for row in reader:
-                    w.writerow(
-                        [r["report"]["name"], r["report"]["seed"], row["epoch"], row["class"], row["count"]]
-                    )
+            for row in r["bank_snapshots"]:
+                w.writerow(
+                    [r["report"]["name"], r["report"]["seed"], row["epoch"], row["class"], row["count"]]
+                )
 
     with open(os.path.join(args.out, "accuracy_table.csv"), "w", newline="") as fh:
         w = csv.writer(fh)

@@ -9,6 +9,7 @@ sidecar visible only to evaluation oracles, never to training.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ from .errors import DatasetFormatError
 from .util import round_half_up
 
 CSV_SPLITS = ("train", "test")
+# Wider than either split name, so a longer value still fails the split check
+# once loadtxt truncates it to this width.
+_SPLIT_DTYPE = "U6"
 
 
 @dataclass(frozen=True)
@@ -231,115 +235,190 @@ def save_dataset(ds: Dataset, csv_path, oracle_path=None) -> None:
 
 
 def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> Dataset:
-    """Parse a dataset CSV back into splits; label -1 marks unlabeled train rows."""
-    ids = {"train": [], "test": []}
-    xs = {"train": [], "test": []}
-    ys = {"train": [], "test": []}
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{csv_path}: empty file, missing header") from None
+    """Parse a dataset CSV back into splits; label -1 marks unlabeled train rows.
+
+    The body is parsed in one np.loadtxt pass and checked as whole columns;
+    a malformed file raises DatasetFormatError naming `<file>:<line>` of its
+    first bad row (duplicate ids are reported without a line).
+    """
+    with open(csv_path, encoding="utf-8") as fh:
+        lines = _text_lines(fh, csv_path)
+        header = next(csv.reader(lines), None)
+        if header is None:
+            raise DatasetFormatError(f"{csv_path}: empty file, missing header")
         if len(header) < 4 or header[:3] != ["id", "split", "label"]:
             raise DatasetFormatError(f"{csv_path}: bad header {header[:3]}")
         d = len(header) - 3
         if header != _header(d):
             raise DatasetFormatError(f"{csv_path}: malformed feature columns in header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 3:
-                raise DatasetFormatError(
-                    f"{csv_path}:{lineno}: expected {d + 3} fields, got {len(row)}"
-                )
-            try:
-                sid = int(row[0])
-                label = int(row[2])
-                feats = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise DatasetFormatError(f"{csv_path}:{lineno}: {exc}") from None
-            split = row[1]
-            if split not in CSV_SPLITS:
-                raise DatasetFormatError(f"{csv_path}:{lineno}: unknown split {split!r}")
-            if label < -1:
-                raise DatasetFormatError(f"{csv_path}:{lineno}: label must be >= -1")
-            if num_classes is not None and label >= num_classes:
-                raise DatasetFormatError(
-                    f"{csv_path}:{lineno}: label {label} >= num_classes {num_classes}"
-                )
-            if split == "test" and label < 0:
-                raise DatasetFormatError(f"{csv_path}:{lineno}: test rows must be labeled")
-            ids[split].append(sid)
-            xs[split].append(feats)
-            ys[split].append(label)
-
-    def pack(split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if ids[split]:
-            return (
-                np.array(ids[split], dtype=np.int64),
-                np.array(xs[split], dtype=np.float64),
-                np.array(ys[split], dtype=np.int64),
-            )
-        return np.zeros(0, dtype=np.int64), np.zeros((0, d)), np.zeros(0, dtype=np.int64)
-
-    tr_ids, tr_x, tr_y = pack("train")
-    te_ids, te_x, te_y = pack("test")
-    if not (np.isfinite(tr_x).all() and np.isfinite(te_x).all()):
-        with open(csv_path, newline="") as fh:  # failure path only: locate the first bad row
-            rows = enumerate(csv.reader(fh), start=1)
-            next(rows)  # header
-            bad = next(
-                n for n, r in rows if r and not np.isfinite(np.array(r[3:], dtype=float)).all()
-            )
-        raise DatasetFormatError(f"{csv_path}:{bad}: non-finite feature")
-    all_ids = np.concatenate([tr_ids, te_ids])
-    if len(np.unique(all_ids)) != len(all_ids):
+        dtype = np.dtype(
+            [("id", "i8"), ("split", _SPLIT_DTYPE), ("label", "i8"), ("x", "f8", (d,))]
+        )
+        rows = _read_rows(
+            csv_path, lines, dtype, lambda rows: _dataset_checks(rows, num_classes),
+            f"expected {d + 3} fields, got {{}}",
+        )
+    ids = rows["id"]
+    if len(np.unique(ids)) != len(ids):
         raise DatasetFormatError(f"{csv_path}: duplicate sample ids")
-    lab = tr_y >= 0
-    dataset = Dataset(
-        labeled=Split(tr_ids[lab], tr_x[lab], tr_y[lab]),
-        unlabeled=Split(tr_ids[~lab], tr_x[~lab], tr_y[~lab]),
-        test=Split(te_ids, te_x, te_y),
-    )
+    split, label = rows["split"], rows["label"]
+    train = split == "train"
+    lab, unl = train & (label >= 0), train & (label < 0)
+
+    def pick(mask: np.ndarray) -> Split:
+        return Split(ids[mask], rows["x"][mask], label[mask])
+
+    dataset = Dataset(labeled=pick(lab), unlabeled=pick(unl), test=pick(split == "test"))
     if oracle_path is not None:
         k = num_classes if num_classes is not None else dataset.num_classes
-        oracle = load_oracle_labels(oracle_path, k)
-        missing = [int(i) for i in dataset.unlabeled.ids if int(i) not in oracle]
-        if missing:
-            raise DatasetFormatError(
-                f"{oracle_path}: no true label for unlabeled id(s) {missing[:5]}"
-            )
-        truth = np.array([oracle[int(i)] for i in dataset.unlabeled.ids], dtype=np.int64)
+        oracle_ids, oracle_labels = load_oracle_labels(oracle_path, k)
+        order = np.argsort(oracle_ids)
+        sorted_ids, unl_ids = oracle_ids[order], dataset.unlabeled.ids
+        pos = np.searchsorted(sorted_ids, unl_ids)
+        found = pos < len(sorted_ids)
+        found[found] = sorted_ids[pos[found]] == unl_ids[found]
+        if not found.all():
+            missing = unl_ids[~found][:5].tolist()
+            raise DatasetFormatError(f"{oracle_path}: no true label for unlabeled id(s) {missing}")
+        truth = oracle_labels[order[pos]]
         dataset.unlabeled_oracle_y = truth
         dataset.true_unlabeled_counts = np.bincount(truth, minlength=k).astype(np.int64)
     return dataset
 
 
-def load_oracle_labels(path, num_classes: int) -> dict[int, int]:
-    """Map sample id -> true label; one row per id, each label in [0, num_classes)."""
-    labels: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+def load_oracle_labels(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ids and their true labels; one row per id, each label in [0, num_classes)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = _text_lines(fh, path)
+        header = next(csv.reader(lines), None)
         if header != ["id", "true_label"]:
             raise DatasetFormatError(f"{path}: bad oracle header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        rows = _read_rows(
+            path, lines, np.dtype([("id", "i8"), ("true_label", "i8")]),
+            lambda rows: _oracle_checks(rows, num_classes),
+            "expected 2 fields (id, true_label), got {}",
+        )
+    return rows["id"], rows["true_label"]
+
+
+def _dataset_checks(rows: np.ndarray, num_classes: int | None):
+    """(failing rows, message) per dataset row check, in the order a row's faults are reported.
+
+    A message is a function of the failing row's record and its CSV fields.
+    """
+    split, label = rows["split"], rows["label"]
+    yield ~np.isin(split, CSV_SPLITS), lambda row, fields: f"unknown split {fields[1]!r}"
+    yield label < -1, lambda row, fields: "label must be >= -1"
+    if num_classes is not None:
+        yield label >= num_classes, (
+            lambda row, fields: f"label {row['label']} >= num_classes {num_classes}"
+        )
+    yield (split == "test") & (label < 0), lambda row, fields: "test rows must be labeled"
+    yield ~np.isfinite(rows["x"]).all(axis=1), lambda row, fields: "non-finite feature"
+
+
+def _oracle_checks(rows: np.ndarray, num_classes: int):
+    """(failing rows, message) per oracle row check; a repeated id fails where it repeats."""
+    label = rows["true_label"]
+    yield (label < 0) | (label >= num_classes), (
+        lambda row, fields: f"true label {row['true_label']} outside [0, {num_classes})"
+    )
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[np.unique(rows["id"], return_index=True)[1]] = False
+    yield repeated, lambda row, fields: f"duplicate id {row['id']}"
+
+
+def _text_lines(fh, path):
+    """The lines of a file opened as UTF-8 text, LF, CRLF and CR ends all read as LF.
+
+    Bytes that are not UTF-8 raise DatasetFormatError.
+    """
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _parse(lines, dtype: np.dtype) -> np.ndarray:
+    """Structured rows of CSV lines, parsed in one np.loadtxt pass.
+
+    Fields may be quoted and padded with whitespace; empty lines are skipped.
+    A field that does not convert raises ValueError, and so does any warning
+    numpy gives on the way: numpy 1.x reads an integer written as a float
+    (`1.0`) with only a DeprecationWarning, and an input with no rows warns.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(
+                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+        except Warning as exc:
+            raise ValueError(str(exc)) from None
+
+
+def _read_rows(path, lines, dtype: np.dtype, checks, fields_message: str) -> np.ndarray:
+    """The rows of the rest of a CSV file, each of which passes every check.
+
+    The whole body is parsed and checked at once, streamed from `lines`. Only
+    when that fails does _locate read the file again, one line at a time, to
+    name the first bad line.
+    """
+    nonempty = 0
+
+    def counted():
+        nonlocal nonempty
+        for line in lines:
+            nonempty += line != "\n"
+            yield line
+
+    try:
+        rows = _parse(counted(), dtype)
+    except DatasetFormatError:  # not UTF-8
+        raise
+    except ValueError:
+        rows = None if nonempty else np.zeros(0, dtype)
+    # loadtxt skips empty lines; fewer rows than the others means it skipped or joined some
+    if rows is None or len(rows) != nonempty or any(bad.any() for bad, _ in checks(rows)):
+        _locate(path, dtype, checks, fields_message)
+    return rows
+
+
+def _locate(path, dtype: np.dtype, checks, fields_message: str):
+    """Raise DatasetFormatError at the first bad line of a CSV file's body.
+
+    Each non-empty line is parsed on its own by the same parser as the whole
+    body, up to the first line that does not parse. The row checks then run
+    over the rows before it, so a row fault reports the earliest line either
+    pass finds.
+    """
+    width = sum(int(np.prod(dtype[name].shape)) for name in dtype.names)
+    parsed, fields_of, linenos, failure = [], [], [], None
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate(_text_lines(fh, path), start=1)
+        next(lines)  # the header
+        for lineno, line in lines:
+            fields = next(csv.reader([line]), [])
+            if not fields:
                 continue
-            if len(row) != 2:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected 2 fields (id, true_label), got {len(row)}"
-                )
+            if len(fields) != width:
+                failure = (lineno, fields_message.format(len(fields)))
+                break
             try:
-                sid, label = int(row[0]), int(row[1])
+                parsed.append(_parse([line], dtype))
             except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= label < num_classes:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: true label {label} outside [0, {num_classes})"
-                )
-            if sid in labels:
-                raise DatasetFormatError(f"{path}:{lineno}: duplicate id {sid}")
-            labels[sid] = label
-    return labels
+                failure = (lineno, str(exc).split(" at row ")[0])
+                break
+            fields_of.append(fields)
+            linenos.append(lineno)
+    rows = np.concatenate(parsed) if parsed else np.zeros(0, dtype)
+    faults = [(np.flatnonzero(bad), message) for bad, message in checks(rows)]
+    first = min((bad[0] for bad, _ in faults if len(bad)), default=None)
+    if first is not None:
+        message = next(m for bad, m in faults if len(bad) and bad[0] == first)
+        raise DatasetFormatError(
+            f"{path}:{linenos[first]}: {message(rows[first], fields_of[first])}"
+        )
+    if failure is not None:
+        raise DatasetFormatError(f"{path}:{failure[0]}: {failure[1]}")
+    raise DatasetFormatError(f"{path}: rows do not parse as a whole (a quoted field spanning lines?)")

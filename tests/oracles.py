@@ -2,13 +2,18 @@
 
 The formula oracles use loops and math.exp only; deliberately naive so they
 share no code path with the package. The per-record and per-term references
-below them (`enqueue_each`, `record_each`, `step_per_term`) keep the package's
-earlier, simpler forms of its batched code, which must match them bit for bit.
+below them (`enqueue_each`, `record_each`, `step_per_term`, `load_dataset_rows`)
+keep the package's earlier, simpler forms of its batched code, which must match
+them bit for bit.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from tailssl.data import CSV_SPLITS, Dataset, Split
+from tailssl.errors import DatasetFormatError
 
 
 def mlp_forward(params, batch):
@@ -254,3 +259,123 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
                    loss_mem=loss_mem, loss_total=loss_total, mask_rate=mask_rate,
                    enqueue_accept_rate=accept_rate)
     return metrics, grads
+
+
+def load_dataset_rows(csv_path, oracle_path=None, num_classes=None):
+    """Row-by-row CSV reader: the reference for data.load_dataset.
+
+    Each field goes through int() or float(); the first bad row raises
+    DatasetFormatError at its line, except that a non-finite feature is looked
+    for only once every row has passed the other checks.
+    """
+    ids = {"train": [], "test": []}
+    xs = {"train": [], "test": []}
+    ys = {"train": [], "test": []}
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetFormatError(f"{csv_path}: empty file, missing header") from None
+        if len(header) < 4 or header[:3] != ["id", "split", "label"]:
+            raise DatasetFormatError(f"{csv_path}: bad header {header[:3]}")
+        d = len(header) - 3
+        if header != ["id", "split", "label"] + [f"f_{i}" for i in range(d)]:
+            raise DatasetFormatError(f"{csv_path}: malformed feature columns in header")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 3:
+                raise DatasetFormatError(
+                    f"{csv_path}:{lineno}: expected {d + 3} fields, got {len(row)}"
+                )
+            try:
+                sid = int(row[0])
+                label = int(row[2])
+                feats = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise DatasetFormatError(f"{csv_path}:{lineno}: {exc}") from None
+            split = row[1]
+            if split not in CSV_SPLITS:
+                raise DatasetFormatError(f"{csv_path}:{lineno}: unknown split {split!r}")
+            if label < -1:
+                raise DatasetFormatError(f"{csv_path}:{lineno}: label must be >= -1")
+            if num_classes is not None and label >= num_classes:
+                raise DatasetFormatError(
+                    f"{csv_path}:{lineno}: label {label} >= num_classes {num_classes}"
+                )
+            if split == "test" and label < 0:
+                raise DatasetFormatError(f"{csv_path}:{lineno}: test rows must be labeled")
+            ids[split].append(sid)
+            xs[split].append(feats)
+            ys[split].append(label)
+
+    def pack(split):
+        if ids[split]:
+            return (
+                np.array(ids[split], dtype=np.int64),
+                np.array(xs[split], dtype=np.float64),
+                np.array(ys[split], dtype=np.int64),
+            )
+        return np.zeros(0, dtype=np.int64), np.zeros((0, d)), np.zeros(0, dtype=np.int64)
+
+    tr_ids, tr_x, tr_y = pack("train")
+    te_ids, te_x, te_y = pack("test")
+    if not (np.isfinite(tr_x).all() and np.isfinite(te_x).all()):
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = enumerate(csv.reader(fh), start=1)
+            next(rows)  # header
+            bad = next(
+                n for n, r in rows if r and not np.isfinite(np.array(r[3:], dtype=float)).all()
+            )
+        raise DatasetFormatError(f"{csv_path}:{bad}: non-finite feature")
+    all_ids = np.concatenate([tr_ids, te_ids])
+    if len(np.unique(all_ids)) != len(all_ids):
+        raise DatasetFormatError(f"{csv_path}: duplicate sample ids")
+    lab = tr_y >= 0
+    dataset = Dataset(
+        labeled=Split(tr_ids[lab], tr_x[lab], tr_y[lab]),
+        unlabeled=Split(tr_ids[~lab], tr_x[~lab], tr_y[~lab]),
+        test=Split(te_ids, te_x, te_y),
+    )
+    if oracle_path is not None:
+        k = num_classes if num_classes is not None else dataset.num_classes
+        oracle = _oracle_label_rows(oracle_path, k)
+        missing = [int(i) for i in dataset.unlabeled.ids if int(i) not in oracle]
+        if missing:
+            raise DatasetFormatError(
+                f"{oracle_path}: no true label for unlabeled id(s) {missing[:5]}"
+            )
+        truth = np.array([oracle[int(i)] for i in dataset.unlabeled.ids], dtype=np.int64)
+        dataset.unlabeled_oracle_y = truth
+        dataset.true_unlabeled_counts = np.bincount(truth, minlength=k).astype(np.int64)
+    return dataset
+
+
+def _oracle_label_rows(path, num_classes):
+    """Map sample id -> true label, one oracle row at a time."""
+    labels = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["id", "true_label"]:
+            raise DatasetFormatError(f"{path}: bad oracle header {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: expected 2 fields (id, true_label), got {len(row)}"
+                )
+            try:
+                sid, label = int(row[0]), int(row[1])
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= label < num_classes:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: true label {label} outside [0, {num_classes})"
+                )
+            if sid in labels:
+                raise DatasetFormatError(f"{path}:{lineno}: duplicate id {sid}")
+            labels[sid] = label
+    return labels

@@ -539,6 +539,8 @@ NOT_JSON = "{x"
                      id="report-run/report.json"),
         pytest.param("train", "data/manifest.json", NOT_JSON, " is not valid JSON",
                      id="train-data/manifest.json"),
+        pytest.param("train", "data/manifest.json", "[1, 2]",
+                     ": not a tailssl dataset manifest (not an object)", id="train-manifest-list"),
         pytest.param("report", "run/report.json", "[]",
                      ": not a tailssl report (missing 'name')", id="report-list"),
         pytest.param("report", "run/report.json", "{}",
@@ -564,6 +566,43 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged, 
     }[command]
     assert main([command, *argv]) == 2
     assert f"{damaged}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["dataset.csv", "dataset.oracle.csv"])
+def test_train_non_utf8_dataset_file_exits_2(workspace, capsys, name):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    with open(tmp / "data" / name, "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    assert f"{name}: not UTF-8 text (" in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        pytest.param("drop-epoch", ": not a tailssl bank snapshot (missing column 'epoch')",
+                     id="drop-epoch"),
+        pytest.param("non-utf8", ": not UTF-8 text (", id="non-utf8"),
+    ],
+)
+def test_report_damaged_bank_snapshots_exits_2_before_writing(workspace, capsys, damage, message):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    snapshots = tmp / "run" / "bank_snapshots.csv"
+    if damage == "drop-epoch":
+        lines = read(snapshots).splitlines(keepends=True)
+        snapshots.write_text("".join(line.split(",", 1)[1] for line in lines))
+    else:
+        with open(snapshots, "ab") as fh:
+            fh.write(b"0,\xff,1\n")
+    capsys.readouterr()
+    assert main(["report", "--runs", str(tmp / "run"), "--out", str(tmp / "rep")]) == 2
+    assert f"bank_snapshots.csv{message}" in capsys.readouterr().err
+    assert not (tmp / "rep").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "sweep", "report", "export-embeddings"])

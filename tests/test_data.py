@@ -1,9 +1,16 @@
 """Data: long-tail construction rule, generation invariants, augmentations, CSV I/O."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from oracles import load_dataset_rows
 from tailssl.data import (
+    CSV_SPLITS,
     AugmentConfig,
     DatasetSpec,
     generate_dataset,
@@ -282,3 +289,216 @@ def test_oracle_missing_unlabeled_id_rejected(tmp_path):
     oracle.write_text("id,true_label\n0,1\n")
     with pytest.raises(DatasetFormatError, match="no true label"):
         load_dataset(path, oracle, num_classes=2)
+
+
+# ---------------------------------------------------------------------------
+# The columnar loader against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+
+K_DIFF = 3
+BAD_SPLITS = ["trainx", "Train", "valid", "tes", " train", "test ", "", "testing", "validation"]
+BAD_INTS = ["1.0", "x", "", "1e3", "0x10", "--1", "1 2", "+-1"]
+BAD_FLOATS = ["x", "", "1.5.2", "0x1p3", "e5", "--1", "1e", "nan1"]
+NON_FINITE = ["nan", "inf", "-inf", "1e400", "NaN", "-Infinity"]
+DATASET_FAULTS = ["split", "label_low", "label_high", "test_unlabeled", "non_finite", "dup_id",
+                  "field_count", "bad_int", "bad_float", "whitespace_line"]
+ORACLE_FAULTS = ["missing", "dup_id", "label", "field_count", "bad_int"]
+
+
+def load_outcome(load, *args):
+    """The Dataset a loader returns, or the DatasetFormatError it raises."""
+    try:
+        return load(*args, num_classes=K_DIFF)
+    except DatasetFormatError as exc:
+        return exc
+
+
+def error_location(exc):
+    """`<file>:<line>:` of a located error, or its whole message when it names no line."""
+    match = re.match(r"(.*?\.csv:\d+:) ", str(exc))
+    return match.group(1) if match else str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, DatasetFormatError) or isinstance(got, DatasetFormatError):
+        assert isinstance(got, DatasetFormatError) and isinstance(want, DatasetFormatError), (got, want)
+        assert error_location(got) == error_location(want), (str(got), str(want))
+        return
+    arrays = [(f"{s}.{f}", getattr(getattr(got, s), f), getattr(getattr(want, s), f))
+              for s in ("labeled", "unlabeled", "test") for f in ("ids", "x", "y")]
+    arrays += [(f, getattr(got, f), getattr(want, f))
+               for f in ("unlabeled_oracle_y", "true_unlabeled_counts")]
+    for name, a, b in arrays:
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.flags["C_CONTIGUOUS"], name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a dataset CSV and its oracle sidecar, written with the syntax both
+    loaders accept (quoted fields, spaces or tabs around numbers, optional plus
+    signs, leading zeros and exponents, LF or CRLF line ends, blank lines),
+    with at most one fault injected into one of the two files."""
+    faults = st.sampled_from([*DATASET_FAULTS, *(f"oracle_{f}" for f in ORACLE_FAULTS)])
+    fault = draw(st.none() | faults)
+    event(f"fault: {fault}")
+    d = draw(st.integers(1, 3))
+    min_rows = 0 if fault in (None, "whitespace_line") else 2
+    ids = draw(st.lists(st.integers(0, 60), min_size=min_rows, max_size=6, unique=True))
+    rows, truth = [], []
+    for i, sid in enumerate(ids):
+        if i == 0 and fault is not None and fault.startswith("oracle_"):
+            split, label = "train", -1  # an oracle row to damage
+        else:
+            split = draw(st.sampled_from(CSV_SPLITS))
+            label = draw(st.integers(0, K_DIFF - 1))
+            if split == "train" and draw(st.booleans()):
+                label = -1
+        x = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d))
+        rows.append([sid, split, label, *x])
+        if split == "train" and label < 0:
+            truth.append([sid, draw(st.integers(0, K_DIFF - 1))])
+    for sid in draw(st.lists(st.integers(61, 70), max_size=2, unique=True)):
+        truth.append([sid, draw(st.integers(0, K_DIFF - 1))])  # true labels of no row are allowed
+    truth = draw(st.permutations(truth))
+
+    def number(v):
+        if isinstance(v, int):
+            text = draw(st.sampled_from([str(v), f"{v:+d}", f"{v:03d}"]))
+        else:
+            text = draw(st.sampled_from([repr(v), f"{v:.17e}", f"{v:+.17g}", f"{v:.17E}"]))
+        pad = st.sampled_from(["", " ", "  ", "\t"])
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    def render(row):
+        return [number(v) if not isinstance(v, str) else
+                (f'"{v}"' if draw(st.booleans()) else v) for v in row]
+
+    fields = [render(row) for row in rows]
+    oracle_fields = [render(row) for row in truth]
+    extra_lines = []
+    if fault == "whitespace_line":
+        extra_lines.append((draw(st.integers(0, len(fields))), draw(st.sampled_from([" ", "\t", "  "]))))
+    elif fault in DATASET_FAULTS:
+        row = draw(st.sampled_from(fields))
+        col = 3 + draw(st.integers(0, d - 1))
+        if fault == "split":
+            row[1] = draw(st.sampled_from(BAD_SPLITS))
+        elif fault == "label_low":
+            row[2] = str(draw(st.integers(-9, -2)))
+        elif fault == "label_high":
+            row[2] = str(draw(st.integers(K_DIFF, K_DIFF + 5)))
+        elif fault == "test_unlabeled":
+            row[1], row[2] = "test", "-1"
+        elif fault == "non_finite":
+            row[col] = draw(st.sampled_from(NON_FINITE))
+        elif fault == "dup_id":
+            row[0] = draw(st.sampled_from([r for r in fields if r is not row]))[0]
+        elif fault == "field_count":
+            if draw(st.booleans()):
+                row.append("0")
+            else:
+                row.pop(draw(st.integers(0, len(row) - 1)))
+        elif fault == "bad_int":
+            row[draw(st.sampled_from([0, 2]))] = draw(st.sampled_from(BAD_INTS))
+        elif fault == "bad_float":
+            row[col] = draw(st.sampled_from(BAD_FLOATS))
+    elif fault is not None:
+        i = draw(st.integers(0, len(oracle_fields) - 1))
+        row = oracle_fields[i]
+        if fault == "oracle_missing":
+            oracle_fields.pop(i)
+        elif fault == "oracle_dup_id":
+            oracle_fields.insert(draw(st.integers(i + 1, len(oracle_fields))), [row[0], "0"])
+        elif fault == "oracle_label":
+            row[1] = str(draw(st.sampled_from([-1, K_DIFF, K_DIFF + 7])))
+        elif fault == "oracle_field_count":
+            if draw(st.booleans()):
+                row.append("0")
+            else:
+                row.pop(draw(st.integers(0, 1)))
+        elif fault == "oracle_bad_int":
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_INTS))
+
+    def text(header, body, extra=()):
+        lines = [",".join(header)] + [",".join(f) for f in body]
+        for pos, line in sorted(extra, reverse=True):
+            lines.insert(1 + pos, line)
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+        ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        if not draw(st.booleans()):
+            ends[-1] = ""
+        return "".join(line + end for line, end in zip(lines, ends))
+
+    header = ["id", "split", "label", *(f"f_{i}" for i in range(d))]
+    return text(header, fields, extra_lines), text(["id", "true_label"], oracle_fields)
+
+
+@pytest.fixture(scope="module")
+def diff_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("diff")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(files=csv_files())
+def test_load_dataset_matches_row_reference(diff_dir, files):
+    csv_path, oracle_path = diff_dir / "d.csv", diff_dir / "d.oracle.csv"
+    csv_path.write_bytes(files[0].encode())
+    oracle_path.write_bytes(files[1].encode())
+    assert_same_outcome(
+        load_outcome(load_dataset, csv_path, oracle_path),
+        load_outcome(load_dataset_rows, csv_path, oracle_path),
+    )
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        pytest.param("0,train,0,1.0\n   \n1,test,0,2.0\n", 3, id="whitespace-only-line"),
+        pytest.param("0,train,0,1.0\n1,trainx,0,2.0\n", 3, id="split-trainx"),
+        pytest.param("0,train,0,1.0\n\n1.0,test,0,2.0\n", 4, id="id-1.0"),
+    ],
+)
+def test_csv_fault_is_located_like_the_reference(tmp_path, body, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,split,label,f_0\n" + body)
+    with pytest.raises(DatasetFormatError, match=f"bad.csv:{lineno}: "):
+        load_dataset(path)
+    with pytest.raises(DatasetFormatError, match=f"bad.csv:{lineno}: "):
+        load_dataset_rows(path)
+
+
+def test_header_only_files_load_without_warnings(tmp_path):
+    path, oracle = tmp_path / "d.csv", tmp_path / "d.oracle.csv"
+    path.write_text("id,split,label,f_0,f_1\r\n\r\n")
+    oracle.write_text("id,true_label\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_dataset(path, oracle, num_classes=2)
+    assert_same_outcome(got, load_dataset_rows(path, oracle, num_classes=2))
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        pytest.param("0,train,0,1.0\n1_0,test,0,2.0\n", 3, id="digit-separator-in-id"),
+        pytest.param("0,train,0,1_000.5\n", 2, id="digit-separator-in-feature"),
+        # reported where the quoted field closes, as its own short row
+        pytest.param('0,train,0,1.0\n1,test,0,"2.0\n"\n', 4, id="quoted-line-break"),
+    ],
+)
+def test_csv_narrowed_syntax_is_rejected_at_its_line(tmp_path, body, lineno):
+    """The row-by-row reader accepted these; the columnar one rejects them."""
+    path = tmp_path / "narrow.csv"
+    path.write_text("id,split,label,f_0\n" + body)
+    with pytest.raises(DatasetFormatError, match=f"narrow.csv:{lineno}: "):
+        load_dataset(path)
+    load_dataset_rows(path)
+
