@@ -292,12 +292,12 @@ def load_model(path, hidden_sizes, input_dim, num_classes) -> tuple[ModelParams,
     views = {f"{prefix}/{name}": view for prefix, model in (("params", raw), ("ema", ema))
              for name, view in named_arrays(model)}
     try:
-        loaded = np.load(path)
-        if isinstance(loaded, np.ndarray):
-            raise ValueError("a single .npy array, not an .npz archive")
-        with loaded as data:
-            arrays = {key: data[key] for key in data.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        with open(path, "rb") as fh:
+            loaded = np.load(fh)
+            if isinstance(loaded, np.ndarray):
+                raise ValueError("a single .npy array, not an .npz archive")
+            arrays = {key: loaded[key] for key in loaded.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a saved model ({exc})") from None
     for key, view in views.items():
         array = arrays.get(key)

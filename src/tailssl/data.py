@@ -219,19 +219,20 @@ def save_dataset(ds: Dataset, csv_path, oracle_path=None) -> None:
     """
     d = ds.labeled.x.shape[1]
     with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_header(d))
+        fh.write(",".join(_header(d)) + "\r\n")  # csv.writer's line ending
         for split_name, split in (("train", ds.labeled), ("train", ds.unlabeled), ("test", ds.test)):
-            for i in range(len(split)):
-                row = [int(split.ids[i]), split_name, int(split.y[i])]
-                row += [repr(float(v)) for v in split.x[i]]
-                w.writerow(row)
+            rows = map(np.ndarray.tolist, split.x)  # row by row: x.tolist() would raise peak RSS
+            fh.writelines(
+                f"{i},{split_name},{label}," + ",".join(map(repr, row)) + "\r\n"
+                for i, label, row in zip(split.ids.tolist(), split.y.tolist(), rows)
+            )
     if oracle_path is not None and ds.unlabeled_oracle_y is not None:
         with open(oracle_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "true_label"])
-            for i in range(len(ds.unlabeled)):
-                w.writerow([int(ds.unlabeled.ids[i]), int(ds.unlabeled_oracle_y[i])])
+            fh.write("id,true_label\r\n")
+            fh.writelines(
+                f"{i},{label}\r\n"
+                for i, label in zip(ds.unlabeled.ids.tolist(), ds.unlabeled_oracle_y.tolist())
+            )
 
 
 def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> Dataset:

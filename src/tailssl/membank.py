@@ -17,25 +17,25 @@ list of its slots, oldest first, whose length is the class size; records of a
 class arrive in step order, so eviction pops the head. Free slots sit on a
 stack.
 
-Draws. P_in and P_out depend only on a class size, so the bank tabulates both
-for every size 0..capacity once, each with the expression of its spec
-function (`accept_probability` is Python float arithmetic, the eviction
-weights a numpy power; the two round differently in the last bit). A class
-draw is an inverse-CDF draw, the method `Generator.choice` uses: cumulative
-sum of the renormalised probabilities, divided by its last entry, then the
-first entry greater than one uniform. `_victim_exact` does this on Python
-floats, summing in numpy's pairwise order (`_pairwise_sum`), so every victim
-equals that of `rng.choice(support, p=...)` over the renormalised
-`eviction_distribution` given the same uniform. `_victim`, which the writes
-call, is a shortcut: it bisects the running sum of the class weights at the
-uniform times their total. That running sum and the CDF of `_victim_exact`
-each lie within about (2K + 6) * 2**-53 of the exact CDF, relative to the
-total, so the two can pick different classes only for a uniform that close to
-an edge; within 2**-30 of an edge `_victim` defers to `_victim_exact`, and
-every victim and generator state stay the same. `get` does the inverse-CDF
-draw in numpy for its n class draws, then draws all n within-class positions
-with one `rng.integers` call, and returns slot rows, which callers use to
-index `features` and `labels`.
+Draws. A class draw is `Generator.choice`'s inverse-CDF recipe run in numpy
+over a spec function: the probabilities restricted to the non-empty classes
+and renormalised, their cumulative sum divided by its last entry, then the
+first entry greater than one uniform. `_victim_exact` runs it over
+`eviction_distribution` and `get` over `retrieval_distribution`, so their
+classes equal `rng.choice(support, p=...)` given the same uniforms. P_in and
+P_out depend only on a class size, so the bank also tabulates both for every
+size 0..capacity once, each with the expression of its spec function
+(`accept_probability` is Python float arithmetic, the eviction weights a numpy
+power; the two round differently in the last bit). `_victim`, which the
+writes call, is a shortcut over the table: it bisects the running sum of the
+class weights at the uniform times their total. That running sum and the CDF
+of `_victim_exact` each lie within about (2K + 6) * 2**-53 of the exact CDF,
+relative to the total, so the two can pick different classes only for a
+uniform that close to an edge; within 2**-30 of an edge `_victim` defers to
+`_victim_exact`, and every victim and generator state stay the same. `get`
+draws all n within-class positions with one `rng.integers` call after its n
+class draws, and returns slot rows, which callers use to index `features` and
+`labels`.
 
 Writes come a batch at a time. `offer` runs a batch of attempts in order, each
 using one uniform to accept and, when the bank is full, one more to pick a
@@ -54,35 +54,6 @@ from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
-
-
-def _pairwise_sum(values: list[float], start: int = 0, n: int | None = None) -> float:
-    """Sum values[start:start + n] in the order of numpy's float64 `ndarray.sum()`.
-
-    numpy sums fewer than 8 elements left to right from 0.0, up to 128 with 8
-    interleaved accumulators (then the remainder left to right), and above
-    that splits at the half rounded down to a multiple of 8.
-    """
-    if n is None:
-        n = len(values) - start
-    if n < 8:
-        total = 0.0
-        for i in range(start, start + n):
-            total += values[i]
-        return total
-    if n <= 128:
-        acc = values[start:start + 8]
-        end = start + n - n % 8
-        for i in range(start + 8, end, 8):
-            for j in range(8):
-                acc[j] += values[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for i in range(end, start + n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
 
 
 def accept_probability(count: int, beta: float) -> float:
@@ -244,34 +215,14 @@ class MemoryBank:
         return i
 
     def _victim_exact(self, sizes: list[int], u: float) -> int:
-        """`_victim` by the recipe of `Generator.choice`, on Python floats.
-
-        Skips only steps that cannot change a value: weights when every table
-        weight is 0, the support when no class is empty, and a division by a
-        norm or last CDF entry of exactly 1.0.
-        """
-        total = 0.0
-        if self._weighted:
-            weights = [self.p_out[c] for c in sizes]
-            total = _pairwise_sum(weights)
-        if total <= 0.0:
-            weights, total = sizes, float(sum(sizes))
-        # eviction_distribution, restricted to the support and renormalised;
-        # empty classes are never drawn
-        support = [k for k, c in enumerate(sizes) if c] if 0 in sizes else None
-        if support is not None:
-            weights = [weights[k] for k in support]
-        probs = [w / total for w in weights]
-        norm = _pairwise_sum(probs)
-        if norm != 1.0:
-            probs = [p / norm for p in probs]
-        cdf = list(accumulate(probs))
-        last = cdf[-1]
-        if last == 1.0:
-            i = bisect_right(cdf, u)
-        else:
-            i = bisect_right(cdf, u, key=lambda c: c / last)
-        return i if support is None else support[i]
+        """`_victim` by the recipe of `Generator.choice` over the renormalised
+        `eviction_distribution`, restricted to the non-empty classes."""
+        counts = np.array(sizes)
+        support = np.flatnonzero(counts)
+        probs = eviction_distribution(counts, self.beta)[support]
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return int(support[cdf.searchsorted(u, side="right")])
 
     def get(
         self,
@@ -295,13 +246,9 @@ class MemoryBank:
             raise ValueError("estimated_counts must have one entry per class")
         if n == 0 or not len(self):
             return np.zeros(0, dtype=np.int64)
-        if (estimated < 1).any():
-            raise ValueError("estimated counts must be clamped >= 1")
         counts = self.counts()
         support = np.flatnonzero(counts)
-        # retrieval_distribution, restricted to the support and renormalised
-        weights = np.where(counts > 0, estimated ** (-lam), 0.0)
-        probs = weights[support] / weights.sum()
+        probs = retrieval_distribution(estimated, counts, lam)[support]
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         classes = support[cdf.searchsorted(rng.random(n), side="right")]
@@ -313,12 +260,9 @@ class MemoryBank:
 
     def balance_entropy(self) -> float:
         """Shannon entropy of the in-memory class distribution, normalized by ln K."""
-        counts = self.counts()
-        total = counts.sum()
-        if total == 0:
+        if not len(self):
             raise ValueError("balance_entropy of an empty bank is undefined")
-        p = counts[counts > 0] / total
-        return float(-(p * np.log(p)).sum() / np.log(self.num_classes))
+        return stream_entropy(self.counts())
 
 
 def stream_entropy(class_counts: np.ndarray) -> float:

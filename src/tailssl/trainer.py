@@ -372,7 +372,7 @@ def fit(
     """
     if len(data.labeled) == 0:
         raise ValueError("labeled split must be non-empty")
-    counts = data.labeled_class_counts()
+    counts = np.bincount(data.labeled.y, minlength=cfg.num_classes)
     state = init_state(cfg, counts)
     if cfg.shot_many_min is not None:
         thresholds = (cfg.shot_many_min, cfg.shot_few_max)

@@ -631,7 +631,7 @@ def test_out_path_of_the_wrong_kind_exits_2(workspace, capsys, command):
     assert str(out) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated", "npy-array"])
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "npy-array", "empty"])
 def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
@@ -641,6 +641,8 @@ def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
         model.write_text("garbage")
     elif damage == "truncated":
         model.write_bytes(model.read_bytes()[:300])
+    elif damage == "empty":
+        model.write_bytes(b"")
     else:
         with open(model, "wb") as f:  # np.save on a path would append .npy
             np.save(f, np.zeros(3))

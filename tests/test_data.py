@@ -1,5 +1,6 @@
 """Data: long-tail construction rule, generation invariants, augmentations, CSV I/O."""
 
+import hashlib
 import re
 import warnings
 
@@ -12,7 +13,9 @@ from oracles import load_dataset_rows
 from tailssl.data import (
     CSV_SPLITS,
     AugmentConfig,
+    Dataset,
     DatasetSpec,
+    Split,
     generate_dataset,
     load_dataset,
     longtail_counts,
@@ -230,6 +233,35 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert np.array_equal(a.y, b.y)
     assert np.array_equal(ds.unlabeled_oracle_y, loaded.unlabeled_oracle_y)
     assert np.array_equal(ds.true_unlabeled_counts, loaded.true_unlabeled_counts)
+
+
+def edge_float_dataset():
+    """Signed zeros, subnormals, exponents and 17-digit values in every split."""
+    x = np.array([[-0.0, 1e-310, 0.1, 1e22], [1.0 / 3.0, -2.5e-7, 123456789.0, 5e-324]])
+    return Dataset(
+        Split(np.array([7, 3]), x, np.array([1, 0])),
+        Split(np.array([11]), x[:1] * -3.0, np.array([-1])),
+        Split(np.array([0]), x[1:] / 7.0, np.array([2])),
+        unlabeled_oracle_y=np.array([2]),
+    )
+
+
+# sha256 of the saved CSV and oracle files: csv.writer's bytes, \r\n line ends.
+SAVED_DATASET_SHA256 = {
+    "generated": ("32c8bd841396c952fa7a44edf8ce7e4677a4376684d78cec6ad4399efd9bb9e5",
+                  "0c569e7cc547aca6c46a1ea044e3a7f1e930df2d59c0a8cab56cca3c337947aa"),
+    "edge-floats": ("af48c153514cb6a2f51b4a97a9d0c1d8beb3c3fd8f0f5f0d718eb42e59089e6d",
+                    "8c0911e35bdcff9b9416a26b39f17e9c383af98675f9e5c80fbf17f85083c2a4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_DATASET_SHA256))
+def test_saved_dataset_bytes_are_pinned(tmp_path, name):
+    ds = generate_dataset(small_spec()) if name == "generated" else edge_float_dataset()
+    csv_path, oracle_path = tmp_path / "dataset.csv", tmp_path / "dataset.oracle.csv"
+    save_dataset(ds, csv_path, oracle_path)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, oracle_path))
+    assert digests == SAVED_DATASET_SHA256[name]
 
 
 def test_csv_header_only_gives_empty_sets(tmp_path):

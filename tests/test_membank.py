@@ -11,7 +11,6 @@ from oracles import enqueue_each
 
 from tailssl.membank import (
     MemoryBank,
-    _pairwise_sum,
     accept_probability,
     eviction_distribution,
     retrieval_distribution,
@@ -398,15 +397,6 @@ def test_tables_equal_accept_probability_and_eviction_weights(beta):
             eviction_distribution(sizes, beta), weights / weights.sum()
         )
     assert bank.p_out[0] == 0.0
-
-
-def test_pairwise_sum_equals_numpy_sum():
-    rng = RNG(72)
-    for trial in range(3000):
-        values = rng.random(int(rng.integers(1, 301))) * 10.0 ** rng.uniform(-6, 6)
-        if trial % 2:
-            values[rng.random(len(values)) < 0.3] = 0.0
-        assert _pairwise_sum(values.tolist()) == values.sum()
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])

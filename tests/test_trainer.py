@@ -25,6 +25,8 @@ from tailssl.data import (
     DatasetSpec,
     Split,
     generate_dataset,
+    load_dataset,
+    save_dataset,
     strong_augment,
     weak_augment,
 )
@@ -582,6 +584,18 @@ def test_fit_requires_labeled_data_and_unlabeled_for_ssl_modes():
     # vanilla mode trains happily without unlabeled data
     state, log = fit(Dataset(ds.labeled, empty, ds.test), tiny_fit_cfg(mode="vanilla", epochs=1))
     assert len(log) == 1
+
+
+def test_fit_counts_labeled_classes_over_the_configured_classes(tmp_path):
+    """A loaded CSV whose labeled and test rows lack the last configured class
+    still gives that class a labeled count, clamped to 1."""
+    csv_path = tmp_path / "dataset.csv"
+    save_dataset(tiny_dataset(), csv_path)
+    ds = load_dataset(csv_path, num_classes=4)
+    assert ds.labeled_class_counts().tolist() == [20, 10, 5]
+    state, log = fit(ds, tiny_fit_cfg(num_classes=4, epochs=1))
+    assert state.labeled_class_counts.tolist() == [20, 10, 5, 1]
+    assert len(log[0]["per_class_recall"]) == 4
 
 
 def test_compute_step_rejects_short_unlabeled_ids():
