@@ -357,30 +357,55 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_run_file(path: str, kind: str, keys, unreadable: str) -> dict:
-    """A JSON run file that must be an object holding every dotted key path in keys."""
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+
+# The fields of a build_report dict that `report` reads.
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["name", "seed", "mode", "dataset_hash", "final", "last20_mean"],
+    "properties": {
+        "name": {"type": "string"},
+        "seed": {"type": "integer"},
+        "mode": {"type": "string"},
+        "dataset_hash": {"type": "string"},
+        "final": {
+            "type": ["object", "null"],
+            "required": ["per_class_recall", "bank_entropy"],
+            "properties": {
+                "per_class_recall": {"type": "array", "items": _NUMBER_OR_NULL},
+                "bank_entropy": _NUMBER_OR_NULL,
+            },
+        },
+        "last20_mean": {
+            "type": ["object", "null"],
+            "required": ["top1", "avg_class_recall", "group_acc"],
+            "properties": {
+                "top1": _NUMBER_OR_NULL,
+                "avg_class_recall": _NUMBER_OR_NULL,
+                "group_acc": {
+                    "type": "object",
+                    "required": ["many", "medium", "few"],
+                    "properties": {g: _NUMBER_OR_NULL for g in ("many", "medium", "few")},
+                },
+            },
+        },
+    },
+}
+
+
+def _read_run_file(path: str, schema: dict, kind: str, unreadable: str) -> dict:
+    """A JSON run file checked against schema; errors name the file and the field."""
     data = cfgmod.read_json(path, unreadable)
-    for key in keys:
-        node = data
-        for part in key.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"{path}: not a tailssl {kind} (missing '{key}')")
-            node = node[part]
+    cfgmod.check(data, schema, f"{path}: {kind}")
     return data
 
 
 def _read_run(run_dir: str) -> dict:
     missing = f"{run_dir}: missing run outputs"
-    report = _read_run_file(
-        os.path.join(run_dir, "report.json"),
-        "report",
-        ("name", "seed", "mode", "dataset_hash", "final", "last20_mean"),
-        missing,
-    )
+    report = _read_run_file(os.path.join(run_dir, "report.json"), REPORT_SCHEMA, "report", missing)
     resolved = _read_run_file(
-        os.path.join(run_dir, "config.resolved.json"),
-        "resolved config",
-        ("train.beta", "train.lambda_sampling", "train.alpha", "train.memory_content"),
+        os.path.join(run_dir, "config.resolved.json"), cfgmod.RESOLVED_SCHEMA, "resolved config",
         missing,
     )
     snapshots = _read_bank_snapshots(os.path.join(run_dir, "bank_snapshots.csv"))
@@ -453,9 +478,7 @@ def cmd_report(args) -> int:
 def cmd_export_embeddings(args) -> int:
     resolved_path = os.path.join(args.run, "config.resolved.json")
     cfg = _read_run_file(
-        resolved_path,
-        "resolved config",
-        ("data_dir", "dataset.feature_dim", "dataset.num_classes", "train.hidden_sizes"),
+        resolved_path, cfgmod.RESOLVED_SCHEMA, "resolved config",
         f"{args.run}: not a finished run directory",
     )
     ds, _ = _load_configured_dataset(cfg, resolved_path)

@@ -1,5 +1,10 @@
 """Run and sweep configuration: JSON files validated against a published schema.
 
+The schemas are Draft 2020-12 JSON Schema data, and `check` is this module's
+own walker of them: it interprets exactly the keywords they use (KEYWORDS),
+with Draft 2020-12 semantics, and raises on any other keyword. Run files are
+read through the same walker.
+
 A run config bundles the dataset spec, augmentation strengths, training
 hyperparameters, a name, and a seed list. Any field can be overridden from the
 environment with the prefix TAILSSL_ and double-underscore path separators,
@@ -11,10 +16,9 @@ stored next to run outputs.
 import copy
 import dataclasses
 import json
+import operator
 import os
 import typing
-
-import jsonschema
 
 from .data import AugmentConfig, DatasetSpec
 from .errors import ConfigError
@@ -134,8 +138,95 @@ SWEEP_SCHEMA = {
     },
 }
 
-_RUN_VALIDATOR = jsonschema.Draft202012Validator(RUN_SCHEMA)
-_SWEEP_VALIDATOR = jsonschema.Draft202012Validator(SWEEP_SCHEMA)
+# The keys run_training stores in config.resolved.json beside the resolved config.
+RESOLVED_KEYS = {
+    "resolved_seed": {"type": "integer"},
+    "config_hash": {"type": "string"},
+    "dataset_hash": {"type": "string"},
+    "data_dir_resolved": {"type": "string"},
+}
+
+# A run's config.resolved.json: the run schema with every default filled in, so
+# every field of every section is present, plus RESOLVED_KEYS.
+RESOLVED_SCHEMA = {
+    **RUN_SCHEMA,
+    "required": [*RUN_SCHEMA["properties"], *RESOLVED_KEYS],
+    "properties": {
+        **RUN_SCHEMA["properties"],
+        **{name: {**s, "required": list(s["properties"])} for name, s in _SECTION_SCHEMAS.items()},
+        **RESOLVED_KEYS,
+    },
+}
+
+KEYWORDS = {
+    "$schema", "type", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "minLength", "minItems", "items", "properties", "required", "additionalProperties",
+}
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum of"),
+    ("maximum", operator.gt, "greater than the maximum of"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+    ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"),
+)
+
+
+def schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way value breaks schema, in jsonschema's wording.
+
+    A node's own keywords are checked before its children; a value of the
+    wrong type yields only that error. A keyword outside KEYWORDS, or an
+    `additionalProperties` other than false, raises NotImplementedError.
+    """
+    unknown = schema.keys() - KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise NotImplementedError(f"schema keywords not implemented: {sorted(schema)}")
+    if "type" in schema:
+        types = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_IS_TYPE[t](value) for t in types):
+            yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+            return
+    # JSON equality: a boolean equals only a boolean, though Python has True == 1.
+    if "enum" in schema and not any(
+        value == e and isinstance(value, bool) == isinstance(e, bool) for e in schema["enum"]
+    ):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if _IS_TYPE["number"](value):
+        for keyword, fails, words in _BOUNDS:
+            if keyword in schema and fails(value, schema[keyword]):
+                yield path, f"{value!r} is {words} {schema[keyword]!r}"
+    if isinstance(value, (str, list)):
+        least = schema.get("minLength" if isinstance(value, str) else "minItems", 0)
+        if len(value) < least:
+            yield path, f"{value!r} {'should be non-empty' if least == 1 else 'is too short'}"
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            yield from schema_errors(item, schema["items"], (*path, i))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        if "additionalProperties" in schema:
+            extras = sorted(value.keys() - properties.keys(), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(map(repr, extras))
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        for key, subschema in properties.items():
+            if key in value:
+                yield from schema_errors(value[key], subschema, (*path, key))
 
 
 def _merge_defaults(user: dict) -> dict:
@@ -148,11 +239,10 @@ def _merge_defaults(user: dict) -> dict:
     return merged
 
 
-def _check(instance, validator, kind: str) -> None:
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{kind} field {path}: {error.message}")
+def check(instance, schema: dict, kind: str) -> None:
+    """Raise ConfigError `<kind> field <path>: <message>` for the first error of instance."""
+    for path, message in schema_errors(instance, schema):
+        raise ConfigError(f"{kind} field {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def read_json(path, unreadable: str):
@@ -194,7 +284,7 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
 def validate_run_config(cfg: dict) -> dict:
     """Apply defaults and schema-validate; returns the resolved config dict."""
     resolved = _merge_defaults(cfg)
-    _check(resolved, _RUN_VALIDATOR, "config")
+    check(resolved, RUN_SCHEMA, "config")
     return resolved
 
 
@@ -209,7 +299,7 @@ def load_run_config(path, env=None, use_env: bool = True) -> dict:
 
 def load_sweep_config(path, env=None, use_env: bool = True) -> dict:
     raw = read_json(path, f"cannot read sweep config {path}")
-    _check(raw, _SWEEP_VALIDATOR, "sweep")
+    check(raw, SWEEP_SCHEMA, "sweep")
     base = raw["base"]
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(os.fspath(path)), base)

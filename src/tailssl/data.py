@@ -64,17 +64,10 @@ class Dataset:
     labeled: Split
     unlabeled: Split
     test: Split
+    num_classes: int  # K, as configured; never inferred from the labels present
     # Oracle-only fields: true labels / counts of the unlabeled split.
     unlabeled_oracle_y: np.ndarray | None = None
     true_unlabeled_counts: np.ndarray | None = None
-    spec: DatasetSpec | None = None
-
-    @property
-    def num_classes(self) -> int:
-        if self.spec is not None:
-            return self.spec.num_classes
-        labels = [s.y[s.y >= 0] for s in (self.labeled, self.test)]
-        return int(max(l.max() for l in labels if len(l))) + 1
 
     def labeled_class_counts(self) -> np.ndarray:
         return np.bincount(self.labeled.y, minlength=self.num_classes).astype(np.int64)
@@ -148,9 +141,9 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
         labeled=Split(lab_ids, lab_x, lab_y),
         unlabeled=Split(unl_ids, unl_x, np.full(n_unl, -1, dtype=np.int64)),
         test=Split(test_ids, test_x, test_y),
+        num_classes=k,
         unlabeled_oracle_y=unl_true_y,
         true_unlabeled_counts=np.bincount(unl_true_y, minlength=k).astype(np.int64),
-        spec=spec,
     )
 
 
@@ -235,8 +228,8 @@ def save_dataset(ds: Dataset, csv_path, oracle_path=None) -> None:
             )
 
 
-def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> Dataset:
-    """Parse a dataset CSV back into splits; label -1 marks unlabeled train rows.
+def load_dataset(csv_path, oracle_path=None, *, num_classes: int) -> Dataset:
+    """Parse a dataset CSV of num_classes classes into splits; label -1 marks unlabeled rows.
 
     The body is parsed in one np.loadtxt pass and checked as whole columns;
     a malformed file raises DatasetFormatError naming `<file>:<line>` of its
@@ -269,10 +262,9 @@ def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> 
     def pick(mask: np.ndarray) -> Split:
         return Split(ids[mask], rows["x"][mask], label[mask])
 
-    dataset = Dataset(labeled=pick(lab), unlabeled=pick(unl), test=pick(split == "test"))
+    dataset = Dataset(pick(lab), pick(unl), pick(split == "test"), num_classes)
     if oracle_path is not None:
-        k = num_classes if num_classes is not None else dataset.num_classes
-        oracle_ids, oracle_labels = load_oracle_labels(oracle_path, k)
+        oracle_ids, oracle_labels = load_oracle_labels(oracle_path, num_classes)
         order = np.argsort(oracle_ids)
         sorted_ids, unl_ids = oracle_ids[order], dataset.unlabeled.ids
         pos = np.searchsorted(sorted_ids, unl_ids)
@@ -283,7 +275,7 @@ def load_dataset(csv_path, oracle_path=None, num_classes: int | None = None) -> 
             raise DatasetFormatError(f"{oracle_path}: no true label for unlabeled id(s) {missing}")
         truth = oracle_labels[order[pos]]
         dataset.unlabeled_oracle_y = truth
-        dataset.true_unlabeled_counts = np.bincount(truth, minlength=k).astype(np.int64)
+        dataset.true_unlabeled_counts = np.bincount(truth, minlength=num_classes).astype(np.int64)
     return dataset
 
 
@@ -302,7 +294,7 @@ def load_oracle_labels(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     return rows["id"], rows["true_label"]
 
 
-def _dataset_checks(rows: np.ndarray, num_classes: int | None):
+def _dataset_checks(rows: np.ndarray, num_classes: int):
     """(failing rows, message) per dataset row check, in the order a row's faults are reported.
 
     A message is a function of the failing row's record and its CSV fields.
@@ -310,10 +302,9 @@ def _dataset_checks(rows: np.ndarray, num_classes: int | None):
     split, label = rows["split"], rows["label"]
     yield ~np.isin(split, CSV_SPLITS), lambda row, fields: f"unknown split {fields[1]!r}"
     yield label < -1, lambda row, fields: "label must be >= -1"
-    if num_classes is not None:
-        yield label >= num_classes, (
-            lambda row, fields: f"label {row['label']} >= num_classes {num_classes}"
-        )
+    yield label >= num_classes, (
+        lambda row, fields: f"label {row['label']} >= num_classes {num_classes}"
+    )
     yield (split == "test") & (label < 0), lambda row, fields: "test rows must be labeled"
     yield ~np.isfinite(rows["x"]).all(axis=1), lambda row, fields: "non-finite feature"
 

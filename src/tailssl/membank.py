@@ -37,17 +37,16 @@ draws all n within-class positions with one `rng.integers` call after its n
 class draws, and returns slot rows, which callers use to index `features` and
 `labels`.
 
-Writes come a batch at a time. `offer` runs a batch of attempts in order, each
-using one uniform to accept and, when the bank is full, one more to pick a
-victim; it is the only write that draws (`insert` copies a record into a free
-slot with no draw). It draws the 2n uniforms its n attempts may need as one
-block, which gives the same values as 2n scalar `rng.random()` calls, then
-restores the saved generator state and calls `rng.random(used)` for the ones
-it used. Rewinding with `bit_generator.advance(-unused)` instead would not do:
-`advance` also drops the unused half of a 64-bit word that a 32-bit draw in
-`rng.integers` may leave buffered (the `has_uint32`/`uinteger` fields of the
-state), and the next bounded integer draw would then differ. Restoring the
-state keeps that buffer and works for any bit generator.
+Writes come a batch at a time, all through `offer`. It runs a batch of
+attempts in order, each using one uniform to accept and, when the bank is
+full, one more to pick a victim. It draws the 2n uniforms its n attempts may
+need as one block, which gives the same values as 2n scalar `rng.random()`
+calls, then restores the saved generator state and calls `rng.random(used)`
+for the ones it used. Rewinding with `bit_generator.advance(-unused)` instead
+would not do: `advance` also drops the unused half of a 64-bit word that a
+32-bit draw in `rng.integers` may leave buffered (the `has_uint32`/`uinteger`
+fields of the state), and the next bounded integer draw would then differ.
+Restoring the state keeps that buffer and works for any bit generator.
 """
 
 from bisect import bisect_right
@@ -128,21 +127,6 @@ class MemoryBank:
 
     def counts(self) -> np.ndarray:
         return np.array([len(fifo) for fifo in self._fifo], dtype=np.int64)
-
-    def rows(self, k: int) -> np.ndarray:
-        """Slot rows of class k, oldest first."""
-        return np.array(self._fifo[k], dtype=np.int64)
-
-    def insert(self, feature: np.ndarray, label: int) -> None:
-        """Copy a record into a free slot, with no acceptance draw and no eviction."""
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"pseudo_label {label} out of range")
-        if not self._free:
-            raise ValueError("cannot insert into a full bank")
-        slot = self._free.pop()
-        self.features[slot] = feature
-        self.labels[slot] = label
-        self._fifo[label].append(slot)
 
     def offer(self, features: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> int:
         """Offer rows features[i] with labels[i] in order; returns how many were accepted.

@@ -75,6 +75,15 @@ def ratio_weight(counts, cls, alpha):
     return (min(counts) / counts[cls]) ** alpha
 
 
+def store(bank, feature, label):
+    """Put one record of class label into a free slot of bank with no draw, as
+    an accepted offer into a bank that is not full puts it; sets up test banks."""
+    slot = bank._free.pop()
+    bank.features[slot] = feature
+    bank.labels[slot] = label
+    bank._fifo[label].append(slot)
+
+
 def enqueue_each(bank, features, labels, rng):
     """Per-record bank writes: the reference for MemoryBank.offer.
 
@@ -261,7 +270,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
     return metrics, grads
 
 
-def load_dataset_rows(csv_path, oracle_path=None, num_classes=None):
+def load_dataset_rows(csv_path, oracle_path=None, *, num_classes):
     """Row-by-row CSV reader: the reference for data.load_dataset.
 
     Each field goes through int() or float(); the first bad row raises
@@ -300,7 +309,7 @@ def load_dataset_rows(csv_path, oracle_path=None, num_classes=None):
                 raise DatasetFormatError(f"{csv_path}:{lineno}: unknown split {split!r}")
             if label < -1:
                 raise DatasetFormatError(f"{csv_path}:{lineno}: label must be >= -1")
-            if num_classes is not None and label >= num_classes:
+            if label >= num_classes:
                 raise DatasetFormatError(
                     f"{csv_path}:{lineno}: label {label} >= num_classes {num_classes}"
                 )
@@ -337,10 +346,10 @@ def load_dataset_rows(csv_path, oracle_path=None, num_classes=None):
         labeled=Split(tr_ids[lab], tr_x[lab], tr_y[lab]),
         unlabeled=Split(tr_ids[~lab], tr_x[~lab], tr_y[~lab]),
         test=Split(te_ids, te_x, te_y),
+        num_classes=num_classes,
     )
     if oracle_path is not None:
-        k = num_classes if num_classes is not None else dataset.num_classes
-        oracle = _oracle_label_rows(oracle_path, k)
+        oracle = _oracle_label_rows(oracle_path, num_classes)
         missing = [int(i) for i in dataset.unlabeled.ids if int(i) not in oracle]
         if missing:
             raise DatasetFormatError(
@@ -348,7 +357,7 @@ def load_dataset_rows(csv_path, oracle_path=None, num_classes=None):
             )
         truth = np.array([oracle[int(i)] for i in dataset.unlabeled.ids], dtype=np.int64)
         dataset.unlabeled_oracle_y = truth
-        dataset.true_unlabeled_counts = np.bincount(truth, minlength=k).astype(np.int64)
+        dataset.true_unlabeled_counts = np.bincount(truth, minlength=num_classes).astype(np.int64)
     return dataset
 
 

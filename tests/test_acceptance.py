@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from oracles import store
 
 from tailssl.cli import main as cli_main
 from tailssl.data import AugmentConfig, DatasetSpec, generate_dataset, longtail_counts
@@ -135,7 +136,7 @@ def test_criterion_1_formula_oracles():
         bank = MemoryBank(capacity, len(counts), 1.0, 1)
         for k, c in enumerate(counts):
             for _ in range(c):
-                bank.insert(feat, k)
+                store(bank, feat, k)
         return bank
 
     bank = filled(10, [4])
@@ -407,7 +408,7 @@ def test_criterion_5_composition_gating_isolation():
     base_state = init_state(iso_cfg, np.array([6, 2]))
     r = RNG(502)
     for i in range(8):
-        base_state.bank.insert(np.abs(r.normal(size=4)), i % 2)
+        store(base_state.bank, np.abs(r.normal(size=4)), i % 2)
     base_state.ledger.record_batch(700 + np.arange(8), np.arange(8) % 2)
     lab_x, lab_y = r.normal(size=(4, 3)), r.integers(0, 2, size=4)
     ids, unl_x = np.arange(4), r.normal(size=(4, 3))

@@ -9,9 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailssl.cli import main
+from tailssl.cli import REPORT_SCHEMA, main
 from tailssl.config import (
     RANGES,
+    RESOLVED_SCHEMA,
     RUN_SCHEMA,
     SECTIONS,
     SWEEP_SCHEMA,
@@ -74,7 +75,9 @@ def read(path):
 def test_generate_writes_consistent_files(workspace):
     tmp, cfg_path = workspace
     assert main(["generate", "--config", str(cfg_path)]) == 0
-    ds = load_dataset(tmp / "data" / "dataset.csv", tmp / "data" / "dataset.oracle.csv")
+    ds = load_dataset(
+        tmp / "data" / "dataset.csv", tmp / "data" / "dataset.oracle.csv", num_classes=3
+    )
     manifest = json.loads(read(tmp / "data" / "manifest.json"))
     n_rows = len(ds.labeled) + len(ds.unlabeled) + len(ds.test)
     assert manifest["rows"] == n_rows
@@ -499,7 +502,7 @@ def test_export_embeddings_shape_and_ids(workspace):
     assert header[:2] == ["id", "label"]
     assert len(header) == 2 + 4  # feature dim of the encoder output (hidden_sizes[-1])
     assert len(body) == 3 * 6  # test split size
-    ds = load_dataset(tmp / "data" / "dataset.csv")
+    ds = load_dataset(tmp / "data" / "dataset.csv", num_classes=3)
     assert sorted(int(r[0]) for r in body) == sorted(ds.test.ids.tolist())
 
 
@@ -542,14 +545,15 @@ NOT_JSON = "{x"
         pytest.param("train", "data/manifest.json", "[1, 2]",
                      ": not a tailssl dataset manifest (not an object)", id="train-manifest-list"),
         pytest.param("report", "run/report.json", "[]",
-                     ": not a tailssl report (missing 'name')", id="report-list"),
+                     ": report field <root>: [] is not of type 'object'", id="report-list"),
         pytest.param("report", "run/report.json", "{}",
-                     ": not a tailssl report (missing 'name')", id="report-empty-object"),
+                     ": report field <root>: 'name' is a required property",
+                     id="report-empty-object"),
         pytest.param("report", "run/config.resolved.json", '{"train": {}}',
-                     ": not a tailssl resolved config (missing 'train.beta')",
+                     ": resolved config field <root>: 'name' is a required property",
                      id="report-config-without-train-fields"),
         pytest.param("export-embeddings", "run/config.resolved.json", "{}",
-                     ": not a tailssl resolved config (missing 'data_dir')",
+                     ": resolved config field <root>: 'name' is a required property",
                      id="export-embeddings-empty-object"),
     ],
 )
@@ -566,6 +570,71 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged, 
     }[command]
     assert main([command, *argv]) == 2
     assert f"{damaged}{message}" in capsys.readouterr().err
+
+
+def _set_field(path, field, value):
+    """Rewrite the JSON file at path with the slash-separated field set to value."""
+    data = json.loads(read(path))
+    *parents, last = field.split("/")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "command, damaged, field, value, message",
+    [
+        pytest.param("report", "report.json", "final", [1],
+                     "report field final: [1] is not of type 'object', 'null'", id="report-final"),
+        pytest.param("report", "report.json", "dataset_hash", [1],
+                     "report field dataset_hash: [1] is not of type 'string'",
+                     id="report-dataset-hash"),
+        pytest.param("report", "report.json", "last20_mean/group_acc/few", "0.5",
+                     "report field last20_mean/group_acc/few: '0.5' is not of type 'number', "
+                     "'null'", id="report-group-acc"),
+        pytest.param("report", "config.resolved.json", "train/beta", None,
+                     "resolved config field train/beta: None is not of type 'number'",
+                     id="report-config-beta"),
+        pytest.param("export-embeddings", "config.resolved.json", "train/hidden_sizes", "4",
+                     "resolved config field train/hidden_sizes: '4' is not of type 'array'",
+                     id="export-embeddings-hidden-sizes"),
+        pytest.param("export-embeddings", "config.resolved.json", "data_dir_resolved", 0,
+                     "resolved config field data_dir_resolved: 0 is not of type 'string'",
+                     id="export-embeddings-data-dir"),
+    ],
+)
+def test_run_file_field_of_the_wrong_type_exits_2(
+    workspace, capsys, command, damaged, field, value, message
+):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    _set_field(tmp / "run" / damaged, field, value)
+    capsys.readouterr()
+    out = tmp / "out"
+    argv = {
+        "export-embeddings": ["--run", str(tmp / "run"), "--out", str(out)],
+        "report": ["--runs", str(tmp / "run"), "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert f"run/{damaged}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_file_without_a_resolved_key_exits_2(workspace, capsys):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    resolved_path = tmp / "run" / "config.resolved.json"
+    resolved = json.loads(read(resolved_path))
+    del resolved["train"]["alpha"]
+    resolved_path.write_text(json.dumps(resolved))
+    capsys.readouterr()
+    assert main(["report", "--runs", str(tmp / "run"), "--out", str(tmp / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert "config.resolved.json: resolved config field train: 'alpha' is a required property" in err
 
 
 @pytest.mark.parametrize("name", ["dataset.csv", "dataset.oracle.csv"])
@@ -700,7 +769,10 @@ def test_every_range_names_a_field_of_its_section(section):
         assert {**properties[name], **constraints} == properties[name], name
 
 
-@pytest.mark.parametrize("schema", [RUN_SCHEMA, SWEEP_SCHEMA], ids=["run", "sweep"])
+@pytest.mark.parametrize(
+    "schema", [RUN_SCHEMA, SWEEP_SCHEMA, RESOLVED_SCHEMA, REPORT_SCHEMA],
+    ids=["run", "sweep", "resolved", "report"],
+)
 def test_schemas_are_valid_draft_2020_12(schema):
     jsonschema.Draft202012Validator.check_schema(schema)
 

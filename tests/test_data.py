@@ -242,6 +242,7 @@ def edge_float_dataset():
         Split(np.array([7, 3]), x, np.array([1, 0])),
         Split(np.array([11]), x[:1] * -3.0, np.array([-1])),
         Split(np.array([0]), x[1:] / 7.0, np.array([2])),
+        num_classes=3,
         unlabeled_oracle_y=np.array([2]),
     )
 
@@ -267,7 +268,7 @@ def test_saved_dataset_bytes_are_pinned(tmp_path, name):
 def test_csv_header_only_gives_empty_sets(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("id,split,label,f_0,f_1\n")
-    ds = load_dataset(path)
+    ds = load_dataset(path, num_classes=2)
     assert len(ds.labeled) == 0 and len(ds.unlabeled) == 0 and len(ds.test) == 0
 
 
@@ -279,39 +280,48 @@ def test_csv_hand_written_fixture(tmp_path):
         "1,train,-1,2.0,3.5\n"
         "2,test,0,0.0,1.0\n"
     )
-    ds = load_dataset(path)
+    ds = load_dataset(path, num_classes=2)
     assert ds.labeled.ids.tolist() == [0] and ds.labeled.y.tolist() == [1]
     assert ds.labeled.x.tolist() == [[0.5, -1.25]]
     assert ds.unlabeled.ids.tolist() == [1]
     assert ds.test.ids.tolist() == [2] and ds.test.x.tolist() == [[0.0, 1.0]]
 
 
+def test_loaded_dataset_keeps_the_configured_class_count(tmp_path):
+    """K comes from the caller, never from the labels: no row of class 3 here."""
+    path = tmp_path / "k4.csv"
+    path.write_text("id,split,label,f_0\n0,train,0,1.0\n1,train,2,2.0\n2,test,1,0.5\n")
+    ds = load_dataset(path, num_classes=4)
+    assert ds.num_classes == 4
+    assert ds.labeled_class_counts().tolist() == [1, 0, 1, 0]
+
+
 def test_csv_malformed_row_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,split,label,f_0\n0,train,0,1.0\n1,train,zero,2.0\n")
     with pytest.raises(DatasetFormatError, match=":3:"):
-        load_dataset(path)
+        load_dataset(path, num_classes=2)
 
 
 def test_csv_dimension_mismatch_is_schema_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,split,label,f_0,f_1\n0,train,0,1.0\n")
     with pytest.raises(DatasetFormatError, match="expected 5 fields"):
-        load_dataset(path)
+        load_dataset(path, num_classes=2)
 
 
 def test_csv_unknown_split_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,split,label,f_0\n0,validation,0,1.0\n")
     with pytest.raises(DatasetFormatError, match="unknown split"):
-        load_dataset(path)
+        load_dataset(path, num_classes=2)
 
 
 def test_csv_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("id,split,label,f_0\n7,train,0,1.0\n7,test,0,2.0\n")
     with pytest.raises(DatasetFormatError, match="duplicate sample ids"):
-        load_dataset(path)
+        load_dataset(path, num_classes=2)
 
 
 def test_oracle_missing_unlabeled_id_rejected(tmp_path):
@@ -502,9 +512,9 @@ def test_csv_fault_is_located_like_the_reference(tmp_path, body, lineno):
     path = tmp_path / "bad.csv"
     path.write_text("id,split,label,f_0\n" + body)
     with pytest.raises(DatasetFormatError, match=f"bad.csv:{lineno}: "):
-        load_dataset(path)
+        load_dataset(path, num_classes=2)
     with pytest.raises(DatasetFormatError, match=f"bad.csv:{lineno}: "):
-        load_dataset_rows(path)
+        load_dataset_rows(path, num_classes=2)
 
 
 def test_header_only_files_load_without_warnings(tmp_path):
@@ -531,6 +541,6 @@ def test_csv_narrowed_syntax_is_rejected_at_its_line(tmp_path, body, lineno):
     path = tmp_path / "narrow.csv"
     path.write_text("id,split,label,f_0\n" + body)
     with pytest.raises(DatasetFormatError, match=f"narrow.csv:{lineno}: "):
-        load_dataset(path)
-    load_dataset_rows(path)
+        load_dataset(path, num_classes=2)
+    load_dataset_rows(path, num_classes=2)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enqueue_each
+from oracles import enqueue_each, store
 
 from tailssl.membank import (
     MemoryBank,
@@ -30,14 +30,14 @@ def filled_bank(counts, capacity=None, beta=1.0):
     tag = 0
     for k, c in enumerate(counts):
         for _ in range(c):
-            bank.insert(np.array([float(tag), 0.0]), k)
+            store(bank, np.array([float(tag), 0.0]), k)
             tag += 1
     return bank
 
 
 def class_tags(bank, k):
     """Insertion tags of class k, oldest first."""
-    return bank.features[bank.rows(k), 0].tolist()
+    return bank.features[bank._fifo[k], 0].tolist()
 
 
 def offer_one(bank, feature, label, rng):
@@ -107,12 +107,14 @@ def test_offer_into_an_empty_bank_never_evicts():
     assert rng.random() == twin.random()
 
 
-def test_insert_rejects_full_bank_and_bad_label():
-    bank = filled_bank([1, 1], capacity=2)
-    with pytest.raises(ValueError):
-        bank.insert(FEAT, 0)
-    with pytest.raises(ValueError):
-        MemoryBank(4, 2, 1.0, 2).insert(FEAT, 2)
+@pytest.mark.parametrize("label", [-1, 2])
+def test_offer_rejects_a_label_outside_the_classes(label):
+    """Before any draw: the bank and the generator are left as they were."""
+    bank, rng = filled_bank([1, 1], capacity=2), RNG(9)
+    before, state = bank_state(bank), rng.bit_generator.state
+    with pytest.raises(ValueError, match="out of range"):
+        bank.offer(np.zeros((2, 2)), np.array([0, label]), rng)
+    assert bank_state(bank) == before and rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def churned_bank(counts, seed):
     bank = filled_bank(counts, beta=1.0)
     rng = RNG(seed)
     for _ in range(sum(counts) // 2):
-        bank.insert(FEAT, int(bank.labels[evict(bank, rng)]))
+        store(bank, FEAT, int(bank.labels[evict(bank, rng)]))
     return bank
 
 
@@ -245,7 +247,7 @@ def test_get_matches_per_pick_reference_draws(counts, n):
     got = []
     for row in rows.tolist():
         k = int(bank.labels[row])
-        got.append((k, bank.rows(k).tolist().index(row)))
+        got.append((k, bank._fifo[k].index(row)))
     assert got == want
     assert fast.random() == slow.random()
 
@@ -321,7 +323,7 @@ def victim_probs(bank):
 def assert_victim_matches_reference(bank, fast, slow):
     """One eviction on `fast` against the reference draw on `slow`, a twin generator."""
     want = reference_victim(bank, slow)
-    want_slot = int(bank.rows(want)[0])
+    want_slot = int(bank._fifo[want][0])
     slot = evict(bank, fast)
     assert (int(bank.labels[slot]), slot) == (want, want_slot)
     return want
@@ -354,7 +356,7 @@ def test_victim_draws_equal_generator_choice(k, beta):
         fast, slow = generator_drawing(u, seed), generator_drawing(u, seed)
         victim = assert_victim_matches_reference(bank, fast, slow)
         assert fast.random() == slow.random()
-        bank.insert(FEAT, victim)  # back to the same counts
+        store(bank, FEAT, victim)  # back to the same counts
 
 
 @pytest.mark.parametrize(
@@ -378,7 +380,7 @@ def test_victim_fallback_draws_equal_generator_choice(counts, beta):
         fast, slow = generator_drawing(u, 5), generator_drawing(u, 5)
         victim = assert_victim_matches_reference(bank, fast, slow)
         assert fast.random() == slow.random()
-        bank.insert(FEAT, victim)
+        store(bank, FEAT, victim)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
@@ -416,7 +418,7 @@ def test_get_class_draws_equal_generator_choice(k, lam):
         rows = bank.get(estimated, 3, lam, fast)
         want = reference_get(bank, estimated, 3, lam, slow)
         labels = bank.labels[rows].tolist()
-        got = [(k, bank.rows(k).tolist().index(r)) for k, r in zip(labels, rows.tolist())]
+        got = [(k, bank._fifo[k].index(r)) for k, r in zip(labels, rows.tolist())]
         assert got == want
         assert fast.random() == slow.random()
 
@@ -463,7 +465,7 @@ def test_offer_equals_enqueue_each_draw_for_draw(beta, start):
     bank = MemoryBank(24, 5, beta, 3)
     if start == "full":
         for i in range(24):
-            bank.insert(data.normal(size=3), int(data.integers(5)))
+            store(bank, data.normal(size=3), int(data.integers(5)))
     twin = copy.deepcopy(bank)
     fast, slow = RNG(77), RNG(77)
     total_accepted = 0
@@ -543,7 +545,7 @@ def test_offer_victims_at_every_cdf_edge_equal_enqueue_each(beta, monkeypatch):
         assert enqueue_each(twin, np.ones((1, 2)), np.array([4]), slow) == 1
         assert fast.bit_generator.state == slow.bit_generator.state
         assert bank_state(bank) == bank_state(twin)
-        assert bank.evictions == 1 and len(bank.rows(4)) == 1
+        assert bank.evictions == 1 and len(bank._fifo[4]) == 1
         if u in edges:
             assert len(exact) - before == 1
     assert len(edges) >= 8
@@ -596,11 +598,11 @@ def test_counts_match_brute_force_recount_after_op_sequence():
             bank.get(np.maximum(rng.integers(1, 50, size=6), 1), 5, 1.0, rng)
         recount = np.zeros(6, dtype=int)
         for k in range(6):
-            rows = bank.rows(k)
+            rows = bank._fifo[k]
             assert np.all(bank.labels[rows] == k)
             recount[k] = len(rows)
         assert np.array_equal(bank.counts(), recount)
-        stored = np.concatenate([bank.rows(k) for k in range(6)])
+        stored = np.concatenate([bank._fifo[k] for k in range(6)])
         assert len(np.unique(stored)) == len(stored) == len(bank)  # no slot held twice
 
 

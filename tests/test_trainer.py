@@ -17,6 +17,7 @@ from oracles import (
     ratio_weight,
     record_each,
     step_per_term,
+    store,
 )
 
 from tailssl.data import (
@@ -115,7 +116,7 @@ def test_micro_step_matches_straight_line_recomputation():
     # pre-populate memory and ledger so the memory loss is active
     rng = np.random.default_rng(9)
     for i in range(6):
-        state.bank.insert(np.abs(rng.normal(size=4)), i % 2)
+        store(state.bank, np.abs(rng.normal(size=4)), i % 2)
     state.ledger.record_batch(500 + np.arange(6), np.arange(6) % 2)
 
     params = state.params.copy()
@@ -235,7 +236,7 @@ def test_below_threshold_samples_touch_nothing():
     assert m.mask_rate == 0.5
     assert set(state.ledger.latest) == {10, 11}  # 12, 13 never recorded
     assert len(state.bank) == 2
-    stored_feats = [state.bank.features[r] for k in range(2) for r in state.bank.rows(k)]
+    stored_feats = [state.bank.features[r] for k in range(2) for r in state.bank._fifo[k]]
     for f in stored_feats:  # only the confident rows' features are cached
         assert f.max() == pytest.approx(3.0, abs=1e-12) or f.max() == 0.0
 
@@ -305,7 +306,7 @@ def test_step_bookkeeping_equals_per_record_loop(memory_content, beta, start):
     if start == "full":
         rng = np.random.default_rng(17)
         for i in range(6):
-            state.bank.insert(rng.normal(size=4), i % 2)
+            store(state.bank, rng.normal(size=4), i % 2)
     unl_ids = np.array([100, 101, 100, 102, 101, 100, 103, 104])
     for seed in range(4):
         lab_x, lab_y, _, unl_x = micro_batches(seed=20 + seed, b=8)
@@ -370,7 +371,7 @@ def test_memory_loss_gradients_reach_only_aux_head():
     state = make_state(cfg)
     rng = np.random.default_rng(11)
     for i in range(8):
-        state.bank.insert(np.abs(rng.normal(size=4)), i % 2)
+        store(state.bank, np.abs(rng.normal(size=4)), i % 2)
     state.ledger.record_batch(900 + np.arange(8), np.arange(8) % 2)
     lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=12)
 
@@ -578,11 +579,12 @@ def test_fit_requires_labeled_data_and_unlabeled_for_ssl_modes():
     ds = tiny_dataset()
     empty = Split(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
-        fit(Dataset(empty, ds.unlabeled, ds.test), tiny_fit_cfg())
+        fit(Dataset(empty, ds.unlabeled, ds.test, ds.num_classes), tiny_fit_cfg())
     with pytest.raises(ValueError):
-        fit(Dataset(ds.labeled, empty, ds.test), tiny_fit_cfg())
+        fit(Dataset(ds.labeled, empty, ds.test, ds.num_classes), tiny_fit_cfg())
     # vanilla mode trains happily without unlabeled data
-    state, log = fit(Dataset(ds.labeled, empty, ds.test), tiny_fit_cfg(mode="vanilla", epochs=1))
+    no_unlabeled = Dataset(ds.labeled, empty, ds.test, ds.num_classes)
+    state, log = fit(no_unlabeled, tiny_fit_cfg(mode="vanilla", epochs=1))
     assert len(log) == 1
 
 
@@ -592,7 +594,7 @@ def test_fit_counts_labeled_classes_over_the_configured_classes(tmp_path):
     csv_path = tmp_path / "dataset.csv"
     save_dataset(tiny_dataset(), csv_path)
     ds = load_dataset(csv_path, num_classes=4)
-    assert ds.labeled_class_counts().tolist() == [20, 10, 5]
+    assert ds.labeled_class_counts().tolist() == [20, 10, 5, 0]
     state, log = fit(ds, tiny_fit_cfg(num_classes=4, epochs=1))
     assert state.labeled_class_counts.tolist() == [20, 10, 5, 1]
     assert len(log[0]["per_class_recall"]) == 4
@@ -755,7 +757,7 @@ def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
         monkeypatch.setattr(trainer_module, name, counted(name, getattr(trainer_module, name)))
     state = make_state(micro_cfg(tau=0.01))
     for i in range(8):
-        state.bank.insert(np.ones(4), i % 2)
+        store(state.bank, np.ones(4), i % 2)
     metrics, _ = compute_step(state, *micro_batches(seed=13))
     assert metrics.loss_mem > 0.0
     # CE: the stacked labeled/strong-view call and the memory term; weights:
