@@ -100,6 +100,23 @@ def _resolve_data_dir(cfg: dict, config_path: str) -> str:
     return data_dir
 
 
+_COUNTS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+
+# The manifest.json that cmd_generate writes last, once the dataset files are complete.
+MANIFEST_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["dataset", "labeled_counts", "true_unlabeled_counts", "rows", "dataset_sha256"],
+    "properties": {
+        "dataset": cfgmod.RESOLVED_SCHEMA["properties"]["dataset"],
+        "labeled_counts": _COUNTS,
+        "true_unlabeled_counts": _COUNTS,
+        "rows": {"type": "integer", "minimum": 0},
+        "dataset_sha256": {"type": "string"},
+    },
+}
+
+
 def cmd_generate(args) -> int:
     cfg = cfgmod.load_run_config(args.config)
     out_dir = args.out or _resolve_data_dir(cfg, args.config)
@@ -131,12 +148,18 @@ def _load_configured_dataset(cfg: dict, config_path: str):
     for key in ("csv", "manifest"):
         if not os.path.exists(paths[key]):
             raise ConfigError(f"dataset file missing: {paths[key]} (run `tailssl generate` first)")
-    # generate writes the manifest last, so a manifest that parses marks a finished dataset
-    manifest = cfgmod.read_json(paths["manifest"], f"cannot read {paths['manifest']}")
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{paths['manifest']}: not a tailssl dataset manifest (not an object)")
+    # generate writes the manifest last, so a manifest that checks marks a finished dataset
+    _read_run_file(
+        paths["manifest"], MANIFEST_SCHEMA, "dataset manifest", f"cannot read {paths['manifest']}"
+    )
     oracle = paths["oracle"] if os.path.exists(paths["oracle"]) else None
     ds = load_dataset(paths["csv"], oracle, num_classes=cfg["dataset"]["num_classes"])
+    d = ds.test.x.shape[1]
+    if d != cfg["dataset"]["feature_dim"]:
+        raise ConfigError(
+            f"{paths['csv']}: {d} feature columns, the config has feature_dim "
+            f"{cfg['dataset']['feature_dim']}"
+        )
     return ds, sha256_file(paths["csv"])
 
 
@@ -297,7 +320,10 @@ def load_model(path, hidden_sizes, input_dim, num_classes) -> tuple[ModelParams,
             if isinstance(loaded, np.ndarray):
                 raise ValueError("a single .npy array, not an .npz archive")
             arrays = {key: loaded[key] for key in loaded.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+    # zipfile raises RuntimeError for an entry flagged encrypted, NotImplementedError
+    # for an unknown compression method
+    except (OSError, EOFError, ValueError, RuntimeError, NotImplementedError,
+            zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a saved model ({exc})") from None
     for key, view in views.items():
         array = arrays.get(key)
@@ -418,9 +444,10 @@ def _read_bank_snapshots(path: str) -> list[dict]:
         try:
             reader = csv.DictReader(fh)
             rows = list(reader)
+            header = reader.fieldnames or ()  # read while open: an empty file has none yet
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    missing = [key for key in ("epoch", "class", "count") if key not in (reader.fieldnames or ())]
+    missing = [key for key in ("epoch", "class", "count") if key not in header]
     if missing:
         raise ConfigError(f"{path}: not a tailssl bank snapshot (missing column '{missing[0]}')")
     return rows

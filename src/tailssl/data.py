@@ -253,7 +253,8 @@ def load_dataset(csv_path, oracle_path=None, *, num_classes: int) -> Dataset:
             f"expected {d + 3} fields, got {{}}",
         )
     ids = rows["id"]
-    if len(np.unique(ids)) != len(ids):
+    sorted_ids = np.sort(ids)  # np.unique would load numpy.ma to ask if ids is masked
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise DatasetFormatError(f"{csv_path}: duplicate sample ids")
     split, label = rows["split"], rows["label"]
     train = split == "train"

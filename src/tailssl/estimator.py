@@ -1,7 +1,7 @@
 """Online estimate of the unlabeled class distribution from confident pseudo labels.
 
-Each sample id keeps only its latest confident label; the per-class counts are
-the histogram of those latest labels, so the estimate tracks a distribution
+Each unlabeled row keeps only its latest confident label; the per-class counts
+are the histogram of those latest labels, so the estimate tracks a distribution
 over the dataset rather than over time.
 """
 
@@ -9,36 +9,39 @@ import numpy as np
 
 
 class PseudoLabelLedger:
-    """Exclusive-access map sample id -> latest label, with incremental counts."""
+    """Latest label per unlabeled row (-1 = none yet), with its per-class histogram."""
 
-    def __init__(self, num_classes: int):
+    def __init__(self, num_classes: int, num_rows: int):
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         self.num_classes = num_classes
-        self.latest: dict[int, int] = {}
+        self.latest = np.full(num_rows, -1, dtype=np.int64)
         self.counts = np.zeros(num_classes, dtype=np.int64)
 
-    def record_batch(self, sample_ids: np.ndarray, labels: np.ndarray) -> None:
-        """Record labels[i] for sample_ids[i]; a repeated id keeps its last label.
+    def record_batch(self, positions: np.ndarray, labels: np.ndarray) -> None:
+        """Record labels[i] for row positions[i]; a repeated position keeps its last label.
 
-        The counts move once per distinct id, to the same values as recording
-        the pairs one at a time.
+        The counts move once per distinct position, to the same values as
+        recording the pairs one at a time. Bad input raises ValueError and
+        leaves the ledger unchanged.
         """
-        if len(sample_ids) != len(labels):
-            raise ValueError("sample_ids and labels must have the same length")
-        if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
+        if len(positions) != len(labels):
+            raise ValueError("positions and labels must have the same length")
+        if not len(labels):
+            return
+        if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError(f"label out of range for {self.num_classes} classes")
-        new = dict(zip(sample_ids.tolist(), labels.tolist()))
-        latest = self.latest
-        old = [latest[i] for i in new if i in latest]
-        latest.update(new)
+        if positions.min() < 0 or positions.max() >= len(self.latest):
+            raise ValueError(f"position outside [0, {len(self.latest)})")
+        # the first hit in reverse order is each position's last occurrence
+        rows, last = np.unique(positions[::-1], return_index=True)
+        new = labels[::-1][last]
+        old = self.latest[rows]
+        self.latest[rows] = new
         k = self.num_classes
-        self.counts += np.bincount(list(new.values()), minlength=k)
-        self.counts -= np.bincount(old, minlength=k)
+        self.counts += np.bincount(new, minlength=k)
+        self.counts -= np.bincount(old[old >= 0], minlength=k)
 
     def estimated_counts(self) -> np.ndarray:
         """Counts clamped from below at 1, so downstream reciprocal weights stay finite."""
         return np.maximum(self.counts, 1)
-
-    def total(self) -> int:
-        return len(self.latest)

@@ -160,7 +160,10 @@ class TrainState:
     step: int = 0
 
 
-def init_state(cfg: TrainConfig, labeled_class_counts: np.ndarray) -> TrainState:
+def init_state(
+    cfg: TrainConfig, labeled_class_counts: np.ndarray, num_unlabeled: int
+) -> TrainState:
+    """Fresh parameters, optimizer, bank and a ledger over num_unlabeled rows."""
     init_rng, batch_rng, augment_rng, bank_rng = spawn_rngs(cfg.seed, 4)
     params = init_params(cfg.input_dim, cfg.hidden_sizes, cfg.num_classes, init_rng)
     return TrainState(
@@ -171,7 +174,7 @@ def init_state(cfg: TrainConfig, labeled_class_counts: np.ndarray) -> TrainState
         bank=MemoryBank(
             max(cfg.memory_capacity, 1), cfg.num_classes, cfg.beta, cfg.hidden_sizes[-1]
         ),
-        ledger=PseudoLabelLedger(cfg.num_classes),
+        ledger=PseudoLabelLedger(cfg.num_classes, num_unlabeled),
         labeled_class_counts=np.maximum(np.asarray(labeled_class_counts, dtype=np.int64), 1),
         rngs=RngStreams(batch_rng, augment_rng, bank_rng),
         grads=zeros_like_params(params),
@@ -182,7 +185,7 @@ def compute_step(
     state: TrainState,
     labeled_x: np.ndarray,
     labeled_y: np.ndarray,
-    unlabeled_ids: np.ndarray,
+    unlabeled_pos: np.ndarray,
     unlabeled_x: np.ndarray,
 ) -> tuple[StepMetrics, ModelParams]:
     """Forward/backward for one step: returns metrics and the total-loss gradient.
@@ -202,8 +205,8 @@ def compute_step(
         raise ValueError("labeled batch size must equal cfg.batch_size")
     if labeled_y.min() < 0 or labeled_y.max() >= cfg.num_classes:
         raise ValueError(f"labeled_y outside [0, {cfg.num_classes})")
-    if use_unsup and (len(unlabeled_x) != b or len(unlabeled_ids) != b):
-        raise ValueError("unlabeled batch size (ids and rows) must equal cfg.batch_size")
+    if use_unsup and (len(unlabeled_x) != b or len(unlabeled_pos) != b):
+        raise ValueError("unlabeled batch size (positions and rows) must equal cfg.batch_size")
     grads = state.grads
     grads.flat.fill(0.0)
     n_heads = 2 if use_aux else 1  # vanilla and fixmatch train the base head alone
@@ -269,7 +272,7 @@ def compute_step(
         feats_us, feats_uw = feats[1], feats[2]
         confident = np.flatnonzero(mask)
         labels = qhat_a[confident]
-        state.ledger.record_batch(unlabeled_ids[confident], labels)
+        state.ledger.record_batch(unlabeled_pos[confident], labels)
         if cfg.memory_content == "both":
             offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
             offered = offered.reshape(-1, feats_us.shape[1])
@@ -331,11 +334,11 @@ def train_step(
     state: TrainState,
     labeled_x: np.ndarray,
     labeled_y: np.ndarray,
-    unlabeled_ids: np.ndarray,
+    unlabeled_pos: np.ndarray,
     unlabeled_x: np.ndarray,
 ) -> StepMetrics:
     """One full optimization step: losses, gradients, Adam update, EMA update."""
-    metrics, grads = compute_step(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x)
+    metrics, grads = compute_step(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x)
     try:
         adam_step(state.params, grads, state.adam, state.cfg.lr)
     except TrainingDivergedError as exc:
@@ -373,7 +376,7 @@ def fit(
     if len(data.labeled) == 0:
         raise ValueError("labeled split must be non-empty")
     counts = np.bincount(data.labeled.y, minlength=cfg.num_classes)
-    state = init_state(cfg, counts)
+    state = init_state(cfg, counts, len(data.unlabeled))
     if cfg.shot_many_min is not None:
         thresholds = (cfg.shot_many_min, cfg.shot_few_max)
     else:
@@ -394,11 +397,11 @@ def fit(
             li = state.rngs.batch.integers(0, n_lab, size=cfg.batch_size)
             if needs_unlabeled:
                 ui = state.rngs.batch.integers(0, n_unl, size=cfg.batch_size)
-                u_ids, u_x = data.unlabeled.ids[ui], data.unlabeled.x[ui]
+                u_x = data.unlabeled.x[ui]
             else:
-                u_ids = np.zeros(0, dtype=np.int64)
+                ui = np.zeros(0, dtype=np.int64)
                 u_x = np.zeros((0, cfg.input_dim))
-            m = train_step(state, data.labeled.x[li], data.labeled.y[li], u_ids, u_x)
+            m = train_step(state, data.labeled.x[li], data.labeled.y[li], ui, u_x)
             mask_rates.append(m.mask_rate)
             loss_totals.append(m.loss_total)
             accept_rates.append(m.enqueue_accept_rate)
@@ -422,7 +425,7 @@ def fit(
             "bank_counts": state.bank.counts().tolist(),
             "estimated_counts": state.ledger.estimated_counts().tolist(),
         }
-        if data.true_unlabeled_counts is not None and state.ledger.total() > 0:
+        if data.true_unlabeled_counts is not None and state.ledger.counts.any():
             record["estimation_error"] = estimation_error(
                 data.true_unlabeled_counts, state.ledger.estimated_counts()
             )

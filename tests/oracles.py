@@ -121,18 +121,18 @@ def enqueue_each(bank, features, labels, rng):
     return accepted
 
 
-def record_each(latest, counts, ids, labels):
+def record_each(latest, counts, positions, labels):
     """Per-record ledger writes: the reference for PseudoLabelLedger.record_batch.
 
-    `latest` maps id -> label and `counts` is the histogram of its values;
-    both are updated in place, one (id, label) pair at a time.
+    `latest` holds each row's label (-1 = none) and `counts` the histogram of
+    its labels; both are updated in place, one (position, label) pair at a time.
     """
-    for sid, label in zip(ids, labels):
-        sid, label = int(sid), int(label)
-        if sid in latest:
-            counts[latest[sid]] -= 1
+    for pos, label in zip(positions, labels):
+        pos, label = int(pos), int(label)
+        if latest[pos] >= 0:
+            counts[latest[pos]] -= 1
         counts[label] += 1
-        latest[sid] = label
+        latest[pos] = label
 
 
 def _ce(logits, targets, weights, mask, divisor):
@@ -175,7 +175,7 @@ def _encode_backward(params, cache, dfeatures, grads):
             d = dz @ params.encoder_layers[i].w.T
 
 
-def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
+def step_per_term(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x):
     """One training step with one encoder pass per view and one CE per head
     term: the reference for trainer.compute_step, bit for bit.
 
@@ -240,7 +240,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_ids, unlabeled_x):
         if use_aux:
             confident = np.flatnonzero(mask)
             labels = qhat_a[confident]
-            state.ledger.record_batch(unlabeled_ids[confident], labels)
+            state.ledger.record_batch(unlabeled_pos[confident], labels)
             if cfg.memory_content == "both":
                 offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
                 offered = offered.reshape(-1, feats_us.shape[1])

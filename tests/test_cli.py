@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailssl.cli import REPORT_SCHEMA, main
+from tailssl.cli import MANIFEST_SCHEMA, REPORT_SCHEMA, main
 from tailssl.config import (
     RANGES,
     RESOLVED_SCHEMA,
@@ -543,7 +543,8 @@ NOT_JSON = "{x"
         pytest.param("train", "data/manifest.json", NOT_JSON, " is not valid JSON",
                      id="train-data/manifest.json"),
         pytest.param("train", "data/manifest.json", "[1, 2]",
-                     ": not a tailssl dataset manifest (not an object)", id="train-manifest-list"),
+                     ": dataset manifest field <root>: [1, 2] is not of type 'object'",
+                     id="train-manifest-list"),
         pytest.param("report", "run/report.json", "[]",
                      ": report field <root>: [] is not of type 'object'", id="report-list"),
         pytest.param("report", "run/report.json", "{}",
@@ -586,23 +587,35 @@ def _set_field(path, field, value):
 @pytest.mark.parametrize(
     "command, damaged, field, value, message",
     [
-        pytest.param("report", "report.json", "final", [1],
+        pytest.param("report", "run/report.json", "final", [1],
                      "report field final: [1] is not of type 'object', 'null'", id="report-final"),
-        pytest.param("report", "report.json", "dataset_hash", [1],
+        pytest.param("report", "run/report.json", "dataset_hash", [1],
                      "report field dataset_hash: [1] is not of type 'string'",
                      id="report-dataset-hash"),
-        pytest.param("report", "report.json", "last20_mean/group_acc/few", "0.5",
+        pytest.param("report", "run/report.json", "last20_mean/group_acc/few", "0.5",
                      "report field last20_mean/group_acc/few: '0.5' is not of type 'number', "
                      "'null'", id="report-group-acc"),
-        pytest.param("report", "config.resolved.json", "train/beta", None,
+        pytest.param("report", "run/config.resolved.json", "train/beta", None,
                      "resolved config field train/beta: None is not of type 'number'",
                      id="report-config-beta"),
-        pytest.param("export-embeddings", "config.resolved.json", "train/hidden_sizes", "4",
+        pytest.param("export-embeddings", "run/config.resolved.json", "train/hidden_sizes", "4",
                      "resolved config field train/hidden_sizes: '4' is not of type 'array'",
                      id="export-embeddings-hidden-sizes"),
-        pytest.param("export-embeddings", "config.resolved.json", "data_dir_resolved", 0,
+        pytest.param("export-embeddings", "run/config.resolved.json", "data_dir_resolved", 0,
                      "resolved config field data_dir_resolved: 0 is not of type 'string'",
                      id="export-embeddings-data-dir"),
+        pytest.param("train", "data/manifest.json", "rows", "12",
+                     "dataset manifest field rows: '12' is not of type 'integer'",
+                     id="train-manifest-rows"),
+        pytest.param("train", "data/manifest.json", "labeled_counts", [1.5],
+                     "dataset manifest field labeled_counts/0: 1.5 is not of type 'integer'",
+                     id="train-manifest-labeled-counts"),
+        pytest.param("export-embeddings", "data/manifest.json", "dataset/num_classes", None,
+                     "dataset manifest field dataset/num_classes: None is not of type 'integer'",
+                     id="export-embeddings-manifest-num-classes"),
+        pytest.param("export-embeddings", "data/manifest.json", "dataset_sha256", 7,
+                     "dataset manifest field dataset_sha256: 7 is not of type 'string'",
+                     id="export-embeddings-manifest-sha256"),
     ],
 )
 def test_run_file_field_of_the_wrong_type_exits_2(
@@ -611,15 +624,16 @@ def test_run_file_field_of_the_wrong_type_exits_2(
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
     main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
-    _set_field(tmp / "run" / damaged, field, value)
+    _set_field(tmp / damaged, field, value)
     capsys.readouterr()
     out = tmp / "out"
     argv = {
         "export-embeddings": ["--run", str(tmp / "run"), "--out", str(out)],
         "report": ["--runs", str(tmp / "run"), "--out", str(out)],
+        "train": ["--config", str(cfg_path), "--out", str(out)],
     }[command]
     assert main([command, *argv]) == 2
-    assert f"run/{damaged}: {message}" in capsys.readouterr().err
+    assert f"{damaged}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -635,6 +649,25 @@ def test_run_file_without_a_resolved_key_exits_2(workspace, capsys):
     assert main(["report", "--runs", str(tmp / "run"), "--out", str(tmp / "rep")]) == 2
     err = capsys.readouterr().err
     assert "config.resolved.json: resolved config field train: 'alpha' is a required property" in err
+
+
+@pytest.mark.parametrize("command", ["train", "export-embeddings"])
+def test_dataset_feature_columns_unlike_the_config_exit_2(workspace, capsys, command):
+    """A dataset CSV with a feature column dropped no longer fits feature_dim 4."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    dataset = tmp / "data" / "dataset.csv"
+    dataset.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in read(dataset).splitlines()))
+    capsys.readouterr()
+    out = tmp / "out"
+    argv = {
+        "train": ["--config", str(cfg_path), "--out", str(out)],
+        "export-embeddings": ["--run", str(tmp / "run"), "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert "dataset.csv: 3 feature columns, the config has feature_dim 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["dataset.csv", "dataset.oracle.csv"])
@@ -655,6 +688,8 @@ def test_train_non_utf8_dataset_file_exits_2(workspace, capsys, name):
         pytest.param("drop-epoch", ": not a tailssl bank snapshot (missing column 'epoch')",
                      id="drop-epoch"),
         pytest.param("non-utf8", ": not UTF-8 text (", id="non-utf8"),
+        pytest.param("empty", ": not a tailssl bank snapshot (missing column 'epoch')",
+                     id="empty"),
     ],
 )
 def test_report_damaged_bank_snapshots_exits_2_before_writing(workspace, capsys, damage, message):
@@ -665,6 +700,8 @@ def test_report_damaged_bank_snapshots_exits_2_before_writing(workspace, capsys,
     if damage == "drop-epoch":
         lines = read(snapshots).splitlines(keepends=True)
         snapshots.write_text("".join(line.split(",", 1)[1] for line in lines))
+    elif damage == "empty":
+        snapshots.write_text("")
     else:
         with open(snapshots, "ab") as fh:
             fh.write(b"0,\xff,1\n")
@@ -700,7 +737,9 @@ def test_out_path_of_the_wrong_kind_exits_2(workspace, capsys, command):
     assert str(out) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated", "npy-array", "empty"])
+@pytest.mark.parametrize(
+    "damage", ["garbage", "truncated", "npy-array", "empty", "encrypted", "unknown-compression"]
+)
 def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
@@ -712,6 +751,15 @@ def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
         model.write_bytes(model.read_bytes()[:300])
     elif damage == "empty":
         model.write_bytes(b"")
+    elif damage in ("encrypted", "unknown-compression"):
+        # the first central directory entry: its flag bits at +8, its method at +10
+        data = bytearray(model.read_bytes())
+        entry = data.index(b"PK\x01\x02")
+        if damage == "encrypted":
+            data[entry + 8] |= 1  # zipfile: RuntimeError, password required
+        else:
+            data[entry + 10] = 1  # shrunk; zipfile: NotImplementedError
+        model.write_bytes(bytes(data))
     else:
         with open(model, "wb") as f:  # np.save on a path would append .npy
             np.save(f, np.zeros(3))
@@ -770,8 +818,8 @@ def test_every_range_names_a_field_of_its_section(section):
 
 
 @pytest.mark.parametrize(
-    "schema", [RUN_SCHEMA, SWEEP_SCHEMA, RESOLVED_SCHEMA, REPORT_SCHEMA],
-    ids=["run", "sweep", "resolved", "report"],
+    "schema", [RUN_SCHEMA, SWEEP_SCHEMA, RESOLVED_SCHEMA, REPORT_SCHEMA, MANIFEST_SCHEMA],
+    ids=["run", "sweep", "resolved", "report", "manifest"],
 )
 def test_schemas_are_valid_draft_2020_12(schema):
     jsonschema.Draft202012Validator.check_schema(schema)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tailssl
-from tailssl.cli import REPORT_SCHEMA
+from tailssl.cli import MANIFEST_SCHEMA, REPORT_SCHEMA
 from tailssl.config import (
     KEYWORDS,
     RESOLVED_SCHEMA,
@@ -24,7 +24,8 @@ from tailssl.config import (
 )
 from tailssl.errors import ConfigError
 
-SCHEMAS = {"run": RUN_SCHEMA, "sweep": SWEEP_SCHEMA, "resolved": RESOLVED_SCHEMA, "report": REPORT_SCHEMA}
+SCHEMAS = {"run": RUN_SCHEMA, "sweep": SWEEP_SCHEMA, "resolved": RESOLVED_SCHEMA,
+           "report": REPORT_SCHEMA, "manifest": MANIFEST_SCHEMA}
 VALIDATORS = {name: jsonschema.Draft202012Validator(s) for name, s in SCHEMAS.items()}
 
 
@@ -54,11 +55,44 @@ def test_checker_raises_on_a_keyword_it_does_not_implement(schema):
         check("a", schema, "config")
 
 
-def test_importing_the_package_does_not_import_jsonschema():
+def run_python(code, cwd=None):
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = Path(tailssl.__file__).resolve().parent.parent
-    code = "import sys, tailssl, tailssl.config, tailssl.cli; assert 'jsonschema' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+    )
+
+
+def test_importing_the_package_does_not_import_jsonschema():
+    code = "import sys, tailssl, tailssl.config, tailssl.cli; assert 'jsonschema' not in sys.modules"
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+# generate, save, load with an oracle, a bmb fit past warmup, and its report
+PIPELINE = """
+import sys
+from tailssl.cli import build_report
+from tailssl.data import DatasetSpec, generate_dataset, load_dataset, save_dataset
+from tailssl.trainer import TrainConfig, fit
+
+spec = DatasetSpec(num_classes=3, feature_dim=4, n1=20, m1=30, gamma_l=4, gamma_u=4,
+                   test_per_class=6)
+save_dataset(generate_dataset(spec), "ds.csv", "ds.oracle.csv")
+ds = load_dataset("ds.csv", "ds.oracle.csv", num_classes=3)
+cfg = TrainConfig(num_classes=3, input_dim=4, hidden_sizes=(8, 4), batch_size=8,
+                  memory_capacity=16, warmup_epochs=1, epochs=2, iters_per_epoch=5, tau=0.1)
+state, log = fit(ds, cfg)
+assert state.ledger.counts.sum() > 0
+build_report("tiny", 0, "c", "d", cfg.mode, log)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs about 1.3 MB of resident memory and no step needs it."""
+    result = run_python(PIPELINE, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
 
 

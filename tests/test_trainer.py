@@ -69,13 +69,17 @@ def micro_batches(seed=0, b=4, d=3):
     rng = np.random.default_rng(seed)
     lab_x = rng.normal(size=(b, d))
     lab_y = rng.integers(0, 2, size=b)
-    unl_ids = np.arange(100, 100 + b)
+    unl_pos = np.arange(100, 100 + b)
     unl_x = rng.normal(size=(b, d))
-    return lab_x, lab_y, unl_ids, unl_x
+    return lab_x, lab_y, unl_pos, unl_x
+
+
+# unlabeled rows of the states below; every position the tests pass is under it
+NUM_UNLABELED = 1000
 
 
 def make_state(cfg, labeled_counts=(6, 2)):
-    return init_state(cfg, np.array(labeled_counts))
+    return init_state(cfg, np.array(labeled_counts), NUM_UNLABELED)
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +90,21 @@ def make_state(cfg, labeled_counts=(6, 2)):
 def test_degenerate_weights_reduce_to_two_headed_supervised_ce():
     cfg = micro_cfg(lambda_u=0.0, lambda_m=0.0, alpha=0.0)
     state = make_state(cfg)
-    lab_x, lab_y, unl_ids, unl_x = micro_batches()
-    m = train_step(state, lab_x, lab_y, unl_ids, unl_x)
+    lab_x, lab_y, unl_pos, unl_x = micro_batches()
+    m = train_step(state, lab_x, lab_y, unl_pos, unl_x)
     assert m.loss_total == pytest.approx(m.loss_s_b + m.loss_s_a, abs=1e-12)
 
 
 def test_warmup_epoch_drops_unsupervised_terms_and_freezes_bank():
     cfg = micro_cfg(warmup_epochs=2)
     state = make_state(cfg)
-    lab_x, lab_y, unl_ids, unl_x = micro_batches()
+    lab_x, lab_y, unl_pos, unl_x = micro_batches()
     for _ in range(3):
-        m = train_step(state, lab_x, lab_y, unl_ids, unl_x)
+        m = train_step(state, lab_x, lab_y, unl_pos, unl_x)
         assert m.loss_u_b == m.loss_u_a == m.loss_mem == 0.0
         assert m.mask_rate == 0.0
     assert len(state.bank) == 0
-    assert state.ledger.total() == 0
+    assert state.ledger.counts.sum() == 0
 
 
 def test_micro_step_matches_straight_line_recomputation():
@@ -111,7 +115,7 @@ def test_micro_step_matches_straight_line_recomputation():
     """
     cfg = micro_cfg(lambda_u=0.7, lambda_m=0.9, alpha=1.5, lambda_sampling=1.0, tau=0.55)
     state = make_state(cfg, labeled_counts=(6, 2))
-    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=3)
+    lab_x, lab_y, unl_pos, unl_x = micro_batches(seed=3)
 
     # pre-populate memory and ledger so the memory loss is active
     rng = np.random.default_rng(9)
@@ -124,7 +128,7 @@ def test_micro_step_matches_straight_line_recomputation():
     oracle_ledger = copy.deepcopy(state.ledger)
     bank_rng_state = state.rngs.bank.bit_generator.state
 
-    metrics = train_step(state, lab_x, lab_y, unl_ids, unl_x)
+    metrics = train_step(state, lab_x, lab_y, unl_pos, unl_x)
 
     # ---- straight-line recomputation ----
     b = cfg.batch_size
@@ -160,8 +164,8 @@ def test_micro_step_matches_straight_line_recomputation():
     replay_rng.bit_generator.state = bank_rng_state
     for j in range(b):
         if mask[j]:
-            ids, labels = unl_ids[j:j + 1], qhat_a[j:j + 1]
-            record_each(oracle_ledger.latest, oracle_ledger.counts, ids, labels)
+            positions, labels = unl_pos[j:j + 1], qhat_a[j:j + 1]
+            record_each(oracle_ledger.latest, oracle_ledger.counts, positions, labels)
             enqueue_each(oracle_bank, feats_u[j:j + 1], labels, replay_rng)
     n_mem = int(np.floor(cfg.get_fraction * b + 0.5))
     rows = oracle_bank.get(
@@ -196,8 +200,8 @@ def test_loss_total_recomposes_every_step(seed):
         lab_x = rng.normal(size=(4, 3))
         lab_y = rng.integers(0, 2, size=4)
         unl_x = rng.normal(size=(4, 3))
-        ids = rng.integers(0, 50, size=4)
-        m = train_step(state, lab_x, lab_y, ids, unl_x)
+        positions = rng.integers(0, 50, size=4)
+        m = train_step(state, lab_x, lab_y, positions, unl_x)
         want = (
             m.loss_s_b + cfg.lambda_u * m.loss_u_b + m.loss_s_a
             + cfg.lambda_u * m.loss_u_a + cfg.lambda_m * m.loss_mem
@@ -229,12 +233,12 @@ def test_below_threshold_samples_touch_nothing():
     cfg, state = crafted_confidence_state(tau=0.9)
     # rows 0,1 -> high confidence (large margin); rows 2,3 -> logits ~equal
     unl_x = np.array([[3.0, 0.0], [0.0, 3.0], [0.05, 0.0], [0.0, 0.05]])
-    unl_ids = np.array([10, 11, 12, 13])
+    unl_pos = np.array([10, 11, 12, 13])
     lab_x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
     lab_y = np.array([0, 1, 0, 1])
-    m = train_step(state, lab_x, lab_y, unl_ids, unl_x)
+    m = train_step(state, lab_x, lab_y, unl_pos, unl_x)
     assert m.mask_rate == 0.5
-    assert set(state.ledger.latest) == {10, 11}  # 12, 13 never recorded
+    assert np.flatnonzero(state.ledger.latest >= 0).tolist() == [10, 11]  # 12, 13 never recorded
     assert len(state.bank) == 2
     stored_feats = [state.bank.features[r] for k in range(2) for r in state.bank._fifo[k]]
     for f in stored_feats:  # only the confident rows' features are cached
@@ -261,10 +265,10 @@ def test_masked_rows_contribute_zero_to_unsupervised_loss():
 
 def test_all_below_threshold_gives_zero_unsupervised_losses():
     cfg, state = crafted_confidence_state(tau=0.999999)
-    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=8, d=2)
-    m = train_step(state, lab_x, lab_y % 2, unl_ids, unl_x * 0.01)
+    lab_x, lab_y, unl_pos, unl_x = micro_batches(seed=8, d=2)
+    m = train_step(state, lab_x, lab_y % 2, unl_pos, unl_x * 0.01)
     assert m.loss_u_b == 0.0 and m.loss_u_a == 0.0 and m.loss_mem == 0.0
-    assert state.ledger.total() == 0 and len(state.bank) == 0
+    assert state.ledger.counts.sum() == 0 and len(state.bank) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,7 @@ def test_all_below_threshold_gives_zero_unsupervised_losses():
 # ---------------------------------------------------------------------------
 
 
-def replay_bookkeeping(before, lab_x, unl_ids, unl_x):
+def replay_bookkeeping(before, lab_x, unl_pos, unl_x):
     """The step's ledger and bank writes, one record at a time, on `before`
     (a copy of the state taken just before compute_step): the views are
     recomputed from the same augmentation draws, every confident sample is
@@ -285,7 +289,7 @@ def replay_bookkeeping(before, lab_x, unl_ids, unl_x):
     qhat_a = head_forward(p.aux_head, feats_uw).argmax(axis=1)
     views = {"weak": [feats_uw], "strong": [feats_us], "both": [feats_uw, feats_us]}
     for j in np.flatnonzero(mask):
-        record_each(before.ledger.latest, before.ledger.counts, unl_ids[j:j + 1], qhat_a[j:j + 1])
+        record_each(before.ledger.latest, before.ledger.counts, unl_pos[j:j + 1], qhat_a[j:j + 1])
         for feats in views[cfg.memory_content]:
             enqueue_each(before.bank, feats[j:j + 1], qhat_a[j:j + 1], rngs.bank)
     n_mem = int(np.floor(cfg.get_fraction * cfg.batch_size + 0.5))
@@ -299,7 +303,7 @@ def test_step_bookkeeping_equals_per_record_loop(memory_content, beta, start):
     """Bank slots, features, labels and evictions, the ledger and the bank
     generator after each of four steps equal the per-record replay's; half of
     a 64-bit word is buffered in the generator before each step. All 8 samples are confident (K = 2, tau = 0.5), so a
-    capacity-6 bank fills within the first step; ids repeat within a batch."""
+    capacity-6 bank fills within the first step; positions repeat within a batch."""
     cfg = micro_cfg(memory_content=memory_content, beta=beta, memory_capacity=6,
                     batch_size=8, augment=AugmentConfig())
     state = make_state(cfg)
@@ -307,20 +311,20 @@ def test_step_bookkeeping_equals_per_record_loop(memory_content, beta, start):
         rng = np.random.default_rng(17)
         for i in range(6):
             store(state.bank, rng.normal(size=4), i % 2)
-    unl_ids = np.array([100, 101, 100, 102, 101, 100, 103, 104])
+    unl_pos = np.array([100, 101, 100, 102, 101, 100, 103, 104])
     for seed in range(4):
         lab_x, lab_y, _, unl_x = micro_batches(seed=20 + seed, b=8)
         bank_rng = state.rngs.bank
         bank_rng.integers(0, np.array([3, 1000])[: 1 + bank_rng.bit_generator.state["has_uint32"]])
         assert bank_rng.bit_generator.state["has_uint32"] == 1
         before = copy.deepcopy(state)
-        compute_step(state, lab_x, lab_y, unl_ids, unl_x)
-        replay_bookkeeping(before, lab_x, unl_ids, unl_x)
+        compute_step(state, lab_x, lab_y, unl_pos, unl_x)
+        replay_bookkeeping(before, lab_x, unl_pos, unl_x)
         for attr in ("_fifo", "_free", "evictions"):
             assert getattr(state.bank, attr) == getattr(before.bank, attr)
         np.testing.assert_array_equal(state.bank.features, before.bank.features)
         np.testing.assert_array_equal(state.bank.labels, before.bank.labels)
-        assert state.ledger.latest == before.ledger.latest
+        np.testing.assert_array_equal(state.ledger.latest, before.ledger.latest)
         np.testing.assert_array_equal(state.ledger.counts, before.ledger.counts)
         assert bank_rng.bit_generator.state == before.rngs.bank.bit_generator.state
     assert state.bank.evictions > 0
@@ -351,9 +355,9 @@ def test_compute_step_equals_the_per_term_step_bit_for_bit(
     rng = np.random.default_rng(22)
     for _ in range(5):
         lab_x, unl_x = rng.normal(size=(8, 5)), rng.normal(size=(8, 5))
-        lab_y, ids = rng.integers(0, 3, size=8), rng.integers(0, 12, size=8)
-        metrics, grads = compute_step(state, lab_x, lab_y, ids, unl_x)
-        want, want_grads = step_per_term(twin, lab_x, lab_y, ids, unl_x)
+        lab_y, positions = rng.integers(0, 3, size=8), rng.integers(0, 12, size=8)
+        metrics, grads = compute_step(state, lab_x, lab_y, positions, unl_x)
+        want, want_grads = step_per_term(twin, lab_x, lab_y, positions, unl_x)
         assert grads.flat.tobytes() == want_grads.flat.tobytes()
         assert dataclasses.asdict(metrics) == want
         assert all(type(v) is float for v in dataclasses.asdict(metrics).values())
@@ -373,14 +377,14 @@ def test_memory_loss_gradients_reach_only_aux_head():
     for i in range(8):
         store(state.bank, np.abs(rng.normal(size=4)), i % 2)
     state.ledger.record_batch(900 + np.arange(8), np.arange(8) % 2)
-    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=12)
+    lab_x, lab_y, unl_pos, unl_x = micro_batches(seed=12)
 
     with_mem = copy.deepcopy(state)
     no_mem = copy.deepcopy(state)
     no_mem.cfg = micro_cfg(lambda_u=0.3, lambda_m=0.0, tau=0.5)
 
-    m1, g1 = compute_step(with_mem, lab_x, lab_y, unl_ids, unl_x)
-    m0, g0 = compute_step(no_mem, lab_x, lab_y, unl_ids, unl_x)
+    m1, g1 = compute_step(with_mem, lab_x, lab_y, unl_pos, unl_x)
+    m0, g0 = compute_step(no_mem, lab_x, lab_y, unl_pos, unl_x)
     assert m1.loss_mem > 0.0
 
     for a, b in zip(g1.encoder_layers, g0.encoder_layers):
@@ -439,12 +443,12 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
 
 
 def test_aux_stopgrad_matches_fixmatch_encoder_gradients():
-    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=14)
+    lab_x, lab_y, unl_pos, unl_x = micro_batches(seed=14)
     g_stop = compute_step(
-        make_state(micro_cfg(aux_stopgrad=True, lambda_m=0.0)), lab_x, lab_y, unl_ids, unl_x
+        make_state(micro_cfg(aux_stopgrad=True, lambda_m=0.0)), lab_x, lab_y, unl_pos, unl_x
     )[1]
     g_fix = compute_step(
-        make_state(micro_cfg(mode="fixmatch")), lab_x, lab_y, unl_ids, unl_x
+        make_state(micro_cfg(mode="fixmatch")), lab_x, lab_y, unl_pos, unl_x
     )[1]
     for a, b in zip(g_stop.encoder_layers, g_fix.encoder_layers):
         np.testing.assert_allclose(a.w, b.w, atol=1e-14)
@@ -455,9 +459,9 @@ def test_diverged_training_raises_with_step():
     cfg = micro_cfg()
     state = make_state(cfg)
     state.params.base_head.w[:] = np.nan
-    lab_x, lab_y, unl_ids, unl_x = micro_batches()
+    lab_x, lab_y, unl_pos, unl_x = micro_batches()
     with pytest.raises(TrainingDivergedError):
-        train_step(state, lab_x, lab_y, unl_ids, unl_x)
+        train_step(state, lab_x, lab_y, unl_pos, unl_x)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +552,7 @@ def test_fit_warmup_keeps_bank_and_ledger_empty():
     seen = []
 
     def spy(state, record):
-        seen.append((record["epoch"], len(state.bank), state.ledger.total()))
+        seen.append((record["epoch"], len(state.bank), state.ledger.counts.sum()))
 
     fit(ds, tiny_fit_cfg(warmup_epochs=2, epochs=2), callbacks=[spy])
     assert seen == [(0, 0, 0), (1, 0, 0)]
@@ -558,9 +562,9 @@ def test_fit_fixmatch_mode_never_touches_aux_head_bank_or_ledger():
     ds = tiny_dataset()
     cfg = tiny_fit_cfg(mode="fixmatch", warmup_epochs=0)
     state, log = fit(ds, cfg)
-    fresh = init_state(cfg, ds.labeled_class_counts())
+    fresh = init_state(cfg, ds.labeled_class_counts(), len(ds.unlabeled))
     assert np.array_equal(state.params.aux_head.w, fresh.params.aux_head.w)
-    assert len(state.bank) == 0 and state.ledger.total() == 0
+    assert len(state.bank) == 0 and state.ledger.counts.sum() == 0
     assert all(r["bank_entropy"] is None for r in log)
 
 
@@ -600,22 +604,22 @@ def test_fit_counts_labeled_classes_over_the_configured_classes(tmp_path):
     assert len(log[0]["per_class_recall"]) == 4
 
 
-def test_compute_step_rejects_short_unlabeled_ids():
-    """Every sample is confident here (K = 2, tau = 0.5), so each needs an id."""
-    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=15)
+def test_compute_step_rejects_short_unlabeled_positions():
+    """Every sample is confident here (K = 2, tau = 0.5), so each needs a row position."""
+    lab_x, lab_y, unl_pos, unl_x = micro_batches(seed=15)
     state = make_state(micro_cfg())
     with pytest.raises(ValueError, match="unlabeled batch size"):
-        compute_step(state, lab_x, lab_y, unl_ids[:2], unl_x)
-    assert len(state.bank) == 0 and state.ledger.total() == 0
+        compute_step(state, lab_x, lab_y, unl_pos[:2], unl_x)
+    assert len(state.bank) == 0 and state.ledger.counts.sum() == 0
 
 
 @pytest.mark.parametrize("bad", [2, -1])
 def test_compute_step_rejects_labeled_label_outside_classes(bad):
-    lab_x, lab_y, unl_ids, unl_x = micro_batches(seed=16)
+    lab_x, lab_y, unl_pos, unl_x = micro_batches(seed=16)
     lab_y[1] = bad
     for mode in ("bmb", "vanilla"):
         with pytest.raises(ValueError, match="labeled_y outside"):
-            compute_step(make_state(micro_cfg(mode=mode)), lab_x, lab_y, unl_ids, unl_x)
+            compute_step(make_state(micro_cfg(mode=mode)), lab_x, lab_y, unl_pos, unl_x)
 
 
 def test_train_config_validation():
@@ -722,6 +726,33 @@ def test_fit_epoch_log_fingerprint_is_pinned_per_mode(overrides, evictions, sha2
     state, digest = pinned_fit(1.0, "strong", 16, **overrides)
     assert state.bank.evictions == evictions
     assert digest == sha256
+
+
+def test_fit_does_not_read_the_oracle_labels():
+    """The unlabeled rows' true labels are for evaluation only: a bmb fit past
+    warmup logs the same epochs with them and without them."""
+    spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
+                       test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
+    ds = generate_dataset(spec)
+    blind = dataclasses.replace(ds, unlabeled_oracle_y=None)
+    assert ds.unlabeled_oracle_y is not None and blind.true_unlabeled_counts is not None
+    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+                      memory_capacity=16, warmup_epochs=1, epochs=3, iters_per_epoch=30,
+                      tau=0.6, seed=3)
+    digests = []
+    for data in (ds, blind):
+        state, log = fit(data, cfg)
+        assert state.ledger.counts.sum() > 0 and "estimation_error" in log[-1]
+        digests.append(hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+def test_fit_keys_the_ledger_by_unlabeled_row():
+    ds = tiny_dataset()
+    state, _ = fit(ds, tiny_fit_cfg(warmup_epochs=0, tau=0.4))
+    latest = state.ledger.latest
+    assert len(latest) == len(ds.unlabeled) and state.ledger.counts.sum() > 0
+    assert np.array_equal(np.bincount(latest[latest >= 0], minlength=3), state.ledger.counts)
 
 
 # ---------------------------------------------------------------------------
