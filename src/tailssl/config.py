@@ -1,9 +1,8 @@
 """Run and sweep configuration: JSON files validated against a published schema.
 
-The schemas are Draft 2020-12 JSON Schema data, and `check` is this module's
-own walker of them: it interprets exactly the keywords they use (KEYWORDS),
-with Draft 2020-12 semantics, and raises on any other keyword. Run files are
-read through the same walker.
+The schemas are Draft 2020-12 JSON Schema data, checked by the walker in
+`schema` (re-exported here). Config and run files are strict JSON: NaN and the
+infinities are rejected.
 
 A run config bundles the dataset spec, augmentation strengths, training
 hyperparameters, a name, and a seed list. Any field can be overridden from the
@@ -16,66 +15,24 @@ stored next to run outputs.
 import copy
 import dataclasses
 import json
-import operator
 import os
 import typing
 
 from .data import AugmentConfig, DatasetSpec
 from .errors import ConfigError
-from .trainer import MEMORY_CONTENTS, MODES, TrainConfig
+from .schema import _BOUNDS, _IS_TYPE, KEYWORDS, check, schema_errors  # noqa: F401
+from .trainer import TrainConfig
 from .util import canonical_json, sha256_text
 
 ENV_PREFIX = "TAILSSL_"
 
 # Each config section is a dataclass; its fields give the section's names, JSON
-# types, defaults and required fields. TrainConfig's num_classes, input_dim,
+# types, defaults, required fields and bounds. TrainConfig's num_classes, input_dim,
 # seed and augment are filled from the other sections by build_train_config.
 SECTIONS = {"dataset": DatasetSpec, "augment": AugmentConfig, "train": TrainConfig}
 _FILLED_FROM_OTHER_SECTIONS = {"num_classes", "input_dim", "seed", "augment"}
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
-
-# The constraints the schema adds to a field's JSON type, per section and field.
-RANGES = {
-    "dataset": {
-        "num_classes": {"minimum": 2},
-        "feature_dim": {"minimum": 1},
-        "n1": {"minimum": 1},
-        "m1": {"minimum": 0},
-        "gamma_l": {"minimum": 1},
-        "gamma_u": {"minimum": 1},
-        "test_per_class": {"minimum": 0},
-        "separation": {"exclusiveMinimum": 0},
-    },
-    "augment": {
-        "weak_noise_sigma": {"minimum": 0},
-        "strong_noise_sigma": {"minimum": 0},
-        "strong_dropout_prob": {"minimum": 0, "maximum": 1},
-        "strong_scale_jitter": {"minimum": 0, "exclusiveMaximum": 1},
-    },
-    "train": {
-        "mode": {"enum": list(MODES)},
-        "tau": {"exclusiveMinimum": 0, "maximum": 1},
-        "alpha": {"minimum": 0},
-        "beta": {"minimum": 0},
-        "lambda_sampling": {"minimum": 0},
-        "lambda_u": {"minimum": 0},
-        "lambda_m": {"minimum": 0},
-        "batch_size": {"minimum": 1},
-        "memory_capacity": {"minimum": 1},
-        "get_fraction": {"minimum": 0, "maximum": 1},
-        "memory_content": {"enum": list(MEMORY_CONTENTS)},
-        "warmup_epochs": {"minimum": 0},
-        "epochs": {"minimum": 0},
-        "iters_per_epoch": {"minimum": 1},
-        "lr": {"exclusiveMinimum": 0},
-        "ema_decay": {"minimum": 0, "maximum": 1},
-        "adam_beta1": {"minimum": 0, "exclusiveMaximum": 1},
-        "adam_beta2": {"minimum": 0, "exclusiveMaximum": 1},
-        "adam_eps": {"exclusiveMinimum": 0},
-        "hidden_sizes": {"items": {"type": "integer", "minimum": 1}, "minItems": 1},
-    },
-}
 
 
 def _json_type(annotation) -> dict:
@@ -88,15 +45,20 @@ def _json_type(annotation) -> dict:
     return {"type": [_JSON_TYPES[arg] for arg in args]}
 
 
+def _property(cls, hints: dict, name: str) -> dict:
+    """Schema of a dataclass field: its annotation's JSON type plus its metadata's keywords."""
+    return {**_json_type(hints[name]), **cls.__dataclass_fields__[name].metadata}
+
+
 def _section(name: str) -> tuple[dict, dict]:
-    """Schema and defaults of one config section, from its dataclass and its ranges."""
+    """Schema and defaults of one config section, from its dataclass."""
     cls = SECTIONS[name]
     hints = typing.get_type_hints(cls)
     properties, required, defaults = {}, [], {}
     for f in dataclasses.fields(cls):
         if name == "train" and f.name in _FILLED_FROM_OTHER_SECTIONS:
             continue
-        properties[f.name] = {**_json_type(hints[f.name]), **RANGES[name].get(f.name, {})}
+        properties[f.name] = _property(cls, hints, f.name)
         if f.default is dataclasses.MISSING:
             required.append(f.name)
         else:
@@ -118,7 +80,11 @@ RUN_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string", "minLength": 1},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+        "seeds": {
+            "type": "array",
+            "items": _property(TrainConfig, typing.get_type_hints(TrainConfig), "seed"),
+            "minItems": 1,
+        },
         "data_dir": {"type": "string"},
         **_SECTION_SCHEMAS,
     },
@@ -158,77 +124,6 @@ RESOLVED_SCHEMA = {
     },
 }
 
-KEYWORDS = {
-    "$schema", "type", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
-    "minLength", "minItems", "items", "properties", "required", "additionalProperties",
-}
-
-_IS_TYPE = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()),
-}
-
-_BOUNDS = (
-    ("minimum", operator.lt, "less than the minimum of"),
-    ("maximum", operator.gt, "greater than the maximum of"),
-    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
-    ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"),
-)
-
-
-def schema_errors(value, schema: dict, path: tuple = ()):
-    """Yield (path, message) for each way value breaks schema, in jsonschema's wording.
-
-    A node's own keywords are checked before its children; a value of the
-    wrong type yields only that error. A keyword outside KEYWORDS, or an
-    `additionalProperties` other than false, raises NotImplementedError.
-    """
-    unknown = schema.keys() - KEYWORDS
-    if unknown or schema.get("additionalProperties", False) is not False:
-        raise NotImplementedError(f"schema keywords not implemented: {sorted(schema)}")
-    if "type" in schema:
-        types = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
-        if not any(_IS_TYPE[t](value) for t in types):
-            yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
-            return
-    # JSON equality: a boolean equals only a boolean, though Python has True == 1.
-    if "enum" in schema and not any(
-        value == e and isinstance(value, bool) == isinstance(e, bool) for e in schema["enum"]
-    ):
-        yield path, f"{value!r} is not one of {schema['enum']!r}"
-    if _IS_TYPE["number"](value):
-        for keyword, fails, words in _BOUNDS:
-            if keyword in schema and fails(value, schema[keyword]):
-                yield path, f"{value!r} is {words} {schema[keyword]!r}"
-    if isinstance(value, (str, list)):
-        least = schema.get("minLength" if isinstance(value, str) else "minItems", 0)
-        if len(value) < least:
-            yield path, f"{value!r} {'should be non-empty' if least == 1 else 'is too short'}"
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            yield from schema_errors(item, schema["items"], (*path, i))
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                yield path, f"{key!r} is a required property"
-        properties = schema.get("properties", {})
-        if "additionalProperties" in schema:
-            extras = sorted(value.keys() - properties.keys(), key=str)
-            if extras:
-                verb = "was" if len(extras) == 1 else "were"
-                names = ", ".join(map(repr, extras))
-                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
-        for key, subschema in properties.items():
-            if key in value:
-                yield from schema_errors(value[key], subschema, (*path, key))
-
-
 def _merge_defaults(user: dict) -> dict:
     """Fill absent fields; a section that is present but not an object is left for the schema."""
     merged = copy.deepcopy(user)
@@ -239,23 +134,25 @@ def _merge_defaults(user: dict) -> dict:
     return merged
 
 
-def check(instance, schema: dict, kind: str) -> None:
-    """Raise ConfigError `<kind> field <path>: <message>` for the first error of instance."""
-    for path, message in schema_errors(instance, schema):
-        raise ConfigError(f"{kind} field {'/'.join(map(str, path)) or '<root>'}: {message}")
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# Python's json reads NaN, Infinity and -Infinity, which JSON does not have.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def read_json(path, unreadable: str):
-    """Parse a JSON file; a file that cannot be read or parsed raises ConfigError.
+    """Parse a strict JSON file; a file that cannot be read or parsed raises ConfigError.
 
     `unreadable` heads the message for an OSError, which follows in parentheses.
     """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _STRICT_JSON.decode(fh.read())
     except OSError as exc:
         raise ConfigError(f"{unreadable} ({exc})") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a constant
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -269,8 +166,8 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
         path = key[len(ENV_PREFIX):].lower().split("__")
         raw = env[key]
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = _STRICT_JSON.decode(raw)
+        except ValueError:
             value = raw
         node = out
         for part in path[:-1]:
@@ -320,13 +217,6 @@ def build_dataset_spec(cfg: dict) -> DatasetSpec:
     return DatasetSpec(**cfg["dataset"])
 
 
-def build_augment_config(cfg: dict) -> AugmentConfig:
-    try:
-        return AugmentConfig(**cfg["augment"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def build_train_config(cfg: dict, seed: int) -> TrainConfig:
     train = dict(cfg["train"])
     train["hidden_sizes"] = tuple(train["hidden_sizes"])
@@ -335,7 +225,7 @@ def build_train_config(cfg: dict, seed: int) -> TrainConfig:
             num_classes=cfg["dataset"]["num_classes"],
             input_dim=cfg["dataset"]["feature_dim"],
             seed=seed,
-            augment=build_augment_config(cfg),
+            augment=AugmentConfig(**cfg["augment"]),
             **train,
         )
     except (TypeError, ValueError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError
+from .schema import bounded, check_fields
 from .util import round_half_up
 
 CSV_SPLITS = ("train", "test")
@@ -25,26 +26,18 @@ _SPLIT_DTYPE = "U6"
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    num_classes: int
-    feature_dim: int
-    n1: int  # largest labeled class size
-    m1: int  # largest unlabeled class size
-    gamma_l: float = 1.0  # labeled imbalance ratio (head/tail)
-    gamma_u: float = 1.0  # unlabeled imbalance ratio
-    test_per_class: int = 100
-    geometry_seed: int = 0
-    sample_seed: int = 1
-    separation: float = 3.0  # pairwise distance between class means
+    num_classes: int = bounded(minimum=2)
+    feature_dim: int = bounded(minimum=1)
+    n1: int = bounded(minimum=1)  # largest labeled class size
+    m1: int = bounded(minimum=0)  # largest unlabeled class size
+    gamma_l: float = bounded(1.0, minimum=1)  # labeled imbalance ratio (head/tail)
+    gamma_u: float = bounded(1.0, minimum=1)  # unlabeled imbalance ratio
+    test_per_class: int = bounded(100, minimum=0)
+    geometry_seed: int = bounded(0, minimum=0)
+    sample_seed: int = bounded(1, minimum=0)
+    separation: float = bounded(3.0, exclusiveMinimum=0)  # pairwise distance between class means
 
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.n1 < 1 or self.m1 < 0:
-            raise ValueError("n1 must be >= 1 and m1 >= 0")
-        if self.gamma_l < 1.0 or self.gamma_u < 1.0:
-            raise ValueError("imbalance ratios must be >= 1")
-        if self.test_per_class < 0:
-            raise ValueError("test_per_class must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -154,21 +147,16 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    weak_noise_sigma: float = 0.1
-    strong_noise_sigma: float = 0.4
-    strong_dropout_prob: float = 0.3
-    strong_scale_jitter: float = 0.1
+    weak_noise_sigma: float = bounded(0.1, minimum=0)
+    strong_noise_sigma: float = bounded(0.4, minimum=0)
+    strong_dropout_prob: float = bounded(0.3, minimum=0, maximum=1)
+    strong_scale_jitter: float = bounded(0.1, minimum=0, exclusiveMaximum=1)
 
     def __post_init__(self):
-        if self.weak_noise_sigma < 0 or self.strong_noise_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        check_fields(self)
         # ">=" rather than ">" so the all-zero identity configuration stays valid.
         if self.strong_noise_sigma < self.weak_noise_sigma:
             raise ValueError("strong noise must be at least as large as weak noise")
-        if not 0.0 <= self.strong_dropout_prob <= 1.0:
-            raise ValueError("dropout probability must lie in [0, 1]")
-        if not 0.0 <= self.strong_scale_jitter < 1.0:
-            raise ValueError("scale jitter must lie in [0, 1)")
 
 
 def weak_augment(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:

@@ -82,14 +82,20 @@ def eviction_distribution(counts: np.ndarray, beta: float) -> np.ndarray:
 def retrieval_distribution(
     estimated_counts: np.ndarray, counts: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Reversed-sampling class probabilities: 1/M_k^lambda on non-empty classes, normalized."""
+    """Reversed-sampling class probabilities: 1/M_k^lambda on non-empty classes, normalized.
+
+    If every such weight underflows to 0 (a huge lambda), the lambda -> infinity
+    limit: uniform over the non-empty classes of smallest estimated count.
+    """
     estimated = np.asarray(estimated_counts, dtype=np.float64)
-    counts = np.asarray(counts)
+    nonempty = np.asarray(counts) > 0
     if (estimated < 1).any():
         raise ValueError("estimated counts must be clamped >= 1")
-    if not (counts > 0).any():
+    if not nonempty.any():
         raise ValueError("no records to retrieve")
-    weights = np.where(counts > 0, estimated ** (-lam), 0.0)
+    weights = np.where(nonempty, estimated ** (-lam), 0.0)
+    if weights.sum() == 0.0:
+        weights = np.where(nonempty & (estimated == estimated[nonempty].min()), 1.0, 0.0)
     return weights / weights.sum()
 
 

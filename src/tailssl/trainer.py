@@ -70,6 +70,7 @@ from .numerics import (
     weighted_masked_ce,
     zeros_like_params,
 )
+from .schema import bounded, check_fields
 from .util import round_half_up, spawn_rngs
 from .weighting import batch_weights
 
@@ -81,49 +82,40 @@ MEMORY_CONTENTS = ("weak", "strong", "both")
 class TrainConfig:
     num_classes: int
     input_dim: int
-    hidden_sizes: tuple[int, ...] = (16, 8)
-    mode: str = "bmb"
-    tau: float = 0.95  # confidence threshold for retaining a pseudo label
-    alpha: float = 0.75  # adaptive weight exponent
-    beta: float = 1.0  # memory balance exponent
-    lambda_sampling: float = 0.75  # reversed-sampling exponent
-    lambda_u: float = 1.0  # consistency loss weight
-    lambda_m: float = 0.25  # memory loss weight
-    batch_size: int = 64
-    memory_capacity: int = 128
-    get_fraction: float = 0.5  # fraction of the batch re-drawn from memory per step
-    memory_content: str = "strong"
-    warmup_epochs: int = 5
-    epochs: int = 60
-    iters_per_epoch: int = 100
-    lr: float = 0.002
-    ema_decay: float = 0.999
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    hidden_sizes: tuple[int, ...] = bounded(
+        (16, 8), items={"type": "integer", "minimum": 1}, minItems=1
+    )
+    mode: str = bounded("bmb", enum=list(MODES))
+    tau: float = bounded(0.95, exclusiveMinimum=0, maximum=1)  # pseudo-label confidence threshold
+    alpha: float = bounded(0.75, minimum=0)  # adaptive weight exponent
+    beta: float = bounded(1.0, minimum=0)  # memory balance exponent
+    lambda_sampling: float = bounded(0.75, minimum=0)  # reversed-sampling exponent
+    lambda_u: float = bounded(1.0, minimum=0)  # consistency loss weight
+    lambda_m: float = bounded(0.25, minimum=0)  # memory loss weight
+    batch_size: int = bounded(64, minimum=1)
+    memory_capacity: int = bounded(128, minimum=1)
+    get_fraction: float = bounded(0.5, minimum=0, maximum=1)  # batch share re-drawn from memory
+    memory_content: str = bounded("strong", enum=list(MEMORY_CONTENTS))
+    warmup_epochs: int = bounded(5, minimum=0)
+    epochs: int = bounded(60, minimum=0)
+    iters_per_epoch: int = bounded(100, minimum=1)
+    lr: float = bounded(0.002, exclusiveMinimum=0)
+    ema_decay: float = bounded(0.999, minimum=0, maximum=1)
+    adam_beta1: float = bounded(0.9, minimum=0, exclusiveMaximum=1)
+    adam_beta2: float = bounded(0.999, minimum=0, exclusiveMaximum=1)
+    adam_eps: float = bounded(1e-8, exclusiveMinimum=0)
     aux_stopgrad: bool = False  # stop auxiliary-head gradients before the encoder
     shot_many_min: int | None = None  # shot-group thresholds; None = tertiles of N_k
     shot_few_max: int | None = None
-    seed: int = 0
+    seed: int = bounded(0, minimum=0)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.memory_content not in MEMORY_CONTENTS:
-            raise ValueError(f"memory_content must be one of {MEMORY_CONTENTS}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if self.lambda_u < 0 or self.lambda_m < 0 or self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights and exponents must be >= 0")
-        if not 0.0 <= self.get_fraction <= 1.0:
-            raise ValueError("get_fraction must lie in [0, 1]")
-        if self.mode == "bmb" and self.memory_capacity < 1:
-            raise ValueError("bmb mode requires memory_capacity >= 1")
-        if self.batch_size < 1 or self.epochs < 0 or self.iters_per_epoch < 1:
-            raise ValueError("batch_size/iters_per_epoch must be >= 1, epochs >= 0")
+        check_fields(self)
         if (self.shot_many_min is None) != (self.shot_few_max is None):
             raise ValueError("shot_many_min and shot_few_max must be set together or not at all")
+        if self.shot_many_min is not None and self.shot_many_min <= self.shot_few_max:
+            raise ValueError("shot_many_min must exceed shot_few_max")
 
 
 @dataclass
@@ -171,9 +163,7 @@ def init_state(
         params=params,
         ema=init_ema(params, cfg.ema_decay),
         adam=init_adam(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps),
-        bank=MemoryBank(
-            max(cfg.memory_capacity, 1), cfg.num_classes, cfg.beta, cfg.hidden_sizes[-1]
-        ),
+        bank=MemoryBank(cfg.memory_capacity, cfg.num_classes, cfg.beta, cfg.hidden_sizes[-1]),
         ledger=PseudoLabelLedger(cfg.num_classes, num_unlabeled),
         labeled_class_counts=np.maximum(np.asarray(labeled_class_counts, dtype=np.int64), 1),
         rngs=RngStreams(batch_rng, augment_rng, bank_rng),

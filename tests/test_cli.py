@@ -1,8 +1,8 @@
 """CLI harness: generate/train/sweep/report/export, exit codes, determinism."""
 
 import csv
-import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -11,10 +11,8 @@ import pytest
 
 from tailssl.cli import MANIFEST_SCHEMA, REPORT_SCHEMA, main
 from tailssl.config import (
-    RANGES,
     RESOLVED_SCHEMA,
     RUN_SCHEMA,
-    SECTIONS,
     SWEEP_SCHEMA,
     apply_env_overrides,
     config_hash,
@@ -186,6 +184,82 @@ def test_train_half_set_shot_thresholds_exits_2(workspace, capsys, train):
     assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 2
     assert "shot_many_min and shot_few_max must be set together" in capsys.readouterr().err
     assert not (tmp / "run").exists()
+
+
+@pytest.mark.parametrize("many_min, few_max", [(1, 5), (5, 5)])
+def test_train_unordered_shot_thresholds_exit_2(workspace, capsys, many_min, few_max):
+    tmp, _ = workspace
+    path = tmp / "unordered.json"
+    path.write_text(json.dumps(tiny_config(shot_many_min=many_min, shot_few_max=few_max)))
+    main(["generate", "--config", str(path)])
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 2
+    assert "shot_many_min must exceed shot_few_max" in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+
+
+def test_train_negative_seed_option_exits_2(workspace, capsys):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    capsys.readouterr()
+    argv = ["train", "--config", str(cfg_path), "--out", str(tmp / "run"), "--seed", "-3"]
+    assert main(argv) == 2
+    assert "TrainConfig field seed: -3 is less than the minimum of 0" in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        pytest.param("train", lambda cfg: cfg.update(seeds=[-1]),
+                     "config field seeds/0: -1 is less than the minimum of 0", id="train-seeds"),
+        pytest.param("generate", lambda cfg: cfg["dataset"].update(sample_seed=-1),
+                     "config field dataset/sample_seed: -1 is less than the minimum of 0",
+                     id="generate-sample-seed"),
+        pytest.param("generate", lambda cfg: cfg["dataset"].update(geometry_seed=-2),
+                     "config field dataset/geometry_seed: -2 is less than the minimum of 0",
+                     id="generate-geometry-seed"),
+    ],
+)
+def test_negative_seed_in_config_exits_2(workspace, capsys, command, edit, message):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    edit(cfg)
+    path = tmp / "negative.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_sweep_base_with_a_negative_seed_exits_2(workspace, capsys):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    base = tiny_config()
+    base["seeds"] = [-1]
+    sweep_path = tmp / "sweep.json"
+    sweep_path.write_text(json.dumps({"parameter": "beta", "values": [1.0], "base": base}))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 2
+    assert "config field seeds/0: -1 is less than the minimum of 0" in capsys.readouterr().err
+    assert not (tmp / "sw").exists()
+
+
+def test_train_huge_lambda_sampling_draws_from_the_limit(workspace):
+    """Every retrieval weight underflows at lambda 1e308; get used to draw
+    classes from a NaN CDF (RuntimeWarning 'invalid value')."""
+    tmp, _ = workspace
+    path = tmp / "huge_lambda.json"
+    path.write_text(json.dumps(tiny_config(lambda_sampling=1e308, tau=0.34)))
+    main(["generate", "--config", str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    with open(tmp / "run" / "bank_snapshots.csv") as fh:
+        assert sum(int(r["count"]) for r in csv.DictReader(fh) if r["epoch"] == "1") > 0
 
 
 def test_train_label_at_or_above_num_classes_exits_2(workspace, capsys):
@@ -542,6 +616,12 @@ NOT_JSON = "{x"
                      id="report-run/report.json"),
         pytest.param("train", "data/manifest.json", NOT_JSON, " is not valid JSON",
                      id="train-data/manifest.json"),
+        pytest.param("report", "run/report.json", '{"name": NaN}', " is not valid JSON",
+                     id="report-nan"),
+        pytest.param("export-embeddings", "run/config.resolved.json", '{"seeds": [Infinity]}',
+                     " is not valid JSON", id="export-embeddings-infinity"),
+        pytest.param("train", "data/manifest.json", '{"rows": -Infinity}', " is not valid JSON",
+                     id="train-manifest-negative-infinity"),
         pytest.param("train", "data/manifest.json", "[1, 2]",
                      ": dataset manifest field <root>: [1, 2] is not of type 'object'",
                      id="train-manifest-list"),
@@ -571,6 +651,44 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged, 
     }[command]
     assert main([command, *argv]) == 2
     assert f"{damaged}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, field, constant",
+    [
+        ("generate", "dataset", "separation", "NaN"),
+        ("train", "train", "lr", "NaN"),
+        ("train", "train", "beta", "Infinity"),
+        ("train", "augment", "weak_noise_sigma", "-Infinity"),
+        ("sweep", "train", "tau", "NaN"),
+    ],
+)
+def test_non_finite_json_constant_in_a_config_exits_2(
+    workspace, capsys, command, section, field, constant
+):
+    """Python's json reads NaN and the infinities; a config file may not hold them.
+    Read leniently, a NaN separation wrote all-NaN features, a NaN lr read as
+    "training diverged" and an infinite beta trained."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    cfg.setdefault(section, {})[field] = "PLACEHOLDER"
+    text = json.dumps(cfg).replace('"PLACEHOLDER"', constant)
+    if command == "sweep":
+        text = '{"parameter": "beta", "values": [1.0], "base": %s}' % text
+    path = tmp / "non_finite.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 2
+    assert f"{path} is not valid JSON: {constant} is not a JSON number" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_env_override_spelled_nan_fails_the_type_check(workspace, capsys, monkeypatch):
+    tmp, cfg_path = workspace
+    monkeypatch.setenv("TAILSSL_TRAIN__LR", "NaN")
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert "config field train/lr: 'NaN' is not of type 'number'" in capsys.readouterr().err
 
 
 def _set_field(path, field, value):
@@ -806,15 +924,6 @@ def test_all_defaults_config_hash_is_pinned():
     # Only the required fields: every other dataset, augment and train value is a default.
     cfg = validate_run_config({"name": "x", "dataset": {"num_classes": 2, "feature_dim": 3, "n1": 5, "m1": 5}})
     assert config_hash(cfg) == "12dc0dfe2c1851c7a20c8e7922164884cb2ce701db74f46132dae3d77164c189"
-
-
-@pytest.mark.parametrize("section", sorted(RANGES))
-def test_every_range_names_a_field_of_its_section(section):
-    fields = {f.name for f in dataclasses.fields(SECTIONS[section])}
-    properties = RUN_SCHEMA["properties"][section]["properties"]
-    for name, constraints in RANGES[section].items():
-        assert name in fields and name in properties, name
-        assert {**properties[name], **constraints} == properties[name], name
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,17 @@
-"""The config checker: its keywords, its agreement with jsonschema, and the import footprint."""
+"""The config checker: its keywords, its agreement with jsonschema, the import footprint,
+and the field bounds that the run schema and the config dataclasses share."""
 
 import copy
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,11 +22,15 @@ from tailssl.config import (
     KEYWORDS,
     RESOLVED_SCHEMA,
     RUN_SCHEMA,
+    SECTIONS,
     SWEEP_SCHEMA,
     check,
     schema_errors,
+    validate_run_config,
 )
+from tailssl.data import AugmentConfig, DatasetSpec
 from tailssl.errors import ConfigError
+from tailssl.trainer import TrainConfig
 
 SCHEMAS = {"run": RUN_SCHEMA, "sweep": SWEEP_SCHEMA, "resolved": RESOLVED_SCHEMA,
            "report": REPORT_SCHEMA, "manifest": MANIFEST_SCHEMA}
@@ -255,3 +263,215 @@ def test_checker_agrees_with_jsonschema(name, data):
     assert {path for path, _ in got} == {path for path, _ in want}
     if got:
         assert got[0] in want
+
+
+# ---------------------------------------------------------------------------
+# field bounds: one declaration, read by the run schema and by the dataclass
+# ---------------------------------------------------------------------------
+
+# Valid fields for each section; weak noise 0 lets strong noise sit on its own bound.
+BASES = {
+    "dataset": {"num_classes": 3, "feature_dim": 4, "n1": 20, "m1": 30},
+    "augment": {"weak_noise_sigma": 0.0},
+    "train": {},
+}
+
+
+def constructs(section, fields, as_numpy=False):
+    """Whether the section's dataclass accepts fields (over BASES), values as given
+    or as numpy scalars."""
+    fields = {**BASES[section], **fields}
+    for name, value in fields.items():
+        if isinstance(value, list):
+            fields[name] = tuple(np.int64(v) for v in value) if as_numpy else tuple(value)
+        elif as_numpy and isinstance(value, (int, float)) and not isinstance(value, bool):
+            fields[name] = np.int64(value) if isinstance(value, int) else np.float64(value)
+    extra = {"num_classes": 3, "input_dim": 4} if section == "train" else {}
+    try:
+        SECTIONS[section](**extra, **fields)
+    except ValueError:
+        return False
+    return True
+
+
+def validates(section, fields):
+    """Whether validate_run_config accepts fields (over BASES); TrainConfig.seed is
+    the run config's `seeds` list."""
+    cfg = {"name": "x", **copy.deepcopy(BASES)}
+    cfg[section].update(fields)
+    if "seed" in cfg["train"]:
+        cfg["seeds"] = [cfg["train"].pop("seed")]
+    try:
+        validate_run_config(cfg)
+    except ConfigError:
+        return False
+    return True
+
+
+def bounded_fields():
+    """(section, field name, JSON type, metadata) of every field that declares keywords."""
+    for section, cls in SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.metadata:
+                json_type = {int: "integer", float: "number", str: "string"}.get(hints[f.name], "array")
+                yield section, f.name, json_type, dict(f.metadata)
+
+
+def with_pair(section, name, value):
+    """{name: value}, plus strong noise = weak noise so only the bound under test can fail."""
+    if name == "weak_noise_sigma":
+        return {name: value, "strong_noise_sigma": value}
+    return {name: value}
+
+
+def bound_cases():
+    """(id, section, fields, accepted): the nearest value inside each bound, the
+    bound itself and the nearest value past it; each enum member and one
+    non-member; hidden_sizes around minItems and its items' minimum."""
+    for section, name, json_type, metadata in bounded_fields():
+        for keyword in BOUNDS:
+            if keyword not in metadata:
+                continue
+            bound, exclusive = metadata[keyword], keyword.startswith("exclusive")
+            outward = -1 if keyword in ("minimum", "exclusiveMinimum") else 1
+            if json_type == "integer":
+                values = {"inside": bound - outward, "on": bound, "past": bound + outward}
+            else:
+                bound = float(bound)
+                values = {
+                    "inside": math.nextafter(bound, -outward * math.inf),
+                    "on": bound,
+                    "past": math.nextafter(bound, outward * math.inf),
+                }
+            for where, value in values.items():
+                accepted = where == "inside" or (where == "on" and not exclusive)
+                yield (f"{section}.{name}-{keyword}-{where}", section,
+                       with_pair(section, name, value), accepted)
+        for member in metadata.get("enum", ()):
+            yield f"{section}.{name}-enum-{member}", section, {name: member}, True
+        if "enum" in metadata:
+            yield f"{section}.{name}-enum-bogus", section, {name: "bogus"}, False
+        if "minItems" in metadata:
+            for value, accepted in (([], False), ([1], True)):
+                yield f"{section}.{name}-minItems-{value}", section, {name: value}, accepted
+        if "items" in metadata:
+            for value, accepted in (([1, 1], True), ([0], False), ([16, 0], False)):
+                yield f"{section}.{name}-items-{value}", section, {name: value}, accepted
+
+
+BOUND_CASES = list(bound_cases())
+
+# The fields whose bound only the run schema enforced before it was declared on the field.
+SCHEMA_ONLY_BOUNDS = [
+    ("train", {"lr": 0.0}),
+    ("train", {"lambda_sampling": -1}),
+    ("train", {"warmup_epochs": -1}),
+    ("train", {"adam_beta1": 1.0}),
+    ("train", {"adam_beta2": -0.1}),
+    ("train", {"adam_eps": 0.0}),
+    ("train", {"ema_decay": 1.5}),
+    ("train", {"hidden_sizes": []}),
+    ("train", {"hidden_sizes": [0]}),
+    ("train", {"memory_capacity": 0, "mode": "vanilla"}),
+    ("dataset", {"feature_dim": 0}),
+    ("dataset", {"separation": 0.0}),
+    ("train", {"seed": -1}),
+    ("dataset", {"geometry_seed": -1}),
+    ("dataset", {"sample_seed": -1}),
+]
+
+# Values that the hand-written __post_init__ checks rejected before the bounds moved
+# to the fields, NaN included (a bound compares false against it).
+HAND_CHECKED = [
+    ("dataset", {"num_classes": 1}), ("dataset", {"n1": 0}), ("dataset", {"m1": -1}),
+    ("dataset", {"gamma_l": 0.999}), ("dataset", {"gamma_u": 0.5}),
+    ("dataset", {"test_per_class": -1}),
+    ("augment", {"weak_noise_sigma": -0.1}), ("augment", {"strong_noise_sigma": -0.1}),
+    ("augment", {"weak_noise_sigma": 0.5, "strong_noise_sigma": 0.4}),
+    ("augment", {"strong_dropout_prob": -0.1}), ("augment", {"strong_dropout_prob": 1.5}),
+    ("augment", {"strong_dropout_prob": math.nan}),
+    ("augment", {"strong_scale_jitter": -0.1}), ("augment", {"strong_scale_jitter": 1.0}),
+    ("augment", {"strong_scale_jitter": math.nan}),
+    ("train", {"mode": "nope"}), ("train", {"memory_content": "medium"}),
+    ("train", {"tau": 0.0}), ("train", {"tau": 1.5}), ("train", {"tau": math.nan}),
+    ("train", {"alpha": -1e-9}), ("train", {"beta": -1e-9}),
+    ("train", {"lambda_u": -1e-9}), ("train", {"lambda_m": -1e-9}),
+    ("train", {"get_fraction": -0.1}), ("train", {"get_fraction": 1.5}),
+    ("train", {"get_fraction": math.nan}),
+    ("train", {"memory_capacity": 0}), ("train", {"batch_size": 0}),
+    ("train", {"epochs": -1}), ("train", {"iters_per_epoch": 0}),
+    ("train", {"shot_many_min": 5}), ("train", {"shot_few_max": 5}),
+]
+
+
+def test_bound_cases_cover_every_declared_keyword():
+    covered = {tuple(case[0].split("-")[:2]) for case in BOUND_CASES}
+    declared = {(f"{section}.{name}", keyword)
+                for section, name, _, metadata in bounded_fields() for keyword in metadata}
+    assert declared == covered
+    names = {name for name, _ in covered}
+    assert {f"{s}.{next(iter(f))}" for s, f in SCHEMA_ONLY_BOUNDS} <= names
+    assert {"train.seed", "dataset.geometry_seed", "dataset.sample_seed"} <= names
+
+
+@pytest.mark.parametrize("section, fields, accepted", [c[1:] for c in BOUND_CASES],
+                         ids=[c[0] for c in BOUND_CASES])
+def test_schema_and_constructor_agree_on_each_bound(section, fields, accepted):
+    assert validates(section, fields) == accepted
+    assert constructs(section, fields) == accepted
+    if not any(isinstance(v, str) for v in fields.values()):
+        assert constructs(section, fields, as_numpy=True) == accepted
+
+
+@pytest.mark.parametrize("section, fields", SCHEMA_ONLY_BOUNDS, ids=repr)
+def test_constructor_rejects_what_only_the_schema_rejected(section, fields):
+    assert not validates(section, fields)
+    assert not constructs(section, fields)
+    assert not constructs(section, fields, as_numpy=True)
+
+
+@pytest.mark.parametrize("section, fields", HAND_CHECKED, ids=repr)
+def test_constructor_still_rejects_what_its_hand_written_checks_rejected(section, fields):
+    assert not constructs(section, fields)
+    assert not constructs(section, fields, as_numpy=True)
+    as_float32 = {k: np.float32(v) for k, v in fields.items() if isinstance(v, float)}
+    if all(float(v) == fields[k] or math.isnan(v) for k, v in as_float32.items()) and as_float32:
+        assert not constructs(section, {**fields, **as_float32})
+
+
+def test_constructor_message_names_the_class_and_the_field():
+    with pytest.raises(ValueError, match="^TrainConfig field tau: 0 is less than or equal to "
+                                         "the minimum of 0$"):
+        TrainConfig(num_classes=3, input_dim=4, tau=np.int64(0))
+    with pytest.raises(ValueError, match="^TrainConfig field hidden_sizes/1: 0 is less than "):
+        TrainConfig(num_classes=3, input_dim=4, hidden_sizes=(8, 0))
+    with pytest.raises(ValueError, match="^AugmentConfig field strong_dropout_prob: nan is not "
+                                         "a JSON number$"):
+        AugmentConfig(strong_dropout_prob=math.nan)
+    with pytest.raises(ValueError, match="^DatasetSpec field sample_seed: -1 is less than"):
+        DatasetSpec(num_classes=3, feature_dim=4, n1=5, m1=5, sample_seed=-1)
+
+
+@st.composite
+def field_values(draw):
+    """A bounded field and a value of its JSON type, often near or past a bound."""
+    section, name, json_type, metadata = draw(st.sampled_from(list(bounded_fields())))
+    if json_type == "integer":
+        value = draw(st.integers(-3, 3) | st.integers())
+    elif json_type == "number":
+        near = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-math.inf, math.inf]))
+        value = draw(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
+                     | near.map(lambda pair: math.nextafter(*pair)))
+    elif json_type == "string":
+        value = draw(st.sampled_from([*metadata["enum"], "x"]))
+    else:
+        value = draw(st.lists(st.integers(-2, 20), max_size=3))
+    return section, with_pair(section, name, value)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=field_values())
+def test_schema_and_constructor_agree_on_any_value(case):
+    section, fields = case
+    assert validates(section, fields) == constructs(section, fields)

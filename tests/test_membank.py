@@ -207,6 +207,26 @@ def test_get_restricted_to_nonempty_classes():
     assert np.all(bank.labels[rows] == 3)
 
 
+def test_retrieval_distribution_huge_lambda_is_its_limit():
+    """Every non-empty weight underflows to 0 here (2 ** -1e308); the result is
+    the lambda -> infinity limit, uniform over the non-empty classes of least M_k."""
+    counts = np.array([3, 0, 4, 1, 2])
+    estimated = np.array([2, 1, 9, 2, 5])
+    with np.errstate(divide="raise", invalid="raise"):
+        probs = retrieval_distribution(estimated, counts, 1e308)
+    assert probs.tolist() == [0.5, 0.0, 0.0, 0.5, 0.0]
+    # class 1 has the smallest estimate but is empty; one weight that does not
+    # underflow keeps the ordinary rule
+    assert retrieval_distribution(np.array([1, 2]), np.array([1, 1]), 1e308).tolist() == [1.0, 0.0]
+
+
+def test_get_huge_lambda_draws_only_the_least_estimated_classes():
+    bank = filled_bank([5, 5, 5])
+    rows = bank.get(np.array([3, 700, 3]), 1000, 1e308, RNG(14))
+    freq = np.bincount(bank.labels[rows], minlength=3) / len(rows)
+    assert freq[1] == 0 and abs(freq[0] - 0.5) < 0.06
+
+
 def test_get_empty_bank_returns_empty():
     bank = MemoryBank(4, 3, 1.0, 2)
     assert len(bank.get(np.ones(3), 10, 1.0, RNG(12))) == 0
