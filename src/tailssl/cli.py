@@ -8,7 +8,6 @@ runs from different datasets.
 """
 
 import argparse
-import copy
 import csv
 import json
 import os
@@ -24,7 +23,13 @@ from .numerics import ModelParams, encoder_forward, named_arrays
 from .trainer import fit
 from .util import canonical_json, sha256_file
 
+# The fields of an epoch record that epochs.jsonl keeps, and that report.json's `final` keeps
 JSONL_KEYS = ("epoch", "acc", "avg_class_recall", "group_acc", "bank_entropy", "mask_rate")
+FINAL_KEYS = ("acc", "avg_class_recall", "group_acc", "per_class_recall", "confusion",
+              "bank_entropy", "mask_rate", "estimation_error")
+# _headline's columns: the trailing-window means, then the final bank entropy
+HEADLINE_KEYS = ("top1", "avg_class_recall", "many_acc", "medium_acc", "few_acc", "bank_entropy")
+AGGREGATE_KEYS = tuple(k for k in HEADLINE_KEYS if k not in ("many_acc", "medium_acc"))
 LAST_K_EPOCHS = 20  # headline metrics average the last 20 epoch evaluations
 
 
@@ -177,8 +182,7 @@ def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
 
     state, log = fit(ds, train_cfg)
 
-    resolved = copy.deepcopy(cfg)
-    resolved.pop("data_dir_resolved", None)
+    resolved = {k: v for k, v in cfg.items() if k != "data_dir_resolved"}
     resolved["resolved_seed"] = seed
     chash = cfgmod.config_hash(resolved)  # hash excludes machine-local absolute paths
     stored = {**resolved, "config_hash": chash, "dataset_hash": dataset_hash,
@@ -188,11 +192,7 @@ def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
 
     with open(os.path.join(run_dir, "epochs.jsonl"), "w") as fh:
         for record in log:
-            line = {k: record[k] for k in JSONL_KEYS}
-            # empty shot groups or an empty test split yield NaN; JSONL must stay strict
-            line["acc"] = _nan_to_none(line["acc"])
-            line["avg_class_recall"] = _nan_to_none(line["avg_class_recall"])
-            line["group_acc"] = {g: _nan_to_none(v) for g, v in line["group_acc"].items()}
+            line = _nan_to_null({k: record[k] for k in JSONL_KEYS})
             fh.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
 
     _write_snapshots(run_dir, log, ds)
@@ -219,37 +219,47 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """A CSV file of a header row and rows; a None cell is written empty."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _write_snapshots(run_dir: str, log: list[dict], ds) -> None:
-    with open(os.path.join(run_dir, "bank_snapshots.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "class", "count"])
-        for record in log:
-            for k, c in enumerate(record["bank_counts"]):
-                w.writerow([record["epoch"], k, c])
-    true_counts = ds.true_unlabeled_counts
-    with open(os.path.join(run_dir, "estimator_snapshots.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "class", "estimated_count", "true_count"])
-        for record in log:
-            for k, c in enumerate(record["estimated_counts"]):
-                truth = int(true_counts[k]) if true_counts is not None else ""
-                w.writerow([record["epoch"], k, c, truth])
+    _write_csv(
+        os.path.join(run_dir, "bank_snapshots.csv"), ["epoch", "class", "count"],
+        ([r["epoch"], k, c] for r in log for k, c in enumerate(r["bank_counts"])),
+    )
+    truth = ds.true_unlabeled_counts
+    _write_csv(
+        os.path.join(run_dir, "estimator_snapshots.csv"),
+        ["epoch", "class", "estimated_count", "true_count"],
+        ([r["epoch"], k, c, None if truth is None else int(truth[k])]
+         for r in log for k, c in enumerate(r["estimated_counts"])),
+    )
 
 
-def _nan_to_none(value):
-    if value is None or (isinstance(value, float) and value != value):
+def _nan_to_null(value):
+    """value with every NaN in it made None, which JSON writes as null: an empty test
+    split or shot group has no accuracy, and JSON has no NaN."""
+    if isinstance(value, float) and value != value:
         return None
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_to_null(v) for v in value]
     return value
 
 
 def build_report(name, seed, config_hash, dataset_hash, mode, log) -> dict:
     """Final + trailing-window metrics; the window mean is the headline number."""
-    last = log[-1] if log else None
-    window = log[-LAST_K_EPOCHS:]
+    window = _nan_to_null(log[-LAST_K_EPOCHS:])
 
-    def window_mean(getter):
-        vals = [getter(r) for r in window]
-        vals = [v for v in vals if _nan_to_none(v) is not None]
+    def window_mean(key, group=None):
+        vals = [r[key] if group is None else r[key][group] for r in window]
+        vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else None
 
     report = {
@@ -262,23 +272,12 @@ def build_report(name, seed, config_hash, dataset_hash, mode, log) -> dict:
         "final": None,
         "last20_mean": None,
     }
-    if last is not None:
-        report["final"] = {
-            "acc": _nan_to_none(last["acc"]),
-            "avg_class_recall": _nan_to_none(last["avg_class_recall"]),
-            "group_acc": {g: _nan_to_none(v) for g, v in last["group_acc"].items()},
-            "per_class_recall": [_nan_to_none(v) for v in last["per_class_recall"]],
-            "confusion": last["confusion"],
-            "bank_entropy": _nan_to_none(last["bank_entropy"]),
-            "mask_rate": last["mask_rate"],
-            "estimation_error": _nan_to_none(last.get("estimation_error")),
-        }
+    if window:
+        report["final"] = {k: window[-1].get(k) for k in FINAL_KEYS}
         report["last20_mean"] = {
-            "top1": window_mean(lambda r: r["acc"]),
-            "avg_class_recall": window_mean(lambda r: r["avg_class_recall"]),
-            "group_acc": {
-                g: window_mean(lambda r, g=g: r["group_acc"][g]) for g in ("many", "medium", "few")
-            },
+            "top1": window_mean("acc"),
+            "avg_class_recall": window_mean("avg_class_recall"),
+            "group_acc": {g: window_mean("group_acc", g) for g in ("many", "medium", "few")},
             "epochs_averaged": len(window),
         }
     return report
@@ -289,14 +288,9 @@ def _headline(report: dict) -> dict:
     none (no epochs, or no test rows), which csv writes as an empty cell."""
     mean = report["last20_mean"] or {"group_acc": {}}
     groups = mean["group_acc"]
-    return {
-        "top1": mean.get("top1"),
-        "avg_class_recall": mean.get("avg_class_recall"),
-        "many_acc": groups.get("many"),
-        "medium_acc": groups.get("medium"),
-        "few_acc": groups.get("few"),
-        "bank_entropy": (report["final"] or {}).get("bank_entropy"),
-    }
+    values = (mean.get("top1"), mean.get("avg_class_recall"), groups.get("many"),
+              groups.get("medium"), groups.get("few"), (report["final"] or {}).get("bank_entropy"))
+    return dict(zip(HEADLINE_KEYS, values))
 
 
 def save_model(path, params: ModelParams, ema_params: ModelParams) -> None:
@@ -345,29 +339,20 @@ def load_model(path, hidden_sizes, input_dim, num_classes) -> tuple[ModelParams,
 def cmd_sweep(args) -> int:
     sweep = cfgmod.load_sweep_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    parameter, values, base = sweep["parameter"], sweep["values"], sweep["base"]
+    parameter, values = sweep["parameter"], sweep["values"]
     rows = []
     failures = []
-    for value in values:
-        for seed in base["seeds"]:
-            cell = copy.deepcopy(base)
-            cell["train"][parameter] = value
-            cell = cfgmod.validate_run_config(cell)
+    for value, cell in zip(values, sweep["cells"]):
+        for seed in cell["seeds"]:
             run_dir = os.path.join(args.out, f"{parameter}-{value}", f"seed-{seed}")
             try:
-                report = run_training(cell, run_dir, seed, args.config)
+                head = _headline(run_training(cell, run_dir, seed, args.config))
             except (ConfigError, DatasetFormatError, TrainingDivergedError) as exc:
                 failures.append({"value": value, "seed": seed, "error": str(exc)})
                 continue
-            rows.append({"param_value": value, "seed": seed, **_headline(report)})
-    with open(os.path.join(args.out, "aggregate.csv"), "w", newline="") as fh:
-        w = csv.DictWriter(
-            fh,
-            fieldnames=["param_value", "seed", "top1", "avg_class_recall", "few_acc", "bank_entropy"],
-            extrasaction="ignore",
-        )
-        w.writeheader()
-        w.writerows(rows)
+            rows.append([value, seed, *(head[k] for k in AGGREGATE_KEYS)])
+    _write_csv(os.path.join(args.out, "aggregate.csv"), ["param_value", "seed", *AGGREGATE_KEYS],
+               rows)
     manifest = {"parameter": parameter, "values": values, "failed_cells": failures}
     with open(os.path.join(args.out, "sweep_manifest.json"), "w") as fh:
         fh.write(canonical_json(manifest) + "\n")
@@ -422,9 +407,7 @@ REPORT_SCHEMA = {
 
 def _read_run_file(path: str, schema: dict, kind: str, unreadable: str) -> dict:
     """A JSON run file checked against schema; errors name the file and the field."""
-    data = cfgmod.read_json(path, unreadable)
-    cfgmod.check(data, schema, f"{path}: {kind}")
-    return data
+    return cfgmod.check(cfgmod.read_json(path, unreadable), schema, f"{path}: {kind}")
 
 
 def _read_run(run_dir: str) -> dict:
@@ -460,39 +443,24 @@ def cmd_report(args) -> int:
         raise ConfigError(f"refusing to aggregate runs with mismatched dataset hashes: {hashes}")
     os.makedirs(args.out, exist_ok=True)
 
-    with open(os.path.join(args.out, "per_class_recall.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "seed", "class", "recall"])
-        for r in runs:
-            rep = r["report"]
-            for k, rec in enumerate((rep["final"] or {}).get("per_class_recall", [])):
-                w.writerow([rep["name"], rep["seed"], k, "" if rec is None else rec])
-
-    with open(os.path.join(args.out, "bank_distribution.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "seed", "epoch", "class", "count"])
-        for r in runs:
-            for row in r["bank_snapshots"]:
-                w.writerow(
-                    [r["report"]["name"], r["report"]["seed"], row["epoch"], row["class"], row["count"]]
-                )
-
-    with open(os.path.join(args.out, "accuracy_table.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "run", "seed", "mode", "beta", "lambda_sampling", "alpha", "memory_content",
-                "top1", "avg_class_recall", "many_acc", "medium_acc", "few_acc", "bank_entropy",
-            ]
-        )
-        for r in runs:
-            rep, train = r["report"], r["config"]["train"]
-            w.writerow(
-                [
-                    rep["name"], rep["seed"], rep["mode"], train["beta"], train["lambda_sampling"],
-                    train["alpha"], train["memory_content"], *_headline(rep).values(),
-                ]
-            )
+    reports = [r["report"] for r in runs]
+    _write_csv(
+        os.path.join(args.out, "per_class_recall.csv"), ["run", "seed", "class", "recall"],
+        ([rep["name"], rep["seed"], k, recall] for rep in reports
+         for k, recall in enumerate((rep["final"] or {}).get("per_class_recall", []))),
+    )
+    _write_csv(
+        os.path.join(args.out, "bank_distribution.csv"), ["run", "seed", "epoch", "class", "count"],
+        ([rep["name"], rep["seed"], row["epoch"], row["class"], row["count"]]
+         for rep, r in zip(reports, runs) for row in r["bank_snapshots"]),
+    )
+    swept = ("beta", "lambda_sampling", "alpha", "memory_content")
+    _write_csv(
+        os.path.join(args.out, "accuracy_table.csv"),
+        ["run", "seed", "mode", *swept, *HEADLINE_KEYS],
+        ([rep["name"], rep["seed"], rep["mode"], *(r["config"]["train"][k] for k in swept),
+          *_headline(rep).values()] for rep, r in zip(reports, runs)),
+    )
     print(f"wrote report tables for {len(runs)} run(s) to {args.out}")
     return 0
 
@@ -518,13 +486,10 @@ def cmd_export_embeddings(args) -> int:
     use = params if args.raw_params else ema
     split = {"test": ds.test, "labeled": ds.labeled, "unlabeled": ds.unlabeled}[args.split]
     feats, _ = encoder_forward(use, split.x)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "label"] + [f"feat_{i}" for i in range(feats.shape[1])])
-        for i in range(len(split)):
-            w.writerow(
-                [int(split.ids[i]), int(split.y[i])] + [repr(float(v)) for v in feats[i]]
-            )
+    _write_csv(
+        args.out, ["id", "label", *(f"feat_{i}" for i in range(feats.shape[1]))],
+        ([i, y, *f] for i, y, f in zip(split.ids.tolist(), split.y.tolist(), feats.tolist())),
+    )
     print(f"wrote {len(split)} embeddings to {args.out}")
     return 0
 

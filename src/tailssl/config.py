@@ -16,11 +16,10 @@ import copy
 import dataclasses
 import json
 import os
-import typing
 
 from .data import AugmentConfig, DatasetSpec
 from .errors import ConfigError
-from .schema import _BOUNDS, _IS_TYPE, KEYWORDS, check, schema_errors  # noqa: F401
+from .schema import _BOUNDS, _IS_TYPE, KEYWORDS, check, field_schemas, schema_errors  # noqa: F401
 from .trainer import TrainConfig
 from .util import canonical_json, sha256_text
 
@@ -32,33 +31,15 @@ ENV_PREFIX = "TAILSSL_"
 SECTIONS = {"dataset": DatasetSpec, "augment": AugmentConfig, "train": TrainConfig}
 _FILLED_FROM_OTHER_SECTIONS = {"num_classes", "input_dim", "seed", "augment"}
 
-_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
-
-
-def _json_type(annotation) -> dict:
-    """JSON schema type of an annotation: a scalar, `X | None`, or `tuple[X, ...]`."""
-    if annotation in _JSON_TYPES:
-        return {"type": _JSON_TYPES[annotation]}
-    args = typing.get_args(annotation)
-    if typing.get_origin(annotation) is tuple:
-        return {"type": "array", "items": _json_type(args[0])}
-    return {"type": [_JSON_TYPES[arg] for arg in args]}
-
-
-def _property(cls, hints: dict, name: str) -> dict:
-    """Schema of a dataclass field: its annotation's JSON type plus its metadata's keywords."""
-    return {**_json_type(hints[name]), **cls.__dataclass_fields__[name].metadata}
-
 
 def _section(name: str) -> tuple[dict, dict]:
     """Schema and defaults of one config section, from its dataclass."""
     cls = SECTIONS[name]
-    hints = typing.get_type_hints(cls)
     properties, required, defaults = {}, [], {}
     for f in dataclasses.fields(cls):
         if name == "train" and f.name in _FILLED_FROM_OTHER_SECTIONS:
             continue
-        properties[f.name] = _property(cls, hints, f.name)
+        properties[f.name] = field_schemas(cls)[f.name]
         if f.default is dataclasses.MISSING:
             required.append(f.name)
         else:
@@ -82,7 +63,7 @@ RUN_SCHEMA = {
         "name": {"type": "string", "minLength": 1},
         "seeds": {
             "type": "array",
-            "items": _property(TrainConfig, typing.get_type_hints(TrainConfig), "seed"),
+            "items": field_schemas(TrainConfig)["seed"],
             "minItems": 1,
         },
         "data_dir": {"type": "string"},
@@ -180,9 +161,7 @@ def apply_env_overrides(cfg: dict, env=None) -> dict:
 
 def validate_run_config(cfg: dict) -> dict:
     """Apply defaults and schema-validate; returns the resolved config dict."""
-    resolved = _merge_defaults(cfg)
-    check(resolved, RUN_SCHEMA, "config")
-    return resolved
+    return check(_merge_defaults(cfg), RUN_SCHEMA, "config")
 
 
 def load_run_config(path, env=None, use_env: bool = True) -> dict:
@@ -195,6 +174,8 @@ def load_run_config(path, env=None, use_env: bool = True) -> dict:
 
 
 def load_sweep_config(path, env=None, use_env: bool = True) -> dict:
+    """The sweep's parameter and values, and `cells`: one resolved run config per value,
+    the base with train[parameter] set to it."""
     raw = read_json(path, f"cannot read sweep config {path}")
     check(raw, SWEEP_SCHEMA, "sweep")
     base = raw["base"]
@@ -205,12 +186,10 @@ def load_sweep_config(path, env=None, use_env: bool = True) -> dict:
         if use_env:
             base = apply_env_overrides(base, env)
         base = validate_run_config(base)
-    # Type-check each sweep value by materializing the config it produces.
-    for value in raw["values"]:
-        trial = copy.deepcopy(base)
-        trial["train"][raw["parameter"]] = value
-        validate_run_config(trial)
-    return {"parameter": raw["parameter"], "values": raw["values"], "base": base}
+    parameter = raw["parameter"]
+    cells = [validate_run_config({**base, "train": {**base["train"], parameter: value}})
+             for value in raw["values"]]
+    return {"parameter": parameter, "values": raw["values"], "cells": cells}
 
 
 def build_dataset_spec(cfg: dict) -> DatasetSpec:

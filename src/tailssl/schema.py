@@ -4,8 +4,10 @@ keyword raises), and config dataclass fields that declare their bounds in those 
 """
 
 import dataclasses
+import functools
 import math
 import operator
+import typing
 
 from .errors import ConfigError
 
@@ -80,10 +82,26 @@ def schema_errors(value, schema: dict, path: tuple = ()):
                 yield from schema_errors(value[key], subschema, (*path, key))
 
 
-def check(instance, schema: dict, kind: str) -> None:
-    """Raise ConfigError `<kind> field <path>: <message>` for the first error of instance."""
+def check(instance, schema: dict, kind: str):
+    """Raise ConfigError `<kind> field <path>: <message>` for the first error of instance;
+    return instance with its integral floats at `integer` nodes made ints (as_ints)."""
     for path, message in schema_errors(instance, schema):
         raise ConfigError(f"{kind} field {'/'.join(map(str, path)) or '<root>'}: {message}")
+    return as_ints(instance, schema)
+
+
+def as_ints(value, schema: dict):
+    """value with each integral float at an `integer` node of schema made an int; Draft
+    2020-12 counts 8.0 as an integer, and the code reading the value needs 8."""
+    # "type" is a type name or a list of them; "integer" is a substring of no other name
+    if isinstance(value, float) and value.is_integer() and "integer" in schema.get("type", ()):
+        return int(value)
+    if isinstance(value, list) and "items" in schema:
+        return [as_ints(item, schema["items"]) for item in value]
+    if isinstance(value, dict) and "properties" in schema:
+        properties = schema["properties"]
+        return {k: as_ints(v, properties[k]) if k in properties else v for k, v in value.items()}
+    return value
 
 
 def bounded(default=dataclasses.MISSING, **keywords):
@@ -91,27 +109,51 @@ def bounded(default=dataclasses.MISSING, **keywords):
     return dataclasses.field(default=default, metadata=keywords)
 
 
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", type(None): "null"}
+
+
+def json_type(annotation) -> dict:
+    """JSON schema type of an annotation: a scalar, `X | None`, or `tuple[X, ...]`."""
+    if annotation in _JSON_TYPES:
+        return {"type": _JSON_TYPES[annotation]}
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple:
+        return {"type": "array", "items": json_type(args[0])}
+    return {"type": [_JSON_TYPES[arg] for arg in args]}
+
+
+@functools.cache
+def field_schemas(cls) -> dict:
+    """Schema of each field of the dataclass cls that holds JSON data (a nested dataclass
+    does not): its annotation's JSON type plus the keywords in its metadata."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: {**json_type(hints[f.name]), **f.metadata}
+            for f in dataclasses.fields(cls) if not dataclasses.is_dataclass(hints[f.name])}
+
+
 def _as_json(value):
-    """value as JSON: a tuple is an array, a numpy scalar its value, a boolean 0 or 1."""
+    """value as JSON: a tuple is an array, a numpy scalar its value."""
     if isinstance(value, tuple):
         return [_as_json(v) for v in value]
-    if hasattr(value, "item"):
-        value = value.item()
-    return int(value) if isinstance(value, bool) else value
+    return value.item() if hasattr(value, "item") else value
 
 
 def check_fields(obj) -> None:
     """Raise ValueError `<Class> field <name>: <message>` for the first field of the
-    dataclass obj that breaks the schema keywords in its metadata.
+    dataclass obj that breaks its schema (field_schemas), and store an integral float
+    of an `int` field as an int (as_ints), so a value accepted here is one the code can use.
 
     NaN and the infinities break every field: JSON cannot write them, and a
     bound compares false against NaN.
     """
-    for f in dataclasses.fields(obj):
-        value = _as_json(getattr(obj, f.name))
+    for name, schema in field_schemas(type(obj)).items():
+        value = _as_json(getattr(obj, name))
         if isinstance(value, float) and not math.isfinite(value):
-            errors = [((f.name,), f"{value!r} is not a JSON number")]
+            errors = [((name,), f"{value!r} is not a JSON number")]
         else:
-            errors = schema_errors(value, f.metadata, (f.name,))
+            errors = schema_errors(value, schema, (name,))
         for path, message in errors:
             raise ValueError(f"{type(obj).__name__} field {'/'.join(map(str, path))}: {message}")
+        fixed = as_ints(value, schema)
+        if fixed is not value:  # an int for a float, or an array; the dataclasses are frozen
+            object.__setattr__(obj, name, tuple(fixed) if isinstance(fixed, list) else fixed)

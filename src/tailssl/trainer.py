@@ -401,6 +401,10 @@ def fit(
             groups,
         )
         bank_entropy = state.bank.balance_entropy() if len(state.bank) else None
+        with np.errstate(over="ignore"):  # finite losses can overflow a sum, not a mean
+            loss_mean = np.mean(loss_totals)
+            if np.isinf(loss_mean):
+                loss_mean = np.sum(np.divide(loss_totals, len(loss_totals)))
         record = {
             "epoch": epoch,
             "acc": report.top1,
@@ -410,7 +414,7 @@ def fit(
             "mask_rate": float(np.mean(mask_rates)),
             "per_class_recall": report.per_class_recall.tolist(),
             "confusion": report.confusion.tolist(),
-            "loss_total_mean": float(np.mean(loss_totals)),
+            "loss_total_mean": float(loss_mean),
             "enqueue_accept_rate": float(np.mean(accept_rates)),
             "bank_counts": state.bank.counts().tolist(),
             "estimated_counts": state.ledger.estimated_counts().tolist(),

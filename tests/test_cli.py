@@ -1,6 +1,7 @@
 """CLI harness: generate/train/sweep/report/export, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -245,6 +246,82 @@ def test_sweep_base_with_a_negative_seed_exits_2(workspace, capsys):
     assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 2
     assert "config field seeds/0: -1 is less than the minimum of 0" in capsys.readouterr().err
     assert not (tmp / "sw").exists()
+
+
+def _floated(cfg, *path):
+    """cfg with the integer (or each integer of the list) at path written as a float."""
+    *sections, field = path
+    node = cfg
+    for key in sections:
+        node = node[key]
+    value = node[field]
+    node[field] = [float(v) for v in value] if isinstance(value, list) else float(value)
+    return cfg
+
+
+def _tiny_with_seeds():
+    cfg = tiny_config()
+    cfg["dataset"].update(geometry_seed=0, sample_seed=1)  # the defaults, written out
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("train", "batch_size"), ("train", "memory_capacity"), ("train", "epochs"),
+        ("train", "iters_per_epoch"), ("train", "warmup_epochs"), ("train", "hidden_sizes"),
+        ("seeds",), ("dataset", "num_classes"), ("dataset", "feature_dim"), ("dataset", "n1"),
+        ("dataset", "geometry_seed"), ("dataset", "sample_seed"),
+    ],
+    ids="/".join,
+)
+def test_integral_float_in_an_integer_field_runs_as_its_int(workspace, path):
+    """Draft 2020-12 counts 8.0 as an integer; the run it configures is the run of 8."""
+    tmp, _ = workspace
+    outputs = {}
+    for form, cfg in (("int", _tiny_with_seeds()), ("float", _floated(_tiny_with_seeds(), *path))):
+        cfg_path = tmp / f"{form}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp / f"data-{form}")]) == 0
+        if form == "int":
+            assert main(["generate", "--config", str(cfg_path)]) == 0  # the data_dir both train on
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp / form)]) == 0
+        names = ("data-{}/dataset.csv", "data-{}/manifest.json", "{}/report.json", "{}/epochs.jsonl")
+        outputs[form] = [read(tmp / name.format(form)) for name in names]
+    assert outputs["float"] == outputs["int"]
+
+
+def test_integral_float_from_the_environment_runs_as_its_int(workspace, monkeypatch):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "int")]) == 0
+    monkeypatch.setenv("TAILSSL_TRAIN__BATCH_SIZE", "8.0")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "float")]) == 0
+    assert read(tmp / "float" / "report.json") == read(tmp / "int" / "report.json")
+
+
+def test_sweep_base_with_an_integral_float_batch_size_runs_its_cells(workspace):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    for form, base in (("int", tiny_config()), ("float", tiny_config(batch_size=8.0))):
+        sweep_path = tmp / f"sweep-{form}.json"
+        sweep_path.write_text(json.dumps({"parameter": "beta", "values": [1.0], "base": base}))
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / form)]) == 0
+    for name in ("aggregate.csv", "beta-1.0/seed-1/report.json"):
+        assert read(tmp / "float" / name) == read(tmp / "int" / name)
+
+
+@pytest.mark.parametrize("path", [("train", "hidden_sizes"), ("dataset", "num_classes")],
+                         ids="/".join)
+def test_export_embeddings_reads_integral_floats_in_the_resolved_config(workspace, path):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(tmp / "int.csv")]) == 0
+    resolved_path = tmp / "run" / "config.resolved.json"
+    resolved_path.write_text(json.dumps(_floated(json.loads(read(resolved_path)), *path)))
+    assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(tmp / "float.csv")]) == 0
+    assert read(tmp / "float.csv") == read(tmp / "int.csv")
 
 
 def test_train_huge_lambda_sampling_draws_from_the_limit(workspace):
@@ -886,6 +963,148 @@ def test_export_embeddings_unreadable_model_exits_2(workspace, capsys, damage):
     assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(out)]) == 2
     assert "model.npz: not a saved model (" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+# ---------------------------------------------------------------------------
+
+
+def _run_every_command(tmp, cfg):
+    """generate, train seed 0, a two-value beta sweep, report over all three runs and
+    export-embeddings of the trained run, all under tmp/out; every command exits 0."""
+    out = tmp / "out"
+    cfg = {**cfg, "data_dir": "out/data"}
+    cfg_path = tmp / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    sweep_path = tmp / "sweep.json"
+    sweep_path.write_text(json.dumps({"parameter": "beta", "values": [0.0, 1.0], "base": cfg}))
+    runs = [str(out / "run"), *(str(out / "sw" / f"beta-{v}" / "seed-0") for v in ("0.0", "1.0"))]
+    for argv in (
+        ["generate", "--config", str(cfg_path)],
+        ["train", "--config", str(cfg_path), "--out", str(out / "run")],
+        ["sweep", "--config", str(sweep_path), "--out", str(out / "sw")],
+        ["report", "--runs", *runs, "--out", str(out / "rep")],
+        ["export-embeddings", "--run", str(out / "run"), "--out", str(out / "emb.csv"),
+         "--split", "labeled"],
+    ):
+        assert main(argv) == 0, argv
+    return out
+
+
+def _output_digests(out):
+    """sha256 of every file under out by relative path, but model.npz and
+    config.resolved.json (which stores an absolute path)."""
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name not in ("model.npz", "config.resolved.json")
+    }
+
+
+# test_per_class -> {path under out: sha256}; recorded before cli.py's writers were merged
+OUTPUT_DIGESTS = {
+    6: {
+        "data/dataset.csv":
+            "039b5f956227f14c7cfd5e6f1727dd1be0f9bbb8bc5f3c71ef8d50b9f14bf12d",
+        "data/dataset.oracle.csv":
+            "a159a342575c61c98dc5504cebac9735a1c4889d3b0e45a13d79d88473667342",
+        "data/manifest.json":
+            "1988267ba94c189d2529bec80219d1b36d8869af7b7f7142b194a032c20cfadc",
+        "emb.csv":
+            "5c4718667fdef3e08bd5f6b41a1194eda1b775d88c3d97246f556853d17c8ec6",
+        "rep/accuracy_table.csv":
+            "e69a5a94a792fe31718d781b1759b9f4c56c225507e1dfd27e6a8131997cb09f",
+        "rep/bank_distribution.csv":
+            "2bf25857c63d7ce2ad1e4a7d611ad3f85fd544a52cf7ec04a5b43a9308f1d667",
+        "rep/per_class_recall.csv":
+            "4526dd3474909aaaf181fe10cf40b69cebb6bef131f96f96c188165ee335d9f7",
+        "run/bank_snapshots.csv":
+            "8285599346cc60b263f1742ee0148244cdbe7618629c54555f9eb15aab64b1d4",
+        "run/epochs.jsonl":
+            "a5ea5db2157b2650c652927ad5fd9ded1bbe31a9e1788cd6017fa6fa77884970",
+        "run/estimator_snapshots.csv":
+            "30c558c6a6bec311ef6d6b3009ceaf5cd9459db5f8fc4ff3435379436b13770a",
+        "run/report.json":
+            "75a051af838e589f4d432160fc700f21404d2274f49186ef81d4629c369f49fc",
+        "sw/aggregate.csv":
+            "11941beca47ea5f72786dac218f81637974aa4b708d47f966aeb486b1c81e7b4",
+        "sw/beta-0.0/seed-0/bank_snapshots.csv":
+            "8285599346cc60b263f1742ee0148244cdbe7618629c54555f9eb15aab64b1d4",
+        "sw/beta-0.0/seed-0/epochs.jsonl":
+            "a5ea5db2157b2650c652927ad5fd9ded1bbe31a9e1788cd6017fa6fa77884970",
+        "sw/beta-0.0/seed-0/estimator_snapshots.csv":
+            "30c558c6a6bec311ef6d6b3009ceaf5cd9459db5f8fc4ff3435379436b13770a",
+        "sw/beta-0.0/seed-0/report.json":
+            "ce8530d3f69e721369d55cb8669cc2846a768015ca9b0aa469b619807a0d70f5",
+        "sw/beta-1.0/seed-0/bank_snapshots.csv":
+            "8285599346cc60b263f1742ee0148244cdbe7618629c54555f9eb15aab64b1d4",
+        "sw/beta-1.0/seed-0/epochs.jsonl":
+            "a5ea5db2157b2650c652927ad5fd9ded1bbe31a9e1788cd6017fa6fa77884970",
+        "sw/beta-1.0/seed-0/estimator_snapshots.csv":
+            "30c558c6a6bec311ef6d6b3009ceaf5cd9459db5f8fc4ff3435379436b13770a",
+        "sw/beta-1.0/seed-0/report.json":
+            "75a051af838e589f4d432160fc700f21404d2274f49186ef81d4629c369f49fc",
+        "sw/sweep_manifest.json":
+            "bc877c314788dc3ec1a57c7561b681f93bb9167f5085eb4bc9eda0eaf9b8dcdd",
+    },
+    0: {
+        "data/dataset.csv":
+            "2bde9be79636c536e3c02048a9a97dd4dde3f3ac2b344118c518364c8e37ce43",
+        "data/dataset.oracle.csv":
+            "a159a342575c61c98dc5504cebac9735a1c4889d3b0e45a13d79d88473667342",
+        "data/manifest.json":
+            "b9d1c0992e93cbd6ac19f53f7f4b4ff5a1229f830fce733a9b77ac0fdcd5f3a2",
+        "emb.csv":
+            "5c4718667fdef3e08bd5f6b41a1194eda1b775d88c3d97246f556853d17c8ec6",
+        "rep/accuracy_table.csv":
+            "c8d1a05a737fad7be46629c19d3a1f12fb329335557c6702f5b086e616322a1d",
+        "rep/bank_distribution.csv":
+            "2bf25857c63d7ce2ad1e4a7d611ad3f85fd544a52cf7ec04a5b43a9308f1d667",
+        "rep/per_class_recall.csv":
+            "8a2906f898f147a5af47c2dc6f330f7d1439a1ef54f82bc54f920006c34818f3",
+        "run/bank_snapshots.csv":
+            "8285599346cc60b263f1742ee0148244cdbe7618629c54555f9eb15aab64b1d4",
+        "run/epochs.jsonl":
+            "c6e4a16f6a058a6092b949777bd5db050625a771e90444ed17f737167ac05c0b",
+        "run/estimator_snapshots.csv":
+            "30c558c6a6bec311ef6d6b3009ceaf5cd9459db5f8fc4ff3435379436b13770a",
+        "run/report.json":
+            "85d1aab22a3c443034d3cccfc1099a167199dfd843faf7d7a0bb20a28c4a1120",
+        "sw/aggregate.csv":
+            "fd44ac6bc941b5755a0cf3f3d31f71dcc1329b9c806986d6eae4e4174c48d478",
+        "sw/beta-0.0/seed-0/bank_snapshots.csv":
+            "8285599346cc60b263f1742ee0148244cdbe7618629c54555f9eb15aab64b1d4",
+        "sw/beta-0.0/seed-0/epochs.jsonl":
+            "c6e4a16f6a058a6092b949777bd5db050625a771e90444ed17f737167ac05c0b",
+        "sw/beta-0.0/seed-0/estimator_snapshots.csv":
+            "30c558c6a6bec311ef6d6b3009ceaf5cd9459db5f8fc4ff3435379436b13770a",
+        "sw/beta-0.0/seed-0/report.json":
+            "5d91e1357bdecfcf1b0ead7a6039798b876dc493120e02e7c47dd8dbf5a888ab",
+        "sw/beta-1.0/seed-0/bank_snapshots.csv":
+            "8285599346cc60b263f1742ee0148244cdbe7618629c54555f9eb15aab64b1d4",
+        "sw/beta-1.0/seed-0/epochs.jsonl":
+            "c6e4a16f6a058a6092b949777bd5db050625a771e90444ed17f737167ac05c0b",
+        "sw/beta-1.0/seed-0/estimator_snapshots.csv":
+            "30c558c6a6bec311ef6d6b3009ceaf5cd9459db5f8fc4ff3435379436b13770a",
+        "sw/beta-1.0/seed-0/report.json":
+            "85d1aab22a3c443034d3cccfc1099a167199dfd843faf7d7a0bb20a28c4a1120",
+        "sw/sweep_manifest.json":
+            "bc877c314788dc3ec1a57c7561b681f93bb9167f5085eb4bc9eda0eaf9b8dcdd",
+    },
+}
+
+
+@pytest.mark.parametrize("test_per_class", [6, 0], ids=["tiny", "no-test-rows"])
+def test_every_output_file_is_pinned(workspace, capsys, test_per_class):
+    # Pins the run-file formats byte for byte; with no test rows every accuracy is
+    # NaN, written as null in JSON and as an empty cell in CSV.
+    tmp, _ = workspace
+    cfg = tiny_config()
+    cfg["seeds"] = [0]
+    cfg["dataset"]["test_per_class"] = test_per_class
+    digests = _output_digests(_run_every_command(tmp, cfg))
+    assert digests == OUTPUT_DIGESTS[test_per_class]
 
 
 # ---------------------------------------------------------------------------

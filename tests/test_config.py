@@ -453,6 +453,29 @@ def test_constructor_message_names_the_class_and_the_field():
         DatasetSpec(num_classes=3, feature_dim=4, n1=5, m1=5, sample_seed=-1)
 
 
+def test_constructor_stores_an_integral_float_of_an_int_field_as_an_int():
+    """8.0 is an integer to the schema, so the constructor keeps 8, which numpy can
+    size an array by."""
+    cfg = TrainConfig(num_classes=3.0, input_dim=4, batch_size=np.float64(8.0),
+                      hidden_sizes=(6.0, 4), shot_many_min=5.0, shot_few_max=2)
+    assert (cfg.num_classes, cfg.batch_size, cfg.hidden_sizes, cfg.shot_many_min) == (3, 8, (6, 4), 5)
+    assert all(type(v) is int for v in (cfg.num_classes, cfg.batch_size, *cfg.hidden_sizes,
+                                        cfg.shot_many_min))
+    spec = DatasetSpec(num_classes=3, feature_dim=4.0, n1=5, m1=5, sample_seed=2.0)
+    assert (type(spec.feature_dim), type(spec.sample_seed)) == (int, int)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"batch_size": 8.5}, {"hidden_sizes": [6.5]}, {"epochs": "3"}, {"aux_stopgrad": 1},
+     {"tau": True}],
+    ids=repr,
+)
+def test_schema_and_constructor_reject_a_value_of_the_wrong_json_type(fields):
+    assert not validates("train", fields)
+    assert not constructs("train", fields)
+
+
 @st.composite
 def field_values(draw):
     """A bounded field and a value of its JSON type, often near or past a bound."""

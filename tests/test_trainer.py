@@ -579,6 +579,31 @@ def test_fit_epoch_log_schema_and_monotone_epochs():
     assert state.step == 15
 
 
+def test_fit_loss_mean_stays_finite_when_the_sum_overflows(monkeypatch):
+    """With lambda_m 1e308 every step loss is finite but their sum is not: the epoch
+    mean is then each loss over the count, with no overflow warning."""
+    spec = DatasetSpec(num_classes=4, feature_dim=4, n1=20, m1=40, gamma_l=4, gamma_u=4,
+                       test_per_class=10)
+    cfg = TrainConfig(num_classes=4, input_dim=4, epochs=3, warmup_epochs=1, iters_per_epoch=5,
+                      batch_size=8, hidden_sizes=(6,), memory_capacity=16, tau=0.26,
+                      lambda_m=1e308)
+    losses = []
+
+    def recording_step(*args):
+        metrics = train_step(*args)
+        losses.append(metrics.loss_total)
+        return metrics
+
+    monkeypatch.setattr(trainer_module, "train_step", recording_step)
+    _, log = fit(generate_dataset(spec), cfg)
+    per_epoch = np.array(losses).reshape(cfg.epochs, cfg.iters_per_epoch)
+    assert np.isfinite(per_epoch).all()
+    assert log[0]["loss_total_mean"] == np.mean(per_epoch[0])  # warmup: np.mean as before
+    for epoch in (1, 2):
+        assert (per_epoch[epoch] / 8).sum() > np.finfo(np.float64).max / 8  # np.mean overflows
+        assert log[epoch]["loss_total_mean"] == np.sum(per_epoch[epoch] / cfg.iters_per_epoch)
+
+
 def test_fit_requires_labeled_data_and_unlabeled_for_ssl_modes():
     ds = tiny_dataset()
     empty = Split(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
