@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError
-from .schema import bounded, check_fields
+from .schema import MAX_SIZE, bounded, check_fields
 from .util import round_half_up
 
 CSV_SPLITS = ("train", "test")
@@ -26,13 +26,13 @@ _SPLIT_DTYPE = "U6"
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    num_classes: int = bounded(minimum=2)
-    feature_dim: int = bounded(minimum=1)
-    n1: int = bounded(minimum=1)  # largest labeled class size
-    m1: int = bounded(minimum=0)  # largest unlabeled class size
+    num_classes: int = bounded(minimum=2, maximum=MAX_SIZE)
+    feature_dim: int = bounded(minimum=1, maximum=MAX_SIZE)
+    n1: int = bounded(minimum=1, maximum=MAX_SIZE)  # largest labeled class size
+    m1: int = bounded(minimum=0, maximum=MAX_SIZE)  # largest unlabeled class size
     gamma_l: float = bounded(1.0, minimum=1)  # labeled imbalance ratio (head/tail)
     gamma_u: float = bounded(1.0, minimum=1)  # unlabeled imbalance ratio
-    test_per_class: int = bounded(100, minimum=0)
+    test_per_class: int = bounded(100, minimum=0, maximum=MAX_SIZE)
     geometry_seed: int = bounded(0, minimum=0)
     sample_seed: int = bounded(1, minimum=0)
     separation: float = bounded(3.0, exclusiveMinimum=0)  # pairwise distance between class means

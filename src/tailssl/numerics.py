@@ -10,12 +10,17 @@ suite checks every gradient path against central finite differences.
 
 Stacked passes. A batch may carry a leading block axis, (B, n, d), and the two
 heads form one stacked layer, w (2, d, K) and b (2, K). The encoder runs every
-block, the stacked head scores every block with every head, and the CE takes
-one loss per (head, block). numpy's stacked and broadcast matmuls compute each
-block with the same BLAS call as a 2-D matmul of that block, and a reduction
-over the last axis or over the rows of a block adds in the same order as on
-the block alone, so a stacked pass gives bit for bit the values of one pass
-per block. The backward passes add each block's gradients in block order.
+block and the stacked head scores every block with every head. numpy's stacked
+and broadcast matmuls compute each block with the same BLAS call as a 2-D
+matmul of that block, and a reduction over the last axis or over the rows of a
+block adds in the same order as on the block alone, so a stacked pass gives
+bit for bit the values of one pass per block. The backward passes add each
+block's gradients in block order.
+
+Rows and segments. The CE scores rows, (n, K) logits, and returns one term per
+row; a loss is the negated sum of the terms of its own contiguous segment of
+rows. A segment's sum adds in the same order as a call on that segment alone,
+so one call carries every loss of a step bit for bit.
 """
 
 from dataclasses import dataclass
@@ -196,37 +201,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def weighted_masked_ce(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    mask: np.ndarray,
-    divisor: int,
-) -> tuple[float, np.ndarray]:
-    """Per-row weighted, masked cross-entropy averaged over a fixed divisor.
+    logits: np.ndarray, targets: np.ndarray, coef: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row weighted cross-entropy terms and their exact gradient.
 
-    loss = (1/divisor) * sum_i mask_i * weight_i * H(target_i, softmax(logits_i)).
-    The divisor stays the nominal batch size even when the mask removes rows.
-    Returns the loss and its exact gradient w.r.t. the logits; masked rows get
-    a zero gradient row.
+    Row i's term is coef_i * log softmax(logits_i)[target_i]. A loss over a
+    segment of rows is -(terms[segment].sum()); its coef is each row's weight
+    over the loss's divisor, which stays the nominal batch size even when a
+    mask removes rows, and 0 for a masked row. Returns the terms and dlogits,
+    the exact gradient of -terms.sum() w.r.t. the logits; a row with coef 0
+    gets a zero gradient row.
 
-    Leading axes index independent blocks of rows: the loss is one per block,
-    a float for 2-D logits, and dlogits has the logits' shape.
-
-    Nothing is checked: the caller passes float64 logits (..., n, k), integer
-    targets (..., n) in [0, k), float64 weights and a bool mask that broadcast
-    to the targets' shape, and a divisor > 0.
+    Nothing is checked: the caller passes float64 logits (n, k), integer
+    targets (n,) in [0, k) and float64 coef (n,).
     """
-    k = logits.shape[-1]
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    coef = np.where(mask, weights, 0.0) / float(divisor)
-    # position of each target logit in the row-major flattened logits
-    at = np.arange(0, targets.size * k, k).reshape(targets.shape) + targets
-    loss = -(coef * logp.reshape(-1)[at]).sum(axis=-1)
-    dlogits = np.exp(logp, order="C")  # C order, so reshape(-1) below is a view
-    dlogits *= coef[..., None]
-    dlogits.reshape(-1)[at] -= coef
-    return (float(loss) if loss.ndim == 0 else loss), dlogits
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(len(targets))
+    terms = coef * logp[rows, targets]
+    dlogits = np.exp(logp)
+    dlogits *= coef[:, None]
+    dlogits[rows, targets] -= coef
+    return terms, dlogits
 
 
 def head_backward(

@@ -16,6 +16,9 @@ KEYWORDS = {
     "minLength", "minItems", "items", "properties", "required", "additionalProperties",
 }
 
+# numpy's largest dimension: the maximum of every field that sizes an array
+MAX_SIZE = 2**63 - 1
+
 _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),

@@ -22,12 +22,15 @@ the class-rebalanced bank, and is the only head used at inference. Per step:
 
 The step batches its numerics: one weak-augment draw covers the labeled and
 unlabeled rows, one encoder pass runs the blocks labeled weak | unlabeled
-strong | unlabeled weak, the stacked heads score every block at once, and one
-CE call and one backward pass cover the labeled and strong-view losses of
-both heads. Stacked passes give the values of one pass per block bit for bit
-(see `numerics`), and each gradient array still adds its labeled, strong-view
-and memory terms in that order, so the step equals one that runs each loss on
-its own.
+strong | unlabeled weak, and the stacked heads score every block at once. The
+bookkeeping of (3) and the memory draw of (4) run before any loss, so one CE
+call covers every loss of the step: the labeled and strong-view rows of both
+heads, then the memory rows, each loss the sum of its own segment of rows. One
+stacked backward covers the labeled and strong-view losses, and the memory
+rows' head backward follows the encoder's. Stacked passes give the values of
+one pass per block bit for bit (see `numerics`), and each gradient array still
+adds its labeled, strong-view and memory terms in that order, so the step
+equals one that runs each loss on its own.
 
 During warmup epochs every unlabeled term is dropped and the ledger/bank stay
 untouched. Modes: "vanilla" = supervised base head only, "fixmatch" = base
@@ -70,7 +73,7 @@ from .numerics import (
     weighted_masked_ce,
     zeros_like_params,
 )
-from .schema import bounded, check_fields
+from .schema import MAX_SIZE, bounded, check_fields
 from .util import round_half_up, spawn_rngs
 from .weighting import batch_weights
 
@@ -83,7 +86,7 @@ class TrainConfig:
     num_classes: int
     input_dim: int
     hidden_sizes: tuple[int, ...] = bounded(
-        (16, 8), items={"type": "integer", "minimum": 1}, minItems=1
+        (16, 8), items={"type": "integer", "minimum": 1, "maximum": MAX_SIZE}, minItems=1
     )
     mode: str = bounded("bmb", enum=list(MODES))
     tau: float = bounded(0.95, exclusiveMinimum=0, maximum=1)  # pseudo-label confidence threshold
@@ -92,8 +95,8 @@ class TrainConfig:
     lambda_sampling: float = bounded(0.75, minimum=0)  # reversed-sampling exponent
     lambda_u: float = bounded(1.0, minimum=0)  # consistency loss weight
     lambda_m: float = bounded(0.25, minimum=0)  # memory loss weight
-    batch_size: int = bounded(64, minimum=1)
-    memory_capacity: int = bounded(128, minimum=1)
+    batch_size: int = bounded(64, minimum=1, maximum=MAX_SIZE)
+    memory_capacity: int = bounded(128, minimum=1, maximum=MAX_SIZE)
     get_fraction: float = bounded(0.5, minimum=0, maximum=1)  # batch share re-drawn from memory
     memory_content: str = bounded("strong", enum=list(MEMORY_CONTENTS))
     warmup_epochs: int = bounded(5, minimum=0)
@@ -200,9 +203,8 @@ def compute_step(
     grads = state.grads
     grads.flat.fill(0.0)
     n_heads = 2 if use_aux else 1  # vanilla and fixmatch train the base head alone
+    n_loss = 2 if use_unsup else 1  # loss blocks: labeled weak, then unlabeled strong
     heads, grad_heads = p.heads[:n_heads], grads.heads[:n_heads]
-    ones = np.ones(b)
-    full = np.ones(b, dtype=bool)
 
     # (1) the weak views of the labeled and unlabeled rows in one draw, then
     # the strong view; blocks: labeled weak | unlabeled strong | unlabeled weak,
@@ -216,44 +218,29 @@ def compute_step(
     feats, cache = encoder_forward(p, x)
     logits = head_forward(heads, feats)  # (head, block, row, class)
 
-    # per head and loss block: CE targets and weights; per block: mask, scale
-    targets, weights, masks, scales = [[labeled_y]], [[ones]], [full], [1.0]
+    # per head and loss block: CE targets and coefficients (weight over b, 0
+    # where masked); per loss block: its scale
+    targets = np.empty((n_heads, n_loss, b), dtype=np.int64)
+    coef = np.ones((n_heads, n_loss, b))
+    targets[:, 0] = labeled_y
     if use_aux:
-        targets.append([labeled_y])
-        weights.append([batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)])
+        coef[1, 0] = batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)
+    scales = [1.0, cfg.lambda_u][:n_loss]
     mask_rate = accept_rate = loss_mem = 0.0
+    rows = ()
     if use_unsup:
         # (2) pseudo labels and mask from the weak view (constants: no gradient
         # flows through that block)
         probs_b = softmax(logits[0, 2])
-        conf = probs_b.max(axis=1)
-        qhat_b = probs_b.argmax(axis=1)
-        mask = conf >= cfg.tau
+        mask = probs_b.max(axis=1) >= cfg.tau
         mask_rate = int(np.count_nonzero(mask)) / b  # == mask.mean(), exactly
-        targets[0].append(qhat_b)
-        weights[0].append(ones)
-        masks.append(mask)
-        scales.append(cfg.lambda_u)
+        targets[0, 1] = probs_b.argmax(axis=1)
         if use_aux:
             qhat_a = logits[1, 2].argmax(axis=1)
-            est_pre = state.ledger.estimated_counts()
-            targets[1].append(qhat_a)
-            weights[1].append(batch_weights(est_pre, qhat_a, cfg.alpha))
-
-    # labeled and strong-view losses of both heads: one CE, one backward each
-    n_loss = len(masks)
-    losses, dlogits = weighted_masked_ce(
-        logits[:, :n_loss], np.array(targets), np.array(weights), np.array(masks), b
-    )
-    dfeat = head_backward(heads, feats[:n_loss], dlogits, grad_heads, scales)
-    block_scale = np.array(scales)[:, None, None]
-    dfeat_enc = dfeat[0] * block_scale
-    if use_aux and not cfg.aux_stopgrad:
-        dfeat_enc += block_scale * dfeat[1]
-    encoder_backward(p, cache, dfeat_enc, grads)
-    table = np.zeros((2, 2))
-    table[:n_heads, :n_loss] = losses
-    (loss_s_b, loss_u_b), (loss_s_a, loss_u_a) = table.tolist()
+            targets[1, 1] = qhat_a
+            coef[1, 1] = batch_weights(state.ledger.estimated_counts(), qhat_a, cfg.alpha)
+        coef[:, 1, ~mask] = 0.0
+    coef /= b
 
     if use_unsup and use_aux:
         # (3) confident samples feed the ledger and the bank (auxiliary labels,
@@ -272,22 +259,38 @@ def compute_step(
         accepted = state.bank.offer(offered, labels, state.rngs.bank)
         accept_rate = accepted / len(labels) if len(labels) else 0.0
 
-        # (4) memory loss over re-sampled features; gradients reach only the
-        # auxiliary head because the stored features are constants
+        # (4) a fixed fraction of the batch re-drawn from the bank
         n_mem = round_half_up(cfg.get_fraction * b)
         rows = state.bank.get(
             state.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, state.rngs.bank
         )
-        if len(rows):
-            loss_mem, _ = _head_loss(
-                p.aux_head,
-                grads.aux_head,
-                state.bank.features[rows],
-                state.bank.labels[rows],
-                np.ones(len(rows)),
-                np.ones(len(rows), dtype=bool),
-                cfg.lambda_m,
-            )
+
+    # one CE over the loss blocks' rows of each head, then the memory rows,
+    # which the auxiliary head scores; each loss sums its own segment
+    n_rows = targets.size
+    ce_logits = logits[:, :n_loss].reshape(n_rows, -1)
+    ce_targets, ce_coef = targets.reshape(-1), coef.reshape(-1)
+    if len(rows):
+        mem_feats = state.bank.features[rows]
+        ce_logits = np.concatenate((ce_logits, head_forward(p.aux_head, mem_feats)))
+        ce_targets = np.concatenate((ce_targets, state.bank.labels[rows]))
+        ce_coef = np.concatenate((ce_coef, np.full(len(rows), 1.0 / len(rows))))
+    terms, dlogits = weighted_masked_ce(ce_logits, ce_targets, ce_coef)
+    table = np.zeros((2, 2))
+    table[:n_heads, :n_loss] = -terms[:n_rows].reshape(n_heads, n_loss, b).sum(axis=-1)
+    (loss_s_b, loss_u_b), (loss_s_a, loss_u_a) = table.tolist()
+
+    dlogits_blocks = dlogits[:n_rows].reshape(n_heads, n_loss, b, -1)
+    dfeat = head_backward(heads, feats[:n_loss], dlogits_blocks, grad_heads, scales)
+    block_scale = np.array(scales)[:, None, None]
+    dfeat_enc = dfeat[0] * block_scale
+    if use_aux and not cfg.aux_stopgrad:
+        dfeat_enc += block_scale * dfeat[1]
+    encoder_backward(p, cache, dfeat_enc, grads)
+    if len(rows):
+        # the memory loss reaches only the auxiliary head: stored features are constants
+        loss_mem = float(-terms[n_rows:].sum())
+        head_backward(p.aux_head, mem_feats, dlogits[n_rows:], grads.aux_head, cfg.lambda_m)
 
     # (5) total loss per the two-branch decomposition
     loss_total = (
@@ -310,14 +313,6 @@ def compute_step(
         enqueue_accept_rate=accept_rate,
     )
     return metrics, grads
-
-
-def _head_loss(head, grad, features, targets, weights, mask, scale=1.0):
-    """Mean-over-batch CE of one head: adds scale times its head gradients into
-    grad and returns (loss, dfeatures), both unscaled."""
-    logits = head_forward(head, features)
-    loss, dlogits = weighted_masked_ce(logits, targets, weights, mask, len(features))
-    return loss, head_backward(head, features, dlogits, grad, scale)
 
 
 def train_step(

@@ -14,6 +14,7 @@ import numpy as np
 
 from tailssl.data import CSV_SPLITS, Dataset, Split
 from tailssl.errors import DatasetFormatError
+from tailssl.numerics import weighted_masked_ce
 
 
 def mlp_forward(params, batch):
@@ -61,6 +62,14 @@ def ce_sum(logits, targets, weights, mask, divisor):
         p = softmax_row(row)
         total += -weights[i] * math.log(p[targets[i]])
     return total / divisor
+
+
+def masked_ce(logits, targets, weights, mask, divisor):
+    """One loss through weighted_masked_ce: each row's coefficient is its weight
+    over divisor, 0 where masked. Returns (loss, dlogits)."""
+    coef = np.where(mask, weights, 0.0) / float(divisor)
+    terms, dlogits = weighted_masked_ce(logits, targets, coef)
+    return float(-terms.sum()), dlogits
 
 
 def argmax_first(row):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 from mpmath import mp, mpf
-from oracles import store
+from oracles import masked_ce, store
 
 from tailssl.cli import main as cli_main
 from tailssl.data import AugmentConfig, DatasetSpec, generate_dataset, longtail_counts
@@ -30,7 +30,6 @@ from tailssl.numerics import (
     encoder_forward,
     head_forward,
     init_params,
-    weighted_masked_ce,
     zeros_like_params,
 )
 from tailssl.trainer import TrainConfig, compute_step, fit, init_state, train_step
@@ -207,12 +206,12 @@ def test_criterion_2_gradient_suite():
             def loss_fn():
                 feats, _ = encoder_forward(params, batch)
                 head = params.base_head if head_name == "base" else params.aux_head
-                loss, _ = weighted_masked_ce(head_forward(head, feats), targets, weights, mask, b)
+                loss, _ = masked_ce(head_forward(head, feats), targets, weights, mask, b)
                 return loss
 
             feats, cache = encoder_forward(params, batch)
             head = params.base_head if head_name == "base" else params.aux_head
-            _, dlogits = weighted_masked_ce(head_forward(head, feats), targets, weights, mask, b)
+            _, dlogits = masked_ce(head_forward(head, feats), targets, weights, mask, b)
             from tailssl.numerics import encoder_backward, head_backward
 
             analytic = zeros_like_params(params)
@@ -229,12 +228,12 @@ def test_criterion_2_gradient_suite():
     labels = rng.integers(0, 3, size=4)
 
     def mem_loss():
-        loss, _ = weighted_masked_ce(
+        loss, _ = masked_ce(
             head_forward(params.aux_head, feats), labels, np.ones(4), np.ones(4, dtype=bool), 4
         )
         return loss
 
-    _, dlogits = weighted_masked_ce(
+    _, dlogits = masked_ce(
         head_forward(params.aux_head, feats), labels, np.ones(4), np.ones(4, dtype=bool), 4
     )
     analytic = zeros_like_params(params)

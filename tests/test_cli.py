@@ -235,6 +235,34 @@ def test_negative_seed_in_config_exits_2(workspace, capsys, command, edit, messa
     assert not (tmp / "out").exists()
 
 
+# Integral floats past int64, numpy's largest dimension, in the fields that size an array
+SIZE_PAST_INT64 = [
+    *[("train", "train", name, value, f"train/{name}")
+      for name in ("memory_capacity", "batch_size") for value in (1e19, 1e308)],
+    *[("train", "train", "hidden_sizes", [8, value], "train/hidden_sizes/1")
+      for value in (1e19, 1e308)],
+    *[("generate", "dataset", name, 1e308, f"dataset/{name}")
+      for name in ("num_classes", "feature_dim", "n1", "m1", "test_per_class")],
+]
+
+
+@pytest.mark.parametrize("command, section, name, value, path", SIZE_PAST_INT64,
+                         ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in SIZE_PAST_INT64])
+def test_size_field_past_int64_exits_2(workspace, capsys, command, section, name, value, path):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    cfg[section][name] = value
+    huge = tmp / "huge.json"
+    huge.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(huge), "--out", str(tmp / "out")]) == 2
+    item = value[-1] if isinstance(value, list) else value
+    assert (f"config field {path}: {item!r} is greater than the maximum of 9223372036854775807"
+            in capsys.readouterr().err)
+    assert not (tmp / "out").exists()
+
+
 def test_sweep_base_with_a_negative_seed_exits_2(workspace, capsys):
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])

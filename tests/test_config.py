@@ -328,7 +328,7 @@ def with_pair(section, name, value):
 def bound_cases():
     """(id, section, fields, accepted): the nearest value inside each bound, the
     bound itself and the nearest value past it; each enum member and one
-    non-member; hidden_sizes around minItems and its items' minimum."""
+    non-member; hidden_sizes around minItems and its items' minimum and maximum."""
     for section, name, json_type, metadata in bounded_fields():
         for keyword in BOUNDS:
             if keyword not in metadata:
@@ -356,7 +356,8 @@ def bound_cases():
             for value, accepted in (([], False), ([1], True)):
                 yield f"{section}.{name}-minItems-{value}", section, {name: value}, accepted
         if "items" in metadata:
-            for value, accepted in (([1, 1], True), ([0], False), ([16, 0], False)):
+            for value, accepted in (([1, 1], True), ([0], False), ([16, 0], False),
+                                    ([2**63 - 1], True), ([16, 2**63], False)):
                 yield f"{section}.{name}-items-{value}", section, {name: value}, accepted
 
 
@@ -420,7 +421,10 @@ def test_bound_cases_cover_every_declared_keyword():
 def test_schema_and_constructor_agree_on_each_bound(section, fields, accepted):
     assert validates(section, fields) == accepted
     assert constructs(section, fields) == accepted
-    if not any(isinstance(v, str) for v in fields.values()):
+    values = [v for value in fields.values()
+              for v in (value if isinstance(value, list) else [value])]
+    # no numpy int holds 2**63, the value just past a size field's maximum
+    if not any(isinstance(v, str) or v > np.iinfo(np.int64).max for v in values):
         assert constructs(section, fields, as_numpy=True) == accepted
 
 

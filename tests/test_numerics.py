@@ -6,6 +6,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import masked_ce
 
 from tailssl.cli import load_model, save_model
 from tailssl.errors import ConfigError, TrainingDivergedError
@@ -174,7 +177,7 @@ def test_head_rejects_dim_mismatch():
 def test_ce_uniform_logits_is_log_k():
     for k in (2, 5, 11):
         logits = np.full((4, k), 1.7)
-        loss, _ = weighted_masked_ce(
+        loss, _ = masked_ce(
             logits, np.zeros(4, dtype=int), np.ones(4), np.ones(4, dtype=bool), 4
         )
         assert loss == pytest.approx(math.log(k), abs=1e-12)
@@ -182,7 +185,7 @@ def test_ce_uniform_logits_is_log_k():
 
 def test_ce_all_masked_gives_zero_loss_and_gradient():
     logits = RNG(10).normal(size=(4, 3))
-    loss, dlogits = weighted_masked_ce(
+    loss, dlogits = masked_ce(
         logits, np.array([0, 1, 2, 1]), np.ones(4), np.zeros(4, dtype=bool), 4
     )
     assert loss == 0.0
@@ -195,7 +198,7 @@ def test_ce_matches_oracle_and_finite_differences():
     targets = rng.integers(0, 4, size=5)
     weights = rng.uniform(0.2, 2.0, size=5)
     mask = np.array([True, False, True, True, False])
-    loss, dlogits = weighted_masked_ce(logits, targets, weights, mask, 5)
+    loss, dlogits = masked_ce(logits, targets, weights, mask, 5)
     assert loss == pytest.approx(oracle_ce(logits, targets, weights, mask, 5), abs=1e-12)
 
     h = 1e-5
@@ -215,8 +218,8 @@ def test_ce_shift_invariance():
     logits = rng.normal(size=(6, 3))
     targets = rng.integers(0, 3, size=6)
     mask = np.ones(6, dtype=bool)
-    base, _ = weighted_masked_ce(logits, targets, np.ones(6), mask, 6)
-    shifted, _ = weighted_masked_ce(logits + 13.7, targets, np.ones(6), mask, 6)
+    base, _ = masked_ce(logits, targets, np.ones(6), mask, 6)
+    shifted, _ = masked_ce(logits + 13.7, targets, np.ones(6), mask, 6)
     assert shifted == pytest.approx(base, abs=1e-10)
 
 
@@ -226,11 +229,33 @@ def test_ce_weight_scaling_is_exactly_linear():
     targets = rng.integers(0, 3, size=4)
     weights = rng.uniform(0.5, 1.5, size=4)
     mask = np.array([True, True, False, True])
-    loss1, d1 = weighted_masked_ce(logits, targets, weights, mask, 4)
+    loss1, d1 = masked_ce(logits, targets, weights, mask, 4)
     c = 3.0
-    loss2, d2 = weighted_masked_ce(logits, targets, c * weights, mask, 4)
+    loss2, d2 = masked_ce(logits, targets, c * weights, mask, 4)
     assert loss2 == pytest.approx(c * loss1, rel=1e-15)
     np.testing.assert_allclose(d2, c * d1, rtol=1e-15, atol=1e-16)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ce_segment_sums_equal_one_call_per_segment(data):
+    """Rows cut into contiguous segments: each segment's loss, -(sum of its
+    terms), and its dlogits rows have the bytes of a call on that segment alone."""
+    n = data.draw(st.integers(1, 300), label="rows")
+    k = data.draw(st.integers(2, 12), label="classes")
+    cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=8), label="cuts") if n > 1 else set()
+    rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logits = rng.normal(scale=3.0, size=(n, k))
+    targets = rng.integers(0, k, size=n)
+    coef = np.where(rng.random(n) < 0.8, rng.uniform(0.1, 2.0, size=n), 0.0) / n
+    terms, dlogits = weighted_masked_ce(logits, targets, coef)
+    bounds = [0, *sorted(cuts), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        alone_terms, alone_dlogits = weighted_masked_ce(
+            logits[lo:hi].copy(), targets[lo:hi].copy(), coef[lo:hi].copy()
+        )
+        assert (-terms[lo:hi].sum()).tobytes() == (-alone_terms.sum()).tobytes()
+        assert dlogits[lo:hi].tobytes() == alone_dlogits.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +267,7 @@ def full_loss(params, batch, targets, weights, mask, head_name):
     feats, _ = encoder_forward(params, batch)
     head = params.base_head if head_name == "base" else params.aux_head
     logits = head_forward(head, feats)
-    loss, _ = weighted_masked_ce(logits, targets, weights, mask, len(batch))
+    loss, _ = masked_ce(logits, targets, weights, mask, len(batch))
     return loss
 
 
@@ -250,7 +275,7 @@ def analytic_full_grads(params, batch, targets, weights, mask, head_name):
     feats, cache = encoder_forward(params, batch)
     head = params.base_head if head_name == "base" else params.aux_head
     logits = head_forward(head, feats)
-    _, dlogits = weighted_masked_ce(logits, targets, weights, mask, len(batch))
+    _, dlogits = masked_ce(logits, targets, weights, mask, len(batch))
     grads = zeros_like_params(params)
     target = grads.base_head if head_name == "base" else grads.aux_head
     dfeat = head_backward(head, feats, dlogits, target)
@@ -290,8 +315,8 @@ def test_encoder_gradients_add_across_losses():
 
     # joint backward: one encoder pass fed by the sum of head dfeatures
     feats, cache = encoder_forward(params, batch)
-    _, d1 = weighted_masked_ce(head_forward(params.base_head, feats), t1, ones, mask, 4)
-    _, d2 = weighted_masked_ce(head_forward(params.aux_head, feats), t2, ones, mask, 4)
+    _, d1 = masked_ce(head_forward(params.base_head, feats), t1, ones, mask, 4)
+    _, d2 = masked_ce(head_forward(params.aux_head, feats), t2, ones, mask, 4)
     scratch = zeros_like_params(params)
     df1 = head_backward(params.base_head, feats, d1, scratch.base_head)
     df2 = head_backward(params.aux_head, feats, d2, scratch.aux_head)

@@ -13,6 +13,7 @@ from oracles import (
     ce_sum,
     enqueue_each,
     linear,
+    masked_ce,
     mlp_forward,
     ratio_weight,
     record_each,
@@ -42,6 +43,7 @@ from tailssl.trainer import (
     predict,
     train_step,
 )
+from tailssl.util import round_half_up
 
 NO_AUG = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
                        strong_dropout_prob=0.0, strong_scale_jitter=0.0)
@@ -333,29 +335,36 @@ def test_step_bookkeeping_equals_per_record_loop(memory_content, beta, start):
     )
 
 
+# numpy sums fewer than 8 terms in sequence, 8 or more in eight accumulators
+# and then the tail: memory-row counts on each side of those boundaries
+@pytest.mark.parametrize("batch_size, n_mem", [(8, 4), (24, 1), (24, 7), (24, 8), (24, 13),
+                                               (24, 24)])
 @pytest.mark.parametrize("lambda_u", [1.0, 0.5, 0.7])
 @pytest.mark.parametrize("memory_content", ["weak", "strong", "both"])
 @pytest.mark.parametrize("aux_stopgrad", [False, True])
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("mode", ["vanilla", "fixmatch", "bmb"])
 def test_compute_step_equals_the_per_term_step_bit_for_bit(
-    mode, warm, aux_stopgrad, memory_content, lambda_u
+    mode, warm, aux_stopgrad, memory_content, lambda_u, batch_size, n_mem
 ):
     """Five Adam steps on twin states: each step's gradient bytes, metrics and
     augment and bank generator states equal those of the per-term reference.
     Every sample is confident (K = 3, tau = 0.34), so the capacity-6 bank
-    fills in the first step and later steps evict."""
-    cfg = TrainConfig(num_classes=3, input_dim=5, hidden_sizes=(6, 4), batch_size=8,
+    fills in the first step and later steps evict; each bmb step after warmup
+    draws n_mem memory rows."""
+    b = batch_size
+    cfg = TrainConfig(num_classes=3, input_dim=5, hidden_sizes=(6, 4), batch_size=b,
                       mode=mode, memory_capacity=6, memory_content=memory_content,
                       aux_stopgrad=aux_stopgrad, lambda_u=lambda_u, lambda_m=0.7,
-                      beta=0.5, tau=0.34, warmup_epochs=1, seed=21)
+                      get_fraction=n_mem / b, beta=0.5, tau=0.34, warmup_epochs=1, seed=21)
+    assert round_half_up(cfg.get_fraction * b) == n_mem
     state = make_state(cfg, labeled_counts=(9, 4, 2))
     state.epoch = 0 if warm else 1
     twin = copy.deepcopy(state)
     rng = np.random.default_rng(22)
     for _ in range(5):
-        lab_x, unl_x = rng.normal(size=(8, 5)), rng.normal(size=(8, 5))
-        lab_y, positions = rng.integers(0, 3, size=8), rng.integers(0, 12, size=8)
+        lab_x, unl_x = rng.normal(size=(b, 5)), rng.normal(size=(b, 5))
+        lab_y, positions = rng.integers(0, 3, size=b), rng.integers(0, 12, size=b)
         metrics, grads = compute_step(state, lab_x, lab_y, positions, unl_x)
         want, want_grads = step_per_term(twin, lab_x, lab_y, positions, unl_x)
         assert grads.flat.tobytes() == want_grads.flat.tobytes()
@@ -396,8 +405,6 @@ def test_memory_loss_gradients_reach_only_aux_head():
 
 def test_memory_loss_matches_finite_differences_on_aux_head():
     """FD on the standalone memory loss: zero for encoder/base, exact for aux."""
-    from tailssl.numerics import head_forward, weighted_masked_ce
-
     cfg = micro_cfg()
     state = make_state(cfg)
     rng = np.random.default_rng(13)
@@ -407,7 +414,7 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
 
     def mem_loss():
         logits = head_forward(state.params.aux_head, feats)
-        loss, _ = weighted_masked_ce(
+        loss, _ = masked_ce(
             logits, labels, np.ones(5), np.ones(5, dtype=bool), 5
         )
         return loss
@@ -427,7 +434,7 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
         assert (up - down) / (2 * h) == pytest.approx(0.0, abs=1e-12), arr_name
 
     logits = head_forward(state.params.aux_head, feats)
-    _, dlogits = weighted_masked_ce(logits, labels, np.ones(5), np.ones(5, dtype=bool), 5)
+    _, dlogits = masked_ce(logits, labels, np.ones(5), np.ones(5, dtype=bool), 5)
     analytic_gw = feats.T @ dlogits
     flat = state.params.aux_head.w.reshape(-1)
     fd = np.zeros_like(flat)
@@ -798,7 +805,8 @@ def test_traced_name_is_a_trainer_global(name):
     assert callable(getattr(trainer_module, name, None))
 
 
-def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
+def count_layer_calls(monkeypatch, state, batches):
+    """compute_step's calls of each traced layer, and its metrics."""
     calls = dict.fromkeys(
         ("weak_augment", "strong_augment", "encoder_forward", "encoder_backward",
          "head_forward", "head_backward", "weighted_masked_ce", "batch_weights"), 0)
@@ -811,13 +819,33 @@ def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(trainer_module, name, counted(name, getattr(trainer_module, name)))
+    metrics, _ = compute_step(state, *batches)
+    return calls, metrics
+
+
+def test_bmb_step_calls_its_layers_through_the_trainer_globals(monkeypatch):
     state = make_state(micro_cfg(tau=0.01))
     for i in range(8):
         store(state.bank, np.ones(4), i % 2)
-    metrics, _ = compute_step(state, *micro_batches(seed=13))
+    calls, metrics = count_layer_calls(monkeypatch, state, micro_batches(seed=13))
     assert metrics.loss_mem > 0.0
-    # CE: the stacked labeled/strong-view call and the memory term; weights:
-    # the labeled and the unlabeled auxiliary targets
+    # one CE over every loss row; heads: the stacked pass and the memory rows;
+    # weights: the labeled and the unlabeled auxiliary targets
     assert calls == {"weak_augment": 1, "strong_augment": 1, "encoder_forward": 1,
                      "encoder_backward": 1, "head_forward": 2, "head_backward": 2,
-                     "weighted_masked_ce": 2, "batch_weights": 2}
+                     "weighted_masked_ce": 1, "batch_weights": 2}
+
+
+@pytest.mark.parametrize("overrides, strong, weights", [
+    pytest.param(dict(mode="fixmatch"), 1, 0, id="fixmatch"),
+    pytest.param(dict(warmup_epochs=1), 0, 1, id="bmb-warmup"),
+    pytest.param(dict(tau=1.0), 1, 2, id="bmb-empty-bank"),
+    pytest.param(dict(get_fraction=0.0), 1, 2, id="bmb-no-memory-rows"),
+])
+def test_step_without_memory_rows_makes_one_head_pass(monkeypatch, overrides, strong, weights):
+    state = make_state(micro_cfg(**{"tau": 0.01, **overrides}))
+    calls, metrics = count_layer_calls(monkeypatch, state, micro_batches(seed=13))
+    assert metrics.loss_mem == 0.0
+    assert calls == {"weak_augment": 1, "strong_augment": strong, "encoder_forward": 1,
+                     "encoder_backward": 1, "head_forward": 1, "head_backward": 1,
+                     "weighted_masked_ce": 1, "batch_weights": weights}
