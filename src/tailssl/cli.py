@@ -1,10 +1,10 @@
 """Experiment harness: generate / train / sweep / report / export-embeddings.
 
-Exit codes: 0 success, 2 config or input error, 3 diverged training,
-4 partial sweep failure. Every emitted file is re-parseable by the package's
-own loaders, and each run directory stores the resolved config with its hash
-plus the hash of the dataset it consumed, so reports can refuse to aggregate
-runs from different datasets.
+Exit codes: 0 success, 2 config or input error or out of memory, 3 diverged
+training, 4 partial sweep failure. Every emitted file is re-parseable by the
+package's own loaders, and each run directory stores the resolved config with
+its hash plus the hash of the dataset it consumed, so reports can refuse to
+aggregate runs from different datasets.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import numpy as np
 from . import config as cfgmod
 from .data import generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, DatasetFormatError, TrainingDivergedError
+from .metrics import GROUPS
 from .numerics import ModelParams, encoder_forward, named_arrays
 from .trainer import fit
 from .util import canonical_json, sha256_file
@@ -43,6 +44,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -277,7 +281,7 @@ def build_report(name, seed, config_hash, dataset_hash, mode, log) -> dict:
         report["last20_mean"] = {
             "top1": window_mean("acc"),
             "avg_class_recall": window_mean("avg_class_recall"),
-            "group_acc": {g: window_mean("group_acc", g) for g in ("many", "medium", "few")},
+            "group_acc": {g: window_mean("group_acc", g) for g in GROUPS},
             "epochs_averaged": len(window),
         }
     return report
@@ -396,8 +400,8 @@ REPORT_SCHEMA = {
                 "avg_class_recall": _NUMBER_OR_NULL,
                 "group_acc": {
                     "type": "object",
-                    "required": ["many", "medium", "few"],
-                    "properties": {g: _NUMBER_OR_NULL for g in ("many", "medium", "few")},
+                    "required": list(GROUPS),
+                    "properties": {g: _NUMBER_OR_NULL for g in GROUPS},
                 },
             },
         },
@@ -454,7 +458,7 @@ def cmd_report(args) -> int:
         ([rep["name"], rep["seed"], row["epoch"], row["class"], row["count"]]
          for rep, r in zip(reports, runs) for row in r["bank_snapshots"]),
     )
-    swept = ("beta", "lambda_sampling", "alpha", "memory_content")
+    swept = [p for p in cfgmod.SWEEP_PARAMETERS if p != "mode"]
     _write_csv(
         os.path.join(args.out, "accuracy_table.csv"),
         ["run", "seed", "mode", *swept, *HEADLINE_KEYS],
@@ -485,7 +489,7 @@ def cmd_export_embeddings(args) -> int:
     )
     use = params if args.raw_params else ema
     split = {"test": ds.test, "labeled": ds.labeled, "unlabeled": ds.unlabeled}[args.split]
-    feats, _ = encoder_forward(use, split.x)
+    feats = encoder_forward(use, split.x[None])[0][0]
     _write_csv(
         args.out, ["id", "label", *(f"feat_{i}" for i in range(feats.shape[1]))],
         ([i, y, *f] for i, y, f in zip(split.ids.tolist(), split.y.tolist(), feats.tolist())),

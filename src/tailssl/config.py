@@ -19,7 +19,7 @@ import os
 
 from .data import AugmentConfig, DatasetSpec
 from .errors import ConfigError
-from .schema import _BOUNDS, _IS_TYPE, KEYWORDS, check, field_schemas, schema_errors  # noqa: F401
+from .schema import KEYWORDS, check, field_schemas, schema_errors  # noqa: F401
 from .trainer import TrainConfig
 from .util import canonical_json, sha256_text
 

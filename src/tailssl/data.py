@@ -166,21 +166,15 @@ def weak_augment(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) ->
 
 
 def strong_augment(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Heavier noise, then per-coordinate dropout, then a global scale jitter.
-
-    Accepts a single vector or a (n, d) batch; the jitter factor is drawn per
-    sample.
+    """Heavier noise, then per-coordinate dropout, then a global scale jitter
+    of a (n, d) batch; the jitter factor is drawn per sample.
     """
     x = np.asarray(x, dtype=np.float64)
     out = x + cfg.strong_noise_sigma * rng.standard_normal(x.shape)
     keep = rng.random(x.shape) >= cfg.strong_dropout_prob
     out = out * keep
     j = cfg.strong_scale_jitter
-    if x.ndim == 2:
-        scale = rng.uniform(1.0 - j, 1.0 + j, size=x.shape[0])[:, None]
-    else:
-        scale = rng.uniform(1.0 - j, 1.0 + j)
-    return out * scale
+    return out * rng.uniform(1.0 - j, 1.0 + j, size=x.shape[0])[:, None]
 
 
 # ---------------------------------------------------------------------------

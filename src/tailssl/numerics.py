@@ -8,14 +8,15 @@ gradient buffer that the caller owns, so several loss terms can share one
 buffer. All operations are deterministic functions of their inputs; the test
 suite checks every gradient path against central finite differences.
 
-Stacked passes. A batch may carry a leading block axis, (B, n, d), and the two
-heads form one stacked layer, w (2, d, K) and b (2, K). The encoder runs every
-block and the stacked head scores every block with every head. numpy's stacked
-and broadcast matmuls compute each block with the same BLAS call as a 2-D
-matmul of that block, and a reduction over the last axis or over the rows of a
-block adds in the same order as on the block alone, so a stacked pass gives
-bit for bit the values of one pass per block. The backward passes add each
-block's gradients in block order.
+Row blocks and head stacks. Every pass takes its rows as blocks, (B, n, d),
+and every head is a stack of layers, w (H, d, K) and b (H, K); one block or
+one head is a stack of one. The encoder runs every block, the stacked head
+scores every block with every head, and the backward passes add each block's
+gradients in block order. numpy's stacked and broadcast matmuls compute each
+block with the same BLAS call as a 2-D matmul of that block, and a reduction
+over the last axis or over the rows of a block adds in the same order as on
+the block alone, so a stacked pass gives bit for bit the values of one pass
+per block.
 
 Rows and segments. The CE scores rows, (n, K) logits, and returns one term per
 row; a loss is the negated sum of the terms of its own contiguous segment of
@@ -154,14 +155,14 @@ class EncoderCache:
 
 
 def encoder_forward(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
-    """ReLU MLP forward of a batch (n, D) or of stacked blocks (B, n, D).
+    """ReLU MLP forward of row blocks (B, n, D).
 
-    Returns (features, cache); features = relu of the last layer.
+    Returns (features, cache); features (B, n, d) = relu of the last layer.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim not in (2, 3) or batch.shape[-1] != params.input_dim:
+    if batch.ndim != 3 or batch.shape[-1] != params.input_dim:
         raise ValueError(
-            f"batch shape {batch.shape} incompatible with input dim {params.input_dim}"
+            f"batch shape {batch.shape} is not row blocks of input dim {params.input_dim}"
         )
     inputs, preacts = [], []
     h = batch
@@ -173,25 +174,14 @@ def encoder_forward(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray,
     return h, EncoderCache(inputs, preacts)
 
 
-def head_forward(head: LinearLayer, features: np.ndarray) -> np.ndarray:
-    """Logits of features (n, d) or (B, n, d); a stacked head (H, d, K) scores
-    every block with every head and returns (H, B, n, K)."""
-    if features.ndim not in (2, 3) or features.shape[-1] != head.w.shape[-2]:
+def head_forward(heads: LinearLayer, features: np.ndarray) -> np.ndarray:
+    """Logits (H, B, n, K): every head of the stack (H, d, K) scores every
+    block of features (B, n, d)."""
+    if heads.w.ndim != 3 or features.ndim != 3 or features.shape[-1] != heads.w.shape[-2]:
         raise ValueError(
-            f"features shape {features.shape} incompatible with head input dim {head.w.shape[-2]}"
+            f"features shape {features.shape} is not row blocks for heads {heads.w.shape}"
         )
-    w, b = _broadcast_heads(head, features)
-    return features @ w + b
-
-
-def _broadcast_heads(head: LinearLayer, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """head.w and head.b shaped to broadcast against features' leading axes."""
-    if head.w.ndim == 2:
-        return head.w, head.b
-    blocks = (1,) * (features.ndim - 2)
-    return head.w.reshape(len(head.w), *blocks, *head.w.shape[1:]), head.b.reshape(
-        len(head.b), *blocks, 1, head.b.shape[1]
-    )
+    return features @ heads.w[:, None] + heads.b[:, None, None]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -226,25 +216,20 @@ def weighted_masked_ce(
 
 
 def head_backward(
-    head: LinearLayer, features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer,
-    scale: float | Sequence[float] = 1.0,
+    heads: LinearLayer, features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer,
+    scales: Sequence[float],
 ) -> np.ndarray:
-    """Add scale times the head's gradients into grad; returns dfeatures (unscaled).
+    """Add scales[j] times block j's gradients of the stacked heads into grad,
+    blocks in order; returns dfeatures (H, B, n, d), unscaled.
 
-    Shapes are those of `head_forward`. For stacked blocks (B, n, d), scale
-    has one entry per block, and the blocks are added in order.
+    Shapes are those of `head_forward`; scales has one entry per block.
     """
-    if dlogits.shape != head.w.shape[:-2] + features.shape[:-1] + head.w.shape[-1:]:
+    logits_shape = heads.w.shape[:1] + features.shape[:-1] + heads.w.shape[-1:]
+    if features.ndim != 3 or dlogits.shape != logits_shape:
         raise ValueError("dlogits shape does not match head output")
     gw = np.swapaxes(features, -1, -2) @ dlogits
-    gb = dlogits.sum(axis=-2)
-    if features.ndim == 2:
-        grad.w += scale * gw
-        grad.b += scale * gb
-    else:
-        _add_blocks(grad, gw, gb, scale)
-    w, _ = _broadcast_heads(head, features)
-    return dlogits @ np.swapaxes(w, -1, -2)
+    _add_blocks(grad, gw, dlogits.sum(axis=-2), scales)
+    return dlogits @ np.swapaxes(heads.w, -1, -2)[:, None]
 
 
 def _add_blocks(
@@ -267,27 +252,21 @@ def encoder_backward(
     """Backprop dfeatures through the cached encoder pass, adding each layer's
     gradients into grads.encoder_layers; exact ReLU subgradient at 0 is 0.
 
-    After a stacked pass, dfeatures (B', n, d) covers its first B' blocks, and
-    each layer adds their gradients in block order.
+    dfeatures (B', n, d) covers the cached pass's first B' blocks, and each
+    layer adds their gradients in block order.
     """
     if len(cache.inputs) != len(params.encoder_layers):
         raise ValueError("cache does not match encoder depth")
-    inputs, preacts = cache.inputs, cache.preacts
-    if dfeatures.ndim == 3:
-        inputs = [a[: len(dfeatures)] for a in inputs]
-        preacts = [a[: len(dfeatures)] for a in preacts]
+    blocks = len(dfeatures)
+    inputs = [a[:blocks] for a in cache.inputs]
+    preacts = [a[:blocks] for a in cache.preacts]
     if dfeatures.shape != inputs[0].shape[:-1] + (params.feature_dim,):
         raise ValueError("dfeatures shape does not match cached forward pass")
     d = dfeatures
     for i in reversed(range(len(params.encoder_layers))):
         dz = d * (preacts[i] > 0.0)
         gw = np.swapaxes(inputs[i], -1, -2) @ dz
-        gb = dz.sum(axis=-2)
-        if dz.ndim == 2:
-            grads.encoder_layers[i].w += gw
-            grads.encoder_layers[i].b += gb
-        else:
-            _add_blocks(grads.encoder_layers[i], gw, gb, [1.0] * len(dz))
+        _add_blocks(grads.encoder_layers[i], gw, dz.sum(axis=-2), [1.0] * blocks)
         if i > 0:
             d = dz @ params.encoder_layers[i].w.T
 

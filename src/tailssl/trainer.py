@@ -83,8 +83,8 @@ MEMORY_CONTENTS = ("weak", "strong", "both")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    num_classes: int
-    input_dim: int
+    num_classes: int = bounded(minimum=2, maximum=MAX_SIZE)
+    input_dim: int = bounded(minimum=1, maximum=MAX_SIZE)
     hidden_sizes: tuple[int, ...] = bounded(
         (16, 8), items={"type": "integer", "minimum": 1, "maximum": MAX_SIZE}, minItems=1
     )
@@ -271,8 +271,8 @@ def compute_step(
     ce_logits = logits[:, :n_loss].reshape(n_rows, -1)
     ce_targets, ce_coef = targets.reshape(-1), coef.reshape(-1)
     if len(rows):
-        mem_feats = state.bank.features[rows]
-        ce_logits = np.concatenate((ce_logits, head_forward(p.aux_head, mem_feats)))
+        mem_feats = state.bank.features[rows][None]  # one block, scored by the aux head alone
+        ce_logits = np.concatenate((ce_logits, head_forward(p.heads[1:], mem_feats)[0, 0]))
         ce_targets = np.concatenate((ce_targets, state.bank.labels[rows]))
         ce_coef = np.concatenate((ce_coef, np.full(len(rows), 1.0 / len(rows))))
     terms, dlogits = weighted_masked_ce(ce_logits, ce_targets, ce_coef)
@@ -290,7 +290,8 @@ def compute_step(
     if len(rows):
         # the memory loss reaches only the auxiliary head: stored features are constants
         loss_mem = float(-terms[n_rows:].sum())
-        head_backward(p.aux_head, mem_feats, dlogits[n_rows:], grads.aux_head, cfg.lambda_m)
+        head_backward(p.heads[1:], mem_feats, dlogits[None, None, n_rows:], grads.heads[1:],
+                      [cfg.lambda_m])
 
     # (5) total loss per the two-branch decomposition
     loss_total = (
@@ -341,9 +342,9 @@ def predict(state: TrainState, x: np.ndarray) -> np.ndarray:
     index.
     """
     params = state.ema.params
-    feats, _ = encoder_forward(params, x)
-    head = params.aux_head if state.cfg.mode == "bmb" else params.base_head
-    return head_forward(head, feats).argmax(axis=1)
+    feats, _ = encoder_forward(params, np.asarray(x)[None])
+    head = params.heads[1:] if state.cfg.mode == "bmb" else params.heads[:1]
+    return head_forward(head, feats)[0, 0].argmax(axis=1)
 
 
 def fit(

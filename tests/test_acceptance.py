@@ -204,20 +204,20 @@ def test_criterion_2_gradient_suite():
             weights, mask = shapes[trial % len(shapes)]
 
             def loss_fn():
-                feats, _ = encoder_forward(params, batch)
-                head = params.base_head if head_name == "base" else params.aux_head
-                loss, _ = masked_ce(head_forward(head, feats), targets, weights, mask, b)
+                feats, _ = encoder_forward(params, batch[None])
+                head = params.heads[:1] if head_name == "base" else params.heads[1:]
+                loss, _ = masked_ce(head_forward(head, feats)[0, 0], targets, weights, mask, b)
                 return loss
 
-            feats, cache = encoder_forward(params, batch)
-            head = params.base_head if head_name == "base" else params.aux_head
-            _, dlogits = masked_ce(head_forward(head, feats), targets, weights, mask, b)
+            feats, cache = encoder_forward(params, batch[None])
+            head = params.heads[:1] if head_name == "base" else params.heads[1:]
+            _, dlogits = masked_ce(head_forward(head, feats)[0, 0], targets, weights, mask, b)
             from tailssl.numerics import encoder_backward, head_backward
 
             analytic = zeros_like_params(params)
-            tgt = analytic.base_head if head_name == "base" else analytic.aux_head
-            dfeat = head_backward(head, feats, dlogits, tgt)
-            encoder_backward(params, cache, dfeat, analytic)
+            tgt = analytic.heads[:1] if head_name == "base" else analytic.heads[1:]
+            dfeat = head_backward(head, feats, dlogits[None, None], tgt, [1.0])
+            encoder_backward(params, cache, dfeat[0], analytic)
             numeric = _numeric_grads(loss_fn, params)
             np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)
             cases += 1
@@ -229,12 +229,14 @@ def test_criterion_2_gradient_suite():
 
     def mem_loss():
         loss, _ = masked_ce(
-            head_forward(params.aux_head, feats), labels, np.ones(4), np.ones(4, dtype=bool), 4
+            head_forward(params.heads[1:], feats[None])[0, 0], labels, np.ones(4),
+            np.ones(4, dtype=bool), 4,
         )
         return loss
 
     _, dlogits = masked_ce(
-        head_forward(params.aux_head, feats), labels, np.ones(4), np.ones(4, dtype=bool), 4
+        head_forward(params.heads[1:], feats[None])[0, 0], labels, np.ones(4),
+        np.ones(4, dtype=bool), 4,
     )
     analytic = zeros_like_params(params)
     analytic.aux_head.w += feats.T @ dlogits

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import tailssl
 from tailssl.cli import MANIFEST_SCHEMA, REPORT_SCHEMA, main
 from tailssl.config import (
     RESOLVED_SCHEMA,
@@ -261,6 +265,44 @@ def test_size_field_past_int64_exits_2(workspace, capsys, command, section, name
     assert (f"config field {path}: {item!r} is greater than the maximum of 9223372036854775807"
             in capsys.readouterr().err)
     assert not (tmp / "out").exists()
+
+
+# Run in a child under an address-space limit, so the allocation fails there and
+# never for real in the test process.
+_RLIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from tailssl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+OVERSIZED = [
+    ("train", "train", "hidden_sizes", [1000000000]),
+    ("train", "train", "memory_capacity", 1e12),
+    ("train", "train", "batch_size", 1e12),
+    ("generate", "dataset", "n1", 1e12),
+]
+
+
+@pytest.mark.parametrize("command, section, name, value", OVERSIZED,
+                         ids=[f"{c[0]}-{c[2]}" for c in OVERSIZED])
+def test_oversized_config_exits_2_out_of_memory(workspace, command, section, name, value):
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    cfg[section][name] = value
+    huge = tmp / "huge.json"
+    huge.write_text(json.dumps(cfg))
+    src = str(Path(tailssl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp / ("out" if command == "train" else "data")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RLIMITED_MAIN, command, "--config", str(huge), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_base_with_a_negative_seed_exits_2(workspace, capsys):

@@ -25,6 +25,7 @@ from tailssl.config import (
     SECTIONS,
     SWEEP_SCHEMA,
     check,
+    field_schemas,
     schema_errors,
     validate_run_config,
 )
@@ -288,7 +289,7 @@ def constructs(section, fields, as_numpy=False):
             fields[name] = np.int64(value) if isinstance(value, int) else np.float64(value)
     extra = {"num_classes": 3, "input_dim": 4} if section == "train" else {}
     try:
-        SECTIONS[section](**extra, **fields)
+        SECTIONS[section](**{**extra, **fields})
     except ValueError:
         return False
     return True
@@ -296,11 +297,15 @@ def constructs(section, fields, as_numpy=False):
 
 def validates(section, fields):
     """Whether validate_run_config accepts fields (over BASES); TrainConfig.seed is
-    the run config's `seeds` list."""
+    the run config's `seeds` list, and its num_classes and input_dim are the dataset's
+    num_classes and feature_dim."""
     cfg = {"name": "x", **copy.deepcopy(BASES)}
     cfg[section].update(fields)
     if "seed" in cfg["train"]:
         cfg["seeds"] = [cfg["train"].pop("seed")]
+    for name, dataset_name in (("num_classes", "num_classes"), ("input_dim", "feature_dim")):
+        if name in cfg["train"]:
+            cfg["dataset"][dataset_name] = cfg["train"].pop(name)
     try:
         validate_run_config(cfg)
     except ConfigError:
@@ -455,6 +460,19 @@ def test_constructor_message_names_the_class_and_the_field():
         AugmentConfig(strong_dropout_prob=math.nan)
     with pytest.raises(ValueError, match="^DatasetSpec field sample_seed: -1 is less than"):
         DatasetSpec(num_classes=3, feature_dim=4, n1=5, m1=5, sample_seed=-1)
+
+
+def test_train_config_bounds_its_class_count_and_input_dim_as_the_dataset_does():
+    """A one-class TrainConfig would divide 0 by log(1) = 0 in the bank's entropy."""
+    with pytest.raises(ValueError, match="^TrainConfig field num_classes: 1 is less than "
+                                         "the minimum of 2$"):
+        TrainConfig(num_classes=1, input_dim=4)
+    with pytest.raises(ValueError, match="^TrainConfig field input_dim: 0 is less than "
+                                         "the minimum of 1$"):
+        TrainConfig(num_classes=3, input_dim=0)
+    train, dataset = field_schemas(TrainConfig), field_schemas(DatasetSpec)
+    assert (train["num_classes"], train["input_dim"]) == (
+        dataset["num_classes"], dataset["feature_dim"])
 
 
 def test_constructor_stores_an_integral_float_of_an_int_field_as_an_int():

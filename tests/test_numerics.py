@@ -37,6 +37,11 @@ def tiny_params(d=3, hidden=(4, 3), k=2, seed=0):
     return init_params(d, hidden, k, RNG(seed))
 
 
+def stack_of_one(layer):
+    """A 2-D layer as a stack of one head; its arrays are views of the layer's."""
+    return LinearLayer(layer.w[None], layer.b[None])
+
+
 # ---------------------------------------------------------------------------
 # Straight-line oracles (independent re-implementations, loops and math.exp)
 # ---------------------------------------------------------------------------
@@ -114,7 +119,7 @@ def test_encoder_zero_weights_gives_bias_pattern():
         layer.w[:] = 0.0
         layer.b[:] = np.abs(layer.b)  # nonnegative so the ReLU passes it through
     batch = RNG(1).normal(size=(5, 3))
-    feats, _ = encoder_forward(params, batch)
+    feats = encoder_forward(params, batch[None])[0][0]
     want = params.encoder_layers[-1].b
     assert np.allclose(feats, np.tile(want, (5, 1)))
 
@@ -123,14 +128,14 @@ def test_encoder_identity_layer_passes_nonnegative_batch():
     params = ModelParams.zeros((3, 3), 2)
     params.encoder_layers[0].w[:] = np.eye(3)
     batch = np.abs(RNG(2).normal(size=(4, 3)))
-    feats, _ = encoder_forward(params, batch)
+    feats = encoder_forward(params, batch[None])[0][0]
     assert np.array_equal(feats, batch)
 
 
 def test_encoder_matches_straight_line_oracle():
     params = tiny_params(d=5, hidden=(6, 4), k=3, seed=3)
     batch = RNG(4).normal(size=(3, 5))
-    feats, _ = encoder_forward(params, batch)
+    feats = encoder_forward(params, batch[None])[0][0]
     np.testing.assert_allclose(feats, oracle_mlp_forward(params, batch), atol=1e-12)
 
 
@@ -142,7 +147,7 @@ def test_encoder_rejects_wrong_input_dim():
 
 def test_head_zero_weights_gives_bias_rows():
     head = LinearLayer(np.zeros((4, 3)), np.array([0.5, -1.0, 2.0]))
-    logits = head_forward(head, RNG(5).normal(size=(6, 4)))
+    logits = head_forward(stack_of_one(head), RNG(5).normal(size=(6, 4))[None])[0, 0]
     assert np.allclose(logits, np.tile(head.b, (6, 1)))
 
 
@@ -152,7 +157,7 @@ def test_head_one_hot_weights_select_feature_column():
     w[0, 1] = 1.0  # logit 1 reads feature 0
     head = LinearLayer(w, np.zeros(2))
     feats = RNG(6).normal(size=(5, 4))
-    logits = head_forward(head, feats)
+    logits = head_forward(stack_of_one(head), feats[None])[0, 0]
     assert np.allclose(logits[:, 0], feats[:, 2])
     assert np.allclose(logits[:, 1], feats[:, 0])
 
@@ -160,13 +165,37 @@ def test_head_one_hot_weights_select_feature_column():
 def test_head_matches_straight_line_oracle():
     head = LinearLayer(RNG(7).normal(size=(4, 3)), RNG(8).normal(size=3))
     feats = RNG(9).normal(size=(5, 4))
-    np.testing.assert_allclose(head_forward(head, feats), oracle_head(head, feats), atol=1e-12)
+    logits = head_forward(stack_of_one(head), feats[None])[0, 0]
+    np.testing.assert_allclose(logits, oracle_head(head, feats), atol=1e-12)
 
 
 def test_head_rejects_dim_mismatch():
     head = LinearLayer(np.zeros((4, 3)), np.zeros(3))
     with pytest.raises(ValueError):
         head_forward(head, np.zeros((2, 5)))
+
+
+def test_passes_reject_bare_rows_and_unstacked_heads():
+    """Every pass takes row blocks (B, n, d), and every head is a stack (H, d, K)."""
+    params = tiny_params(d=3, k=2)
+    rows = RNG(10).normal(size=(4, 3))
+    with pytest.raises(ValueError):
+        encoder_forward(params, rows)
+    with pytest.raises(ValueError):
+        encoder_forward(params, np.zeros((1, 2, 4)))  # blocks of the wrong input dim
+    feats, cache = encoder_forward(params, rows[None])
+    with pytest.raises(ValueError):
+        head_forward(params.heads, feats[0])
+    with pytest.raises(ValueError):
+        head_forward(params.heads, np.zeros((1, 2, params.feature_dim + 1)))
+    with pytest.raises(ValueError):
+        head_forward(params.base_head, feats)
+    grads = zeros_like_params(params)
+    with pytest.raises(ValueError):
+        head_backward(params.heads, feats[0], np.zeros((2, 4, 2)), grads.heads, [1.0])
+    with pytest.raises(ValueError):
+        encoder_backward(params, cache, np.zeros((4, params.feature_dim)), grads)
+    assert np.all(grads.flat == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +293,29 @@ def test_ce_segment_sums_equal_one_call_per_segment(data):
 
 
 def full_loss(params, batch, targets, weights, mask, head_name):
-    feats, _ = encoder_forward(params, batch)
-    head = params.base_head if head_name == "base" else params.aux_head
-    logits = head_forward(head, feats)
+    feats, _ = encoder_forward(params, batch[None])
+    head = params.heads[:1] if head_name == "base" else params.heads[1:]
+    logits = head_forward(head, feats)[0, 0]
     loss, _ = masked_ce(logits, targets, weights, mask, len(batch))
     return loss
 
 
 def analytic_full_grads(params, batch, targets, weights, mask, head_name):
-    feats, cache = encoder_forward(params, batch)
-    head = params.base_head if head_name == "base" else params.aux_head
-    logits = head_forward(head, feats)
+    feats, cache = encoder_forward(params, batch[None])
+    head = params.heads[:1] if head_name == "base" else params.heads[1:]
+    logits = head_forward(head, feats)[0, 0]
     _, dlogits = masked_ce(logits, targets, weights, mask, len(batch))
     grads = zeros_like_params(params)
-    target = grads.base_head if head_name == "base" else grads.aux_head
-    dfeat = head_backward(head, feats, dlogits, target)
-    encoder_backward(params, cache, dfeat, grads)
+    target = grads.heads[:1] if head_name == "base" else grads.heads[1:]
+    dfeat = head_backward(head, feats, dlogits[None, None], target, [1.0])
+    encoder_backward(params, cache, dfeat[0], grads)
     return grads
 
 
 def test_zero_upstream_gradient_gives_zero_param_gradients():
     params = tiny_params(seed=14)
     batch = RNG(15).normal(size=(3, 3))
-    feats, cache = encoder_forward(params, batch)
+    feats, cache = encoder_forward(params, batch[None])
     grads = zeros_like_params(params)
     encoder_backward(params, cache, np.zeros_like(feats), grads)
     assert np.all(grads.flat == 0)
@@ -314,14 +343,14 @@ def test_encoder_gradients_add_across_losses():
     g_aux = analytic_full_grads(params, batch, t2, ones, mask, "aux")
 
     # joint backward: one encoder pass fed by the sum of head dfeatures
-    feats, cache = encoder_forward(params, batch)
-    _, d1 = masked_ce(head_forward(params.base_head, feats), t1, ones, mask, 4)
-    _, d2 = masked_ce(head_forward(params.aux_head, feats), t2, ones, mask, 4)
+    feats, cache = encoder_forward(params, batch[None])
+    _, d1 = masked_ce(head_forward(params.heads[:1], feats)[0, 0], t1, ones, mask, 4)
+    _, d2 = masked_ce(head_forward(params.heads[1:], feats)[0, 0], t2, ones, mask, 4)
     scratch = zeros_like_params(params)
-    df1 = head_backward(params.base_head, feats, d1, scratch.base_head)
-    df2 = head_backward(params.aux_head, feats, d2, scratch.aux_head)
+    df1 = head_backward(params.heads[:1], feats, d1[None, None], scratch.heads[:1], [1.0])
+    df2 = head_backward(params.heads[1:], feats, d2[None, None], scratch.heads[1:], [1.0])
     joint = zeros_like_params(params)
-    encoder_backward(params, cache, df1 + df2, joint)
+    encoder_backward(params, cache, df1[0] + df2[0], joint)
     for sep_b, sep_a, j in zip(g_base.encoder_layers, g_aux.encoder_layers, joint.encoder_layers):
         np.testing.assert_allclose(sep_b.w + sep_a.w, j.w, atol=1e-13)
         np.testing.assert_allclose(sep_b.b + sep_a.b, j.b, atol=1e-13)
@@ -329,10 +358,10 @@ def test_encoder_gradients_add_across_losses():
 
 def test_backward_rejects_mismatched_cache():
     params = tiny_params(seed=20)
-    _, cache = encoder_forward(params, RNG(21).normal(size=(3, 3)))
+    _, cache = encoder_forward(params, RNG(21).normal(size=(3, 3))[None])
     with pytest.raises(ValueError):
         encoder_backward(
-            params, cache, np.zeros((2, params.feature_dim)), zeros_like_params(params)
+            params, cache, np.zeros((1, 2, params.feature_dim)), zeros_like_params(params)
         )
 
 
@@ -345,19 +374,23 @@ def test_head_backward_adds_scaled_gradients_into_the_buffer():
     for scale in (0.5, 2.0):
         want_w += scale * (feats.T @ dlogits)
         want_b += scale * dlogits.sum(axis=0)
-        dfeat = head_backward(head, feats, dlogits, grad, scale)
+        dfeat = head_backward(
+            stack_of_one(head), feats[None], dlogits[None, None], stack_of_one(grad), [scale]
+        )[0, 0]
         np.testing.assert_array_equal(dfeat, dlogits @ head.w.T)  # never scaled
     np.testing.assert_array_equal(grad.w, want_w)
     np.testing.assert_array_equal(grad.b, want_b)
     with pytest.raises(ValueError):
-        head_backward(head, feats, dlogits[:, :2], grad)
+        head_backward(
+            stack_of_one(head), feats[None], dlogits[None, None, :, :2], stack_of_one(grad), [1.0]
+        )
 
 
 def test_encoder_backward_adds_both_passes_into_one_buffer():
     params = tiny_params(d=4, hidden=(5, 3), k=3, seed=28)
     passes = []
     for seed in (29, 30):
-        feats, cache = encoder_forward(params, RNG(seed).normal(size=(6, 4)))
+        feats, cache = encoder_forward(params, RNG(seed).normal(size=(6, 4))[None])
         passes.append((cache, RNG(seed + 100).normal(size=feats.shape)))
     alone = []
     for cache, dfeat in passes:

@@ -1,10 +1,12 @@
 """Trainer: step semantics, loss composition, gating, gradient isolation, determinism."""
 
+import ast
 import copy
 import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,10 +287,10 @@ def replay_bookkeeping(before, lab_x, unl_pos, unl_x):
     recorded and offers its view(s) in order, then the memory draw follows."""
     cfg, p, rngs = before.cfg, before.params, before.rngs
     weak_augment(lab_x, cfg.augment, rngs.augment)
-    feats_uw, _ = encoder_forward(p, weak_augment(unl_x, cfg.augment, rngs.augment))
-    feats_us, _ = encoder_forward(p, strong_augment(unl_x, cfg.augment, rngs.augment))
-    mask = softmax(head_forward(p.base_head, feats_uw)).max(axis=1) >= cfg.tau
-    qhat_a = head_forward(p.aux_head, feats_uw).argmax(axis=1)
+    feats_uw = encoder_forward(p, weak_augment(unl_x, cfg.augment, rngs.augment)[None])[0][0]
+    feats_us = encoder_forward(p, strong_augment(unl_x, cfg.augment, rngs.augment)[None])[0][0]
+    mask = softmax(head_forward(p.heads[:1], feats_uw[None])[0, 0]).max(axis=1) >= cfg.tau
+    qhat_a = head_forward(p.heads[1:], feats_uw[None])[0, 0].argmax(axis=1)
     views = {"weak": [feats_uw], "strong": [feats_us], "both": [feats_uw, feats_us]}
     for j in np.flatnonzero(mask):
         record_each(before.ledger.latest, before.ledger.counts, unl_pos[j:j + 1], qhat_a[j:j + 1])
@@ -413,7 +415,7 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
     labels = np.array([k for _, k in records])
 
     def mem_loss():
-        logits = head_forward(state.params.aux_head, feats)
+        logits = head_forward(state.params.heads[1:], feats[None])[0, 0]
         loss, _ = masked_ce(
             logits, labels, np.ones(5), np.ones(5, dtype=bool), 5
         )
@@ -433,7 +435,7 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
         flat[0] = orig
         assert (up - down) / (2 * h) == pytest.approx(0.0, abs=1e-12), arr_name
 
-    logits = head_forward(state.params.aux_head, feats)
+    logits = head_forward(state.params.heads[1:], feats[None])[0, 0]
     _, dlogits = masked_ce(logits, labels, np.ones(5), np.ones(5, dtype=bool), 5)
     analytic_gw = feats.T @ dlogits
     flat = state.params.aux_head.w.reshape(-1)
@@ -803,6 +805,22 @@ TRACED_TRAINER_GLOBALS = (
 @pytest.mark.parametrize("name", TRACED_TRAINER_GLOBALS)
 def test_traced_name_is_a_trainer_global(name):
     assert callable(getattr(trainer_module, name, None))
+
+
+def bench_traced_trainer_globals():
+    """The keys of TRAINER_GLOBALS in bench/tracing.py, read with ast: the tracer
+    itself is not imported."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRAINER_GLOBALS"]:
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("bench/tracing.py assigns no TRAINER_GLOBALS")
+
+
+def test_every_name_the_bench_traces_is_a_trainer_global():
+    names = bench_traced_trainer_globals()
+    assert sorted(names) == sorted(TRACED_TRAINER_GLOBALS)
+    assert [n for n in names if not callable(getattr(trainer_module, n, None))] == []
 
 
 def count_layer_calls(monkeypatch, state, batches):
