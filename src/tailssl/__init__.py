@@ -28,7 +28,6 @@ from .metrics import (
     evaluate,
     group_accuracy,
     shot_groups,
-    with_groups,
 )
 from .trainer import StepMetrics, TrainConfig, TrainState, fit, init_state, predict, train_step
 
@@ -63,5 +62,4 @@ __all__ = [
     "strong_augment",
     "train_step",
     "weak_augment",
-    "with_groups",
 ]

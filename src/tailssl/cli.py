@@ -46,7 +46,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""  # numpy's allocation errors say what failed
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError
+from .errors import ConfigError, DatasetFormatError
 from .schema import MAX_SIZE, bounded, check_fields
 from .util import round_half_up
 
@@ -99,31 +99,31 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
     Labeled sizes follow longtail_counts(n1, gamma_l) with a floor of one
     sample per class; unlabeled sizes follow longtail_counts(m1, gamma_u)
     unclamped. The test split holds test_per_class samples for every class.
+    A spec whose largest split would not fit in MAX_SIZE bytes raises
+    ConfigError before any array is made.
     """
-    k = spec.num_classes
+    k, d = int(spec.num_classes), int(spec.feature_dim)
+    name, size = max(((f, int(getattr(spec, f))) for f in ("n1", "m1", "test_per_class")),
+                     key=lambda field: field[1])
+    if size * k * d * 8 > MAX_SIZE:  # the largest split's float64 bytes, in Python ints
+        raise ConfigError(f"dataset {name} {size} * num_classes {k} rows of feature_dim {d} "
+                          f"float64 values exceed {MAX_SIZE} bytes")
     labeled_counts = np.maximum(longtail_counts(spec.n1, spec.gamma_l, k), 1)
-    if spec.m1 >= 1:
-        unlabeled_counts = longtail_counts(spec.m1, spec.gamma_u, k)
-    else:
-        unlabeled_counts = np.zeros(k, dtype=np.int64)
+    unlabeled_counts = (longtail_counts(spec.m1, spec.gamma_u, k) if spec.m1
+                        else np.zeros(k, dtype=np.int64))
     means = class_means(spec)
     rng = np.random.default_rng(spec.sample_seed)
 
-    def draw(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = [], []
-        for cls in range(k):
-            n = int(counts[cls])
-            if n:
-                xs.append(means[cls] + rng.standard_normal((n, spec.feature_dim)))
-                ys.append(np.full(n, cls, dtype=np.int64))
-        if not xs:
-            return np.zeros((0, spec.feature_dim)), np.zeros(0, dtype=np.int64)
-        return np.concatenate(xs), np.concatenate(ys)
+    def draw(counts: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+        # one block, its rows in class order: the saved bytes pin this stream order
+        y = np.repeat(np.arange(k, dtype=np.int64), counts)
+        x = rng.standard_normal((len(y), d))
+        x += means[y]
+        return x, y
 
     lab_x, lab_y = draw(labeled_counts)
     unl_x, unl_true_y = draw(unlabeled_counts)
-    test_counts = np.full(k, spec.test_per_class, dtype=np.int64)
-    test_x, test_y = draw(test_counts)
+    test_x, test_y = draw(spec.test_per_class)
 
     n_lab, n_unl = len(lab_y), len(unl_true_y)
     lab_ids = np.arange(n_lab, dtype=np.int64)
@@ -136,7 +136,7 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
         test=Split(test_ids, test_x, test_y),
         num_classes=k,
         unlabeled_oracle_y=unl_true_y,
-        true_unlabeled_counts=np.bincount(unl_true_y, minlength=k).astype(np.int64),
+        true_unlabeled_counts=unlabeled_counts,
     )
 
 

@@ -20,11 +20,11 @@ stack.
 Draws. A class draw is `Generator.choice`'s inverse-CDF recipe run in numpy
 over a spec function: the probabilities restricted to the non-empty classes
 and renormalised, their cumulative sum divided by its last entry, then the
-first entry greater than one uniform. `_victim_exact` runs it over
-`eviction_distribution` and `get` over `retrieval_distribution`, so their
-classes equal `rng.choice(support, p=...)` given the same uniforms. P_in and
-P_out depend only on a class size, so the bank also tabulates both for every
-size 0..capacity once, each with the expression of its spec function
+first entry greater than one uniform. `_choice` holds it; `_victim_exact`
+runs it over `eviction_distribution` and `get` over `retrieval_distribution`,
+so their classes equal `rng.choice(support, p=...)` given the same uniforms.
+P_in and P_out depend only on a class size, so the bank also tabulates both
+for every size 0..capacity once, each with the expression of its spec function
 (`accept_probability` is Python float arithmetic, the eviction weights a numpy
 power; the two round differently in the last bit). `_victim`, which the
 writes call, is a shortcut over the table: it bisects the running sum of the
@@ -97,6 +97,15 @@ def retrieval_distribution(
     if weights.sum() == 0.0:
         weights = np.where(nonempty & (estimated == estimated[nonempty].min()), 1.0, 0.0)
     return weights / weights.sum()
+
+
+def _choice(probs: np.ndarray, counts: np.ndarray, u):
+    """The class of each uniform in u by `Generator.choice`'s recipe (see the module notes)."""
+    support = np.flatnonzero(counts)
+    p = probs[support]
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return support[cdf.searchsorted(u, side="right")]
 
 
 class MemoryBank:
@@ -205,14 +214,9 @@ class MemoryBank:
         return i
 
     def _victim_exact(self, sizes: list[int], u: float) -> int:
-        """`_victim` by the recipe of `Generator.choice` over the renormalised
-        `eviction_distribution`, restricted to the non-empty classes."""
+        """`_victim` by `_choice` over the `eviction_distribution`."""
         counts = np.array(sizes)
-        support = np.flatnonzero(counts)
-        probs = eviction_distribution(counts, self.beta)[support]
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        return int(support[cdf.searchsorted(u, side="right")])
+        return int(_choice(eviction_distribution(counts, self.beta), counts, u))
 
     def get(
         self,
@@ -237,11 +241,7 @@ class MemoryBank:
         if n == 0 or not len(self):
             return np.zeros(0, dtype=np.int64)
         counts = self.counts()
-        support = np.flatnonzero(counts)
-        probs = retrieval_distribution(estimated, counts, lam)[support]
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        classes = support[cdf.searchsorted(rng.random(n), side="right")]
+        classes = _choice(retrieval_distribution(estimated, counts, lam), counts, rng.random(n))
         positions = rng.integers(0, counts[classes])
         fifo = self._fifo
         return np.array(

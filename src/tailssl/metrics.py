@@ -17,7 +17,6 @@ class EvalReport:
     per_class_recall: np.ndarray  # (K,), NaN where the class is absent from the test set
     avg_class_recall: float
     confusion: np.ndarray  # (K, K) int64; rows = truth, cols = prediction
-    group_acc: dict[str, float] | None = None
 
 
 def evaluate(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> EvalReport:
@@ -72,11 +71,6 @@ def group_accuracy(confusion: np.ndarray, groups: list[str]) -> dict[str, float]
         correct = sum(confusion[k, k] for k in members)
         out[g] = float(correct / total) if total else float("nan")
     return out
-
-
-def with_groups(report: EvalReport, groups: list[str]) -> EvalReport:
-    report.group_acc = group_accuracy(report.confusion, groups)
-    return report
 
 
 def estimation_error(true_counts: np.ndarray, estimated_counts: np.ndarray) -> float:

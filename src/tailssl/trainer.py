@@ -53,8 +53,8 @@ from .metrics import (
     default_shot_thresholds,
     estimation_error,
     evaluate,
+    group_accuracy,
     shot_groups,
-    with_groups,
 )
 from .numerics import (
     AdamState,
@@ -78,7 +78,9 @@ from .util import round_half_up, spawn_rngs
 from .weighting import batch_weights
 
 MODES = ("vanilla", "fixmatch", "bmb")
-MEMORY_CONTENTS = ("weak", "strong", "both")
+# The encoder blocks each memory content offers to the bank, in order: block 1
+# holds the unlabeled strong view, block 2 the unlabeled weak view
+MEMORY_CONTENTS = {"weak": (2,), "strong": (1,), "both": (2, 1)}
 
 
 @dataclass(frozen=True)
@@ -244,18 +246,14 @@ def compute_step(
 
     if use_unsup and use_aux:
         # (3) confident samples feed the ledger and the bank (auxiliary labels,
-        # since those drive reversed sampling and the unlabeled weights); with
-        # both views, each sample offers its weak then its strong feature
-        feats_us, feats_uw = feats[1], feats[2]
+        # since those drive reversed sampling and the unlabeled weights); each
+        # sample offers its feature of every block of the memory content, in order
+        views = MEMORY_CONTENTS[cfg.memory_content]
         confident = np.flatnonzero(mask)
         labels = qhat_a[confident]
         state.ledger.record_batch(unlabeled_pos[confident], labels)
-        if cfg.memory_content == "both":
-            offered = np.stack((feats_uw[confident], feats_us[confident]), axis=1)
-            offered = offered.reshape(-1, feats_us.shape[1])
-            labels = labels.repeat(2)
-        else:
-            offered = (feats_uw if cfg.memory_content == "weak" else feats_us)[confident]
+        offered = feats[views, confident[:, None]].reshape(-1, feats.shape[-1])
+        labels = labels.repeat(len(views))
         accepted = state.bank.offer(offered, labels, state.rngs.bank)
         accept_rate = accepted / len(labels) if len(labels) else 0.0
 
@@ -392,10 +390,7 @@ def fit(
             loss_totals.append(m.loss_total)
             accept_rates.append(m.enqueue_accept_rate)
 
-        report = with_groups(
-            evaluate(predict(state, data.test.x), data.test.y, cfg.num_classes),
-            groups,
-        )
+        report = evaluate(predict(state, data.test.x), data.test.y, cfg.num_classes)
         bank_entropy = state.bank.balance_entropy() if len(state.bank) else None
         with np.errstate(over="ignore"):  # finite losses can overflow a sum, not a mean
             loss_mean = np.mean(loss_totals)
@@ -405,7 +400,7 @@ def fit(
             "epoch": epoch,
             "acc": report.top1,
             "avg_class_recall": report.avg_class_recall,
-            "group_acc": report.group_acc,
+            "group_acc": group_accuracy(report.confusion, groups),
             "bank_entropy": bank_entropy,
             "mask_rate": float(np.mean(mask_rates)),
             "per_class_recall": report.per_class_recall.tolist(),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import tailssl
+from tailssl import cli
 from tailssl.cli import MANIFEST_SCHEMA, REPORT_SCHEMA, main
 from tailssl.config import (
     RESOLVED_SCHEMA,
@@ -284,6 +285,19 @@ OVERSIZED = [
 ]
 
 
+def _run_rlimited(tmp, command, cfg) -> subprocess.CompletedProcess:
+    """`tailssl <command>` on cfg in an address-space-limited child process."""
+    huge = tmp / "huge.json"
+    huge.write_text(json.dumps(cfg))
+    src = str(Path(tailssl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp / ("out" if command == "train" else "data")
+    return subprocess.run(
+        [sys.executable, "-c", _RLIMITED_MAIN, command, "--config", str(huge), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("command, section, name, value", OVERSIZED,
                          ids=[f"{c[0]}-{c[2]}" for c in OVERSIZED])
 def test_oversized_config_exits_2_out_of_memory(workspace, command, section, name, value):
@@ -291,18 +305,32 @@ def test_oversized_config_exits_2_out_of_memory(workspace, command, section, nam
     main(["generate", "--config", str(cfg_path)])
     cfg = tiny_config()
     cfg[section][name] = value
-    huge = tmp / "huge.json"
-    huge.write_text(json.dumps(cfg))
-    src = str(Path(tailssl.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    out = tmp / ("out" if command == "train" else "data")
-    proc = subprocess.run(
-        [sys.executable, "-c", _RLIMITED_MAIN, command, "--config", str(huge), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_rlimited(tmp, command, cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["num_classes", "feature_dim", "n1", "m1", "test_per_class"])
+def test_generate_size_field_at_its_maximum_exits_2(workspace, name):
+    # the schema admits the value; the dataset it sizes could not be stored at all
+    tmp, _ = workspace
+    cfg = tiny_config()
+    cfg["dataset"][name] = 2**63 - 1
+    proc = _run_rlimited(tmp, "generate", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: dataset ")
+    assert f"{name} {2**63 - 1} " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_without_detail_prints_a_complete_line(workspace, capsys, monkeypatch):
+    def no_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_generate", no_memory)
+    assert main(["generate", "--config", str(workspace[1])]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_sweep_base_with_a_negative_seed_exits_2(workspace, capsys):

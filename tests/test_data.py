@@ -247,18 +247,42 @@ def edge_float_dataset():
     )
 
 
+# small_spec overrides of the generated datasets whose saved bytes are pinned;
+# all but the first reach an edge of the split draw
+GENERATED_SPECS = {
+    "generated": {},
+    "no-unlabeled": {"m1": 0},
+    "no-test": {"test_per_class": 0},
+    "more-classes-than-dims": {"num_classes": 8, "feature_dim": 3},
+    # unlabeled counts 60, 15, 4, 1, 0, 0: zero-row classes between non-empty draws
+    "zero-tail-unlabeled": {"num_classes": 6, "gamma_u": 1000},
+}
+
 # sha256 of the saved CSV and oracle files: csv.writer's bytes, \r\n line ends.
 SAVED_DATASET_SHA256 = {
     "generated": ("32c8bd841396c952fa7a44edf8ce7e4677a4376684d78cec6ad4399efd9bb9e5",
                   "0c569e7cc547aca6c46a1ea044e3a7f1e930df2d59c0a8cab56cca3c337947aa"),
     "edge-floats": ("af48c153514cb6a2f51b4a97a9d0c1d8beb3c3fd8f0f5f0d718eb42e59089e6d",
                     "8c0911e35bdcff9b9416a26b39f17e9c383af98675f9e5c80fbf17f85083c2a4"),
+    "no-unlabeled": ("e050cbd304e560133eca86fd784bf6ec9bf24181918acf52418c0f27d2223308",
+                     "5c44e1590d2d8785f2117f97e263ba513ff3f78a3b5ca3ad0a6182167184c33d"),
+    "no-test": ("11b45ca70da88163c1ecdf84fddbd69c8ee36e0fe977d62d5ae78cc863b33914",
+                "0c569e7cc547aca6c46a1ea044e3a7f1e930df2d59c0a8cab56cca3c337947aa"),
+    "more-classes-than-dims": (
+        "6129a4916e1be57f0b49abb7824c7f093f938ea8a3460488e361ffee98b9c4d4",
+        "59b094c827d62b27bb81c1f93ca25dc0060a4de9be1073b69023b3c86600fed6"),
+    "zero-tail-unlabeled": (
+        "261ff6246579a228bf0e73079b1ba48232b15e01e3b74bf4dcd73695937fcf7a",
+        "bf8690d1898fdc8ccaa8a0b7a2c5d21266dc1b9559a00de18546239b43b7f36d"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SAVED_DATASET_SHA256))
 def test_saved_dataset_bytes_are_pinned(tmp_path, name):
-    ds = generate_dataset(small_spec()) if name == "generated" else edge_float_dataset()
+    if name == "edge-floats":
+        ds = edge_float_dataset()
+    else:
+        ds = generate_dataset(small_spec(**GENERATED_SPECS[name]))
     csv_path, oracle_path = tmp_path / "dataset.csv", tmp_path / "dataset.oracle.csv"
     save_dataset(ds, csv_path, oracle_path)
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, oracle_path))

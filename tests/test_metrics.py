@@ -11,7 +11,6 @@ from tailssl.metrics import (
     evaluate,
     group_accuracy,
     shot_groups,
-    with_groups,
 )
 
 
@@ -81,18 +80,20 @@ def test_default_thresholds_tertiles():
     assert groups == ["many"] * 3 + ["medium"] * 3 + ["few"] * 4
 
 
-def test_group_accuracy_recomposes_to_top1():
+@pytest.mark.parametrize("labeled_counts", [[40, 30, 20, 10, 5, 2], [40, 30, 26, 6, 5, 2]],
+                         ids=["all-groups", "no-medium"])
+def test_group_accuracy_recomposes_to_top1(labeled_counts):
     rng = np.random.default_rng(1)
     truths = rng.integers(0, 6, size=500)
     preds = rng.integers(0, 6, size=500)
     report = evaluate(preds, truths, 6)
-    groups = shot_groups(np.array([40, 30, 20, 10, 5, 2]), many_min=25, few_max=6)
+    groups = shot_groups(np.array(labeled_counts), many_min=25, few_max=6)
     acc = group_accuracy(report.confusion, groups)
     mass = {g: 0 for g in acc}
-    correct = {g: 0.0 for g in acc}
     row_sums = report.confusion.sum(axis=1)
     for k, g in enumerate(groups):
         mass[g] += row_sums[k]
+    assert {g for g in acc if math.isnan(acc[g])} == {g for g in acc if not mass[g]}
     recomposed = sum(acc[g] * mass[g] for g in acc if mass[g]) / report.confusion.sum()
     assert recomposed == pytest.approx(report.top1, abs=1e-12)
 
@@ -106,15 +107,6 @@ def test_metrics_are_permutation_invariant():
     b = evaluate(preds[perm], truths[perm], 4)
     assert a.top1 == b.top1
     assert np.array_equal(a.confusion, b.confusion)
-
-
-def test_with_groups_attaches_group_accuracy():
-    truths = np.array([0, 0, 1, 1])
-    preds = np.array([0, 0, 1, 0])
-    report = with_groups(evaluate(preds, truths, 2), ["many", "few"])
-    assert report.group_acc["many"] == 1.0
-    assert report.group_acc["few"] == 0.5
-    assert math.isnan(report.group_acc["medium"])
 
 
 def test_estimation_error_cases():
