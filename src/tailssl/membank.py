@@ -37,16 +37,11 @@ draws all n within-class positions with one `rng.integers` call after its n
 class draws, and returns slot rows, which callers use to index `features` and
 `labels`.
 
-Writes come a batch at a time, all through `offer`. It runs a batch of
-attempts in order, each using one uniform to accept and, when the bank is
-full, one more to pick a victim. It draws the 2n uniforms its n attempts may
-need as one block, which gives the same values as 2n scalar `rng.random()`
-calls, then restores the saved generator state and calls `rng.random(used)`
-for the ones it used. Rewinding with `bit_generator.advance(-unused)` instead
-would not do: `advance` also drops the unused half of a 64-bit word that a
-32-bit draw in `rng.integers` may leave buffered (the `has_uint32`/`uinteger`
-fields of the state), and the next bounded integer draw would then differ.
-Restoring the state keeps that buffer and works for any bit generator.
+Writes come a batch at a time, all through `offer`. Each attempt uses one
+uniform to accept and, when the bank is full, one more to pick a victim.
+Out of uniforms during attempt i, `offer` draws the n - i that attempts
+i..n-1 are sure to use as one block, so the generator, a buffered half-word
+included, ends where one `rng.random()` per draw would leave it.
 """
 
 from bisect import bisect_right
@@ -160,36 +155,34 @@ class MemoryBank:
         labels_list = labels.tolist()
         if min(labels_list) < 0 or max(labels_list) >= self.num_classes:
             raise ValueError(f"pseudo_label out of range for {self.num_classes} classes")
-        saved = rng.bit_generator.state
-        u = rng.random(2 * n).tolist()
-        rng.bit_generator.state = saved
         p_in, fifo, free = self.p_in, self._fifo, self._free
         sizes = [len(f) for f in fifo]
         stored = len(self)
-        used = 0
+        evicted = 0
+        ahead: list[float] = []  # uniforms drawn ahead, the next one last
         writes: dict[int, int] = {}  # slot -> row of its last write
         for i, label in enumerate(labels_list):
-            draw = u[used]
-            used += 1
-            if draw >= p_in[sizes[label]]:
+            if not ahead:  # attempts i..n-1 draw at least n - i more uniforms
+                ahead = rng.random(n - i).tolist()[::-1]
+            if ahead.pop() >= p_in[sizes[label]]:
                 continue
             if free:
                 slot = free.pop()
             else:
-                victim = self._victim(sizes, u[used])
-                used += 1
+                if not ahead:
+                    ahead = rng.random(n - i).tolist()[::-1]
+                victim = self._victim(sizes, ahead.pop())
+                evicted += 1
                 slot = fifo[victim].pop(0)
                 sizes[victim] -= 1
             fifo[label].append(slot)
             sizes[label] += 1
             writes[slot] = i
-        rng.random(used)
         if writes:
             slots = np.fromiter(writes, dtype=np.int64, count=len(writes))
             rows = np.fromiter(writes.values(), dtype=np.int64, count=len(writes))
             self.features[slots] = features[rows]
             self.labels[slots] = labels[rows]
-        evicted = used - n  # each attempt draws once, each eviction once more
         self.evictions += evicted
         return len(self) - stored + evicted  # an accept fills a free slot or evicts
 
@@ -258,6 +251,8 @@ class MemoryBank:
 def stream_entropy(class_counts: np.ndarray) -> float:
     """Normalized entropy of an arrival stream's class histogram (comparison oracle)."""
     counts = np.asarray(class_counts, dtype=np.float64)
+    if len(counts) < 2:
+        raise ValueError("normalized entropy needs at least 2 classes (ln 1 is 0)")
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty stream")

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentConfig, Dataset, strong_augment, weak_augment
-from .errors import TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError
 from .estimator import PseudoLabelLedger
 from .membank import MemoryBank
 from .metrics import (
@@ -160,7 +160,25 @@ class TrainState:
 def init_state(
     cfg: TrainConfig, labeled_class_counts: np.ndarray, num_unlabeled: int
 ) -> TrainState:
-    """Fresh parameters, optimizer, bank and a ledger over num_unlabeled rows."""
+    """Fresh parameters, optimizer, bank and a ledger over num_unlabeled rows.
+
+    A config that sizes an array past MAX_SIZE bytes raises ConfigError before
+    any array is made: the parameters, the bank's features, or the step's three
+    encoder blocks of batch_size rows at the widest layer.
+    """
+    dims = tuple(map(int, (cfg.input_dim, *cfg.hidden_sizes)))  # Python ints never overflow
+    capacity, batch_size = int(cfg.memory_capacity), int(cfg.batch_size)
+    for name, value, sized, values in (
+        ("hidden_sizes", list(dims[1:]), "the parameters",
+         ModelParams.size(dims, int(cfg.num_classes))),
+        ("memory_capacity", capacity, f"the bank's rows of width {dims[-1]}",
+         capacity * dims[-1]),
+        ("batch_size", batch_size, f"3 encoder blocks of width {max(dims)}",
+         3 * batch_size * max(dims)),
+    ):
+        if values * 8 > MAX_SIZE:  # float64 bytes
+            raise ConfigError(f"train {name} {value} sizes {sized}: "
+                              f"{values} float64 values exceed {MAX_SIZE} bytes")
     init_rng, batch_rng, augment_rng, bank_rng = spawn_rngs(cfg.seed, 4)
     params = init_params(cfg.input_dim, cfg.hidden_sizes, cfg.num_classes, init_rng)
     return TrainState(

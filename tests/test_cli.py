@@ -324,6 +324,25 @@ def test_generate_size_field_at_its_maximum_exits_2(workspace, name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, value", [
+    ("memory_capacity", 2**63 - 1),
+    ("batch_size", 2**63 - 1),
+    ("hidden_sizes", [2**63 - 1]),
+    ("hidden_sizes", [12, 2**63 - 1]),
+], ids=["memory_capacity", "batch_size", "hidden_sizes-first", "hidden_sizes-last"])
+def test_train_size_field_at_its_maximum_exits_2(workspace, name, value):
+    # the schema admits the value; an array it sizes could not be stored at all
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    cfg["train"][name] = value
+    proc = _run_rlimited(tmp, "train", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: train ")
+    assert f"{name} {value} " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_out_of_memory_without_detail_prints_a_complete_line(workspace, capsys, monkeypatch):
     def no_memory(args):
         raise MemoryError()

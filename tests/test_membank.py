@@ -464,7 +464,7 @@ def assert_offer_matches_enqueue_each(fast_bank, slow_bank, features, labels, fa
 
     Bounded integer draws first leave half of a 64-bit word buffered in the
     generator (one draw, or two when half a word is buffered already), which
-    the block's rewind must keep.
+    offer must leave in place.
     """
     highs = np.array([3, 1000])[: 1 + fast.bit_generator.state["has_uint32"]]
     np.testing.assert_array_equal(fast.integers(0, highs), slow.integers(0, highs))
@@ -476,15 +476,18 @@ def assert_offer_matches_enqueue_each(fast_bank, slow_bank, features, labels, fa
     return accepted
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 24])
 @pytest.mark.parametrize("start", ["empty", "full"])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-def test_offer_equals_enqueue_each_draw_for_draw(beta, start):
-    """Blocks of 1-40 rows, K = 5, capacity 24: the bank fills part way through
-    a block, and once full most accepts evict, so slots are reused in a block."""
+def test_offer_equals_enqueue_each_draw_for_draw(beta, start, capacity):
+    """Blocks of 1-40 rows, K = 5: at capacity 24 the bank fills part way through
+    a block, and once full most accepts evict, so slots are reused in a block.
+    At capacity 1 or 2 and beta 0 every accept evicts, so the uniforms that
+    offer draws ahead run out on victim draws at many positions in a block."""
     data = RNG(int(beta * 10) + (start == "full"))
-    bank = MemoryBank(24, 5, beta, 3)
+    bank = MemoryBank(capacity, 5, beta, 3)
     if start == "full":
-        for i in range(24):
+        for i in range(capacity):
             store(bank, data.normal(size=3), int(data.integers(5)))
     twin = copy.deepcopy(bank)
     fast, slow = RNG(77), RNG(77)
@@ -496,7 +499,7 @@ def test_offer_equals_enqueue_each_draw_for_draw(beta, start):
         total_accepted += assert_offer_matches_enqueue_each(
             bank, twin, features, labels, fast, slow
         )
-    assert total_accepted > 0 and bank.evictions > 0 and len(bank) == 24
+    assert total_accepted > 0 and bank.evictions > 0 and len(bank) == capacity
     assert fast.integers(0, 2**40, size=4).tolist() == slow.integers(0, 2**40, size=4).tolist()
 
 
@@ -642,6 +645,15 @@ def test_balance_entropy_three_one_split():
 def test_balance_entropy_empty_bank_raises():
     with pytest.raises(ValueError):
         MemoryBank(4, 2, 1.0, 2).balance_entropy()
+
+
+def test_entropy_of_fewer_than_two_classes_raises():
+    """With one class ln K is 0, so the normalised entropy would be 0/0."""
+    bank = MemoryBank(4, 1, 1.0, 2)
+    offer_one(bank, FEAT, 0, RNG(16))
+    for entropy in (bank.balance_entropy, lambda: stream_entropy(np.array([5]))):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            entropy()
 
 
 # ---------------------------------------------------------------------------
