@@ -204,7 +204,7 @@ def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
     report = build_report(cfg["name"], seed, chash, dataset_hash, train_cfg.mode, log)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         fh.write(canonical_json(report) + "\n")
-    save_model(os.path.join(run_dir, "model.npz"), state.params, state.ema.params)
+    save_model(os.path.join(run_dir, "model.npz"), state.params, state.ema)
     return report
 
 

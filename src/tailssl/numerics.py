@@ -3,6 +3,8 @@
 Everything here is float64 numpy: an MLP encoder with ReLU activations, two
 linear classifier heads on the shared feature space, weighted/masked softmax
 cross-entropy with exact analytic gradients, Adam, and EMA parameter tracking.
+The state is arrays and a step counter alone (the EMA is a ModelParams, Adam
+keeps its two moments and a step count); every setting arrives as an argument.
 The backward passes return no gradient arrays: they add into views of a
 gradient buffer that the caller owns, so several loss terms can share one
 buffer. All operations are deterministic functions of their inputs; the test
@@ -46,17 +48,15 @@ class LinearLayer:
 class ModelParams:
     """Shared MLP encoder plus base and auxiliary linear heads.
 
-    Every array is a view into one float64 vector `flat`. Gradients reuse this
-    container, and the Adam moments and the EMA share the same layout. `heads`
-    stacks both heads, base first; `base_head` and `aux_head` are its two
-    layers.
+    Every array is a view into one float64 vector `flat`. Gradients and the
+    EMA are ModelParams too, and the Adam moments share the same layout.
+    `heads` stacks both heads: heads[0] is the base head, heads[1] the
+    auxiliary head.
     """
 
     flat: np.ndarray
     encoder_layers: list[LinearLayer]
     heads: LinearLayer
-    base_head: LinearLayer
-    aux_head: LinearLayer
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...], num_classes: int) -> "ModelParams":
@@ -74,7 +74,7 @@ class ModelParams:
         end = pos + 2 * dims[-1] * num_classes
         heads = LinearLayer(flat[pos:end].reshape(2, dims[-1], num_classes),
                             flat[end:].reshape(2, num_classes))
-        return cls(flat, layers, heads, heads[0], heads[1])
+        return cls(flat, layers, heads)
 
     @staticmethod
     def size(dims: tuple[int, ...], num_classes: int) -> int:
@@ -99,7 +99,7 @@ class ModelParams:
 
     @property
     def num_classes(self) -> int:
-        return self.base_head.w.shape[1]
+        return self.heads.w.shape[-1]
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.flat.copy(), self.dims, self.num_classes)
@@ -114,10 +114,9 @@ def named_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
     for i, layer in enumerate(params.encoder_layers):
         yield f"enc{i}.w", layer.w
         yield f"enc{i}.b", layer.b
-    yield "base.w", params.base_head.w
-    yield "aux.w", params.aux_head.w
-    yield "base.b", params.base_head.b
-    yield "aux.b", params.aux_head.b
+    for field in ("w", "b"):
+        for name, array in zip(("base", "aux"), getattr(params.heads, field)):
+            yield f"{name}.{field}", array
 
 
 def init_params(
@@ -130,7 +129,7 @@ def init_params(
     if not hidden_sizes:
         raise ValueError("encoder needs at least one layer")
     params = ModelParams.zeros((input_dim,) + tuple(hidden_sizes), num_classes)
-    for layer in [*params.encoder_layers, params.base_head, params.aux_head]:
+    for layer in [*params.encoder_layers, params.heads[0], params.heads[1]]:
         bound = 1.0 / np.sqrt(layer.w.shape[0])
         layer.w[...] = rng.uniform(-bound, bound, size=layer.w.shape)
         layer.b[...] = rng.uniform(-bound, bound, size=layer.b.shape)
@@ -281,18 +280,16 @@ class AdamState:
     first_moment: np.ndarray  # same layout as ModelParams.flat
     second_moment: np.ndarray
     step_count: int
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def init_adam(
-    params: ModelParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> AdamState:
-    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0, beta1, beta2, eps)
+def init_adam(params: ModelParams) -> AdamState:
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0)
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
+def adam_step(
+    params: ModelParams, grads: ModelParams, state: AdamState,
+    lr: float, beta1: float, beta2: float, eps: float,
+) -> None:
     """Standard Adam with bias correction, in place. p -= lr * mhat / (sqrt(vhat) + eps).
 
     A non-finite gradient raises before anything is updated.
@@ -302,34 +299,20 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
         raise TrainingDivergedError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
     m, v = state.first_moment, state.second_moment
     # overflow here only happens en route to divergence, which the loss
     # check reports with a step number; keep the update itself quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-@dataclass
-class EmaParams:
-    """Shadow copy of the tracked parameters, updated as decay*ema + (1-decay)*params."""
-
-    params: ModelParams
-    decay: float
-
-
-def init_ema(params: ModelParams, decay: float) -> EmaParams:
-    if not 0.0 <= decay <= 1.0:
-        raise ValueError("ema decay must lie in [0, 1]")
-    return EmaParams(params.copy(), decay)
-
-
-def ema_update(ema: EmaParams, params: ModelParams) -> None:
-    d = ema.decay
-    ema.params.flat *= d
-    ema.params.flat += (1.0 - d) * params.flat
+def ema_update(ema: ModelParams, params: ModelParams, decay: float) -> None:
+    """ema = decay * ema + (1 - decay) * params, in place."""
+    ema.flat *= decay
+    ema.flat += (1.0 - decay) * params.flat

@@ -58,7 +58,6 @@ from .metrics import (
 )
 from .numerics import (
     AdamState,
-    EmaParams,
     ModelParams,
     adam_step,
     ema_update,
@@ -67,7 +66,6 @@ from .numerics import (
     head_backward,
     head_forward,
     init_adam,
-    init_ema,
     init_params,
     softmax,
     weighted_masked_ce,
@@ -146,7 +144,7 @@ class RngStreams:
 class TrainState:
     cfg: TrainConfig
     params: ModelParams
-    ema: EmaParams
+    ema: ModelParams  # EMA of params; predict scores with it
     adam: AdamState
     bank: MemoryBank
     ledger: PseudoLabelLedger
@@ -184,8 +182,8 @@ def init_state(
     return TrainState(
         cfg=cfg,
         params=params,
-        ema=init_ema(params, cfg.ema_decay),
-        adam=init_adam(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps),
+        ema=params.copy(),
+        adam=init_adam(params),
         bank=MemoryBank(cfg.memory_capacity, cfg.num_classes, cfg.beta, cfg.hidden_sizes[-1]),
         ledger=PseudoLabelLedger(cfg.num_classes, num_unlabeled),
         labeled_class_counts=np.maximum(np.asarray(labeled_class_counts, dtype=np.int64), 1),
@@ -339,13 +337,16 @@ def train_step(
     unlabeled_pos: np.ndarray,
     unlabeled_x: np.ndarray,
 ) -> StepMetrics:
-    """One full optimization step: losses, gradients, Adam update, EMA update."""
+    """One full optimization step: losses, gradients, Adam update, EMA update,
+    each under the settings state.cfg holds when the step runs."""
     metrics, grads = compute_step(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x)
+    cfg = state.cfg
     try:
-        adam_step(state.params, grads, state.adam, state.cfg.lr)
+        adam_step(state.params, grads, state.adam, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
+                  cfg.adam_eps)
     except TrainingDivergedError as exc:
         raise TrainingDivergedError(str(exc) + f" at step {state.step}", step=state.step) from None
-    ema_update(state.ema, state.params)
+    ema_update(state.ema, state.params, cfg.ema_decay)
     state.step += 1
     return metrics
 
@@ -357,9 +358,9 @@ def predict(state: TrainState, x: np.ndarray) -> np.ndarray:
     Inputs are scored un-augmented; argmax ties break toward the smaller class
     index.
     """
-    params = state.ema.params
-    feats, _ = encoder_forward(params, np.asarray(x)[None])
-    head = params.heads[1:] if state.cfg.mode == "bmb" else params.heads[:1]
+    ema = state.ema
+    feats, _ = encoder_forward(ema, np.asarray(x)[None])
+    head = ema.heads[1:] if state.cfg.mode == "bmb" else ema.heads[:1]
     return head_forward(head, feats)[0, 0].argmax(axis=1)
 
 
@@ -373,8 +374,14 @@ def fit(
     Batches are drawn uniformly with replacement each iteration. After every
     epoch the EMA parameters are evaluated on the test split and a record with
     accuracy, per-class recall, shot-group accuracy, bank entropy, estimated
-    counts, and mean mask rate is appended to the returned log.
+    counts, and mean mask rate is appended to the returned log. A dataset
+    whose class count or feature width differs from the config's raises
+    ValueError before any draw.
     """
+    widths = [split.x.shape[1:] for split in (data.labeled, data.unlabeled, data.test)]
+    if data.num_classes != cfg.num_classes or widths != [(cfg.input_dim,)] * 3:
+        raise ValueError(f"dataset has {data.num_classes} classes and feature widths {widths}; "
+                         f"config has num_classes {cfg.num_classes}, input_dim {cfg.input_dim}")
     if len(data.labeled) == 0:
         raise ValueError("labeled split must be non-empty")
     counts = np.bincount(data.labeled.y, minlength=cfg.num_classes)

@@ -208,12 +208,12 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x):
     full = np.ones(b, dtype=bool)
 
     feats_x, cache_x = _encode(p, weak_augment(labeled_x, cfg.augment, rngs.augment))
-    loss_s_b, dfeat_x = _head_term(p.base_head, grads.base_head, feats_x, labeled_y, ones, full)
+    loss_s_b, dfeat_x = _head_term(p.heads[0], grads.heads[0], feats_x, labeled_y, ones, full)
     loss_s_a = 0.0
     if use_aux:
         w_lab = batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)
         loss_s_a, dfeat_ax = _head_term(
-            p.aux_head, grads.aux_head, feats_x, labeled_y, w_lab, full
+            p.heads[1], grads.heads[1], feats_x, labeled_y, w_lab, full
         )
         if not cfg.aux_stopgrad:
             dfeat_x = dfeat_x + dfeat_ax
@@ -224,7 +224,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x):
         uw = weak_augment(unlabeled_x, cfg.augment, rngs.augment)
         us = strong_augment(unlabeled_x, cfg.augment, rngs.augment)
         feats_uw, _ = _encode(p, uw)
-        logits_uw = feats_uw @ p.base_head.w + p.base_head.b
+        logits_uw = feats_uw @ p.heads[0].w + p.heads[0].b
         z = np.exp(logits_uw - logits_uw.max(axis=1, keepdims=True))
         probs_b = z / z.sum(axis=1, keepdims=True)
         qhat_b = probs_b.argmax(axis=1)
@@ -233,14 +233,14 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x):
 
         feats_us, cache_us = _encode(p, us)
         loss_u_b, dfeat_us = _head_term(
-            p.base_head, grads.base_head, feats_us, qhat_b, ones, mask, cfg.lambda_u
+            p.heads[0], grads.heads[0], feats_us, qhat_b, ones, mask, cfg.lambda_u
         )
         dfeat_us = dfeat_us * cfg.lambda_u
         if use_aux:
-            qhat_a = (feats_uw @ p.aux_head.w + p.aux_head.b).argmax(axis=1)
+            qhat_a = (feats_uw @ p.heads[1].w + p.heads[1].b).argmax(axis=1)
             w_unl = batch_weights(state.ledger.estimated_counts(), qhat_a, cfg.alpha)
             loss_u_a, dfeat_au = _head_term(
-                p.aux_head, grads.aux_head, feats_us, qhat_a, w_unl, mask, cfg.lambda_u
+                p.heads[1], grads.heads[1], feats_us, qhat_a, w_unl, mask, cfg.lambda_u
             )
             if not cfg.aux_stopgrad:
                 dfeat_us = dfeat_us + cfg.lambda_u * dfeat_au
@@ -264,7 +264,7 @@ def step_per_term(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x):
             )
             if len(rows):
                 loss_mem, _ = _head_term(
-                    p.aux_head, grads.aux_head, state.bank.features[rows],
+                    p.heads[1], grads.heads[1], state.bank.features[rows],
                     state.bank.labels[rows], np.ones(len(rows)),
                     np.ones(len(rows), dtype=bool), cfg.lambda_m,
                 )

@@ -239,8 +239,8 @@ def test_criterion_2_gradient_suite():
         np.ones(4, dtype=bool), 4,
     )
     analytic = zeros_like_params(params)
-    analytic.aux_head.w += feats.T @ dlogits
-    analytic.aux_head.b += dlogits.sum(axis=0)
+    analytic.heads[1].w += feats.T @ dlogits
+    analytic.heads[1].b += dlogits.sum(axis=0)
     numeric = _numeric_grads(mem_loss, params)
     np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)
     cases += 1
@@ -392,8 +392,8 @@ def test_criterion_5_composition_gating_isolation():
     enc = gstate.params.encoder_layers[0]
     enc.w[:] = np.eye(2)
     enc.b[:] = 0.0
-    gstate.params.base_head.w[:] = np.array([[8.0, -8.0], [-8.0, 8.0]])
-    gstate.params.base_head.b[:] = 0.0
+    gstate.params.heads[0].w[:] = np.array([[8.0, -8.0], [-8.0, 8.0]])
+    gstate.params.heads[0].b[:] = 0.0
     unl = np.array([[3.0, 0.0], [0.0, 3.0], [0.05, 0.0], [0.0, 0.05]])
     m = train_step(
         gstate, np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.array([10, 11, 12, 13]), unl
@@ -426,9 +426,9 @@ def test_criterion_5_composition_gating_isolation():
     for a, b in zip(g_on.encoder_layers, g_off.encoder_layers):
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.b, b.b)
-    np.testing.assert_array_equal(g_on.base_head.w, g_off.base_head.w)
-    np.testing.assert_array_equal(g_on.base_head.b, g_off.base_head.b)
-    assert not np.allclose(g_on.aux_head.w, g_off.aux_head.w)
+    np.testing.assert_array_equal(g_on.heads[0].w, g_off.heads[0].w)
+    np.testing.assert_array_equal(g_on.heads[0].b, g_off.heads[0].b)
+    assert not np.allclose(g_on.heads[1].w, g_off.heads[1].w)
 
     report("5", "recomposition 1e-10; below-threshold rows inert; L_mem grads aux-only")
 

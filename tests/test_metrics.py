@@ -22,6 +22,14 @@ def test_perfect_predictions():
     assert report.avg_class_recall == 1.0
 
 
+def test_evaluate_refuses_class_indices_outside_the_classes():
+    # a -1 truth once counted in class 2's row, and a prediction of 3 raised IndexError
+    with pytest.raises(ValueError, match=r"truths outside \[0, 3\)"):
+        evaluate([0, 1, 0], [0, 1, -1], 3)
+    with pytest.raises(ValueError, match=r"predictions outside \[0, 3\)"):
+        evaluate([0, 1, 3], [0, 1, 2], 3)
+
+
 def test_constant_predictor_on_balanced_two_class():
     preds = np.zeros(10, dtype=int)
     truths = np.array([0] * 5 + [1] * 5)

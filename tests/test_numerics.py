@@ -22,7 +22,6 @@ from tailssl.numerics import (
     head_backward,
     head_forward,
     init_adam,
-    init_ema,
     init_params,
     named_arrays,
     softmax,
@@ -31,6 +30,7 @@ from tailssl.numerics import (
 )
 
 RNG = np.random.default_rng
+ADAM = dict(beta1=0.9, beta2=0.999, eps=1e-8)  # the Adam constants TrainConfig defaults to
 
 
 def tiny_params(d=3, hidden=(4, 3), k=2, seed=0):
@@ -189,7 +189,7 @@ def test_passes_reject_bare_rows_and_unstacked_heads():
     with pytest.raises(ValueError):
         head_forward(params.heads, np.zeros((1, 2, params.feature_dim + 1)))
     with pytest.raises(ValueError):
-        head_forward(params.base_head, feats)
+        head_forward(params.heads[0], feats)
     grads = zeros_like_params(params)
     with pytest.raises(ValueError):
         head_backward(params.heads, feats[0], np.zeros((2, 4, 2)), grads.heads, [1.0])
@@ -434,7 +434,7 @@ def test_adam_zero_gradient_leaves_params_and_moments_untouched():
     params = tiny_params(seed=22)
     before = params.copy()
     state = init_adam(params)
-    adam_step(params, zeros_like_params(params), state, lr=0.1)
+    adam_step(params, zeros_like_params(params), state, lr=0.1, **ADAM)
     np.testing.assert_array_equal(params.flat, before.flat)
     assert np.all(state.first_moment == 0)
     assert state.step_count == 1
@@ -446,8 +446,8 @@ def test_adam_single_step_matches_hand_executed_update():
     grads = zeros_like_params(params)
     grads.flat += RNG(24).normal(size=grads.flat.shape)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-    state = init_adam(params, b1, b2, eps)
-    adam_step(params, grads, state, lr)
+    state = init_adam(params)
+    adam_step(params, grads, state, lr, b1, b2, eps)
     p, prev, g = params.flat, before.flat, grads.flat
     m = (1 - b1) * g
     v = (1 - b2) * g * g
@@ -467,7 +467,7 @@ def test_adam_two_identical_runs_are_bitwise_identical():
         for _ in range(5):
             grads = zeros_like_params(params)
             grads.flat += rng.normal(size=grads.flat.shape)
-            adam_step(params, grads, state, lr=0.05)
+            adam_step(params, grads, state, lr=0.05, **ADAM)
         return params
 
     assert np.array_equal(run().flat, run().flat)
@@ -476,9 +476,9 @@ def test_adam_two_identical_runs_are_bitwise_identical():
 def test_adam_rejects_non_finite_gradients():
     params = tiny_params(seed=27)
     grads = zeros_like_params(params)
-    grads.base_head.w[0, 0] = np.nan
+    grads.heads[0].w[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError):
-        adam_step(params, grads, init_adam(params), lr=0.01)
+        adam_step(params, grads, init_adam(params), lr=0.01, **ADAM)
 
 
 def test_adam_non_finite_gradient_updates_nothing():
@@ -486,12 +486,12 @@ def test_adam_non_finite_gradient_updates_nothing():
     state = init_adam(params)
     grads = zeros_like_params(params)
     grads.flat += RNG(35).normal(size=grads.flat.shape)
-    adam_step(params, grads, state, lr=0.01)  # moments are non-zero from here on
+    adam_step(params, grads, state, lr=0.01, **ADAM)  # moments are non-zero from here on
     before = params.copy()
     m, v = state.first_moment.copy(), state.second_moment.copy()
-    grads.aux_head.b[-1] = np.nan  # last entry of flat: every other array precedes it
+    grads.heads[1].b[-1] = np.nan  # last entry of flat: every other array precedes it
     with pytest.raises(TrainingDivergedError):
-        adam_step(params, grads, state, lr=0.01)
+        adam_step(params, grads, state, lr=0.01, **ADAM)
     np.testing.assert_array_equal(params.flat, before.flat)
     np.testing.assert_array_equal(state.first_moment, m)
     np.testing.assert_array_equal(state.second_moment, v)
@@ -500,25 +500,25 @@ def test_adam_non_finite_gradient_updates_nothing():
 
 def test_ema_decay_endpoints_and_update():
     params = tiny_params(seed=28)
-    ema = init_ema(params, decay=0.0)
+    ema = params.copy()
     shifted = params.copy()
     shifted.flat += 1.0
-    ema_update(ema, shifted)  # decay 0 -> ema equals tracked params
-    np.testing.assert_array_equal(ema.params.flat, shifted.flat)
+    ema_update(ema, shifted, decay=0.0)  # decay 0 -> ema equals tracked params
+    np.testing.assert_array_equal(ema.flat, shifted.flat)
 
-    ema = init_ema(params, decay=1.0)
-    ema_update(ema, shifted)  # decay 1 -> ema never moves
-    np.testing.assert_array_equal(ema.params.flat, params.flat)
+    ema = params.copy()
+    ema_update(ema, shifted, decay=1.0)  # decay 1 -> ema never moves
+    np.testing.assert_array_equal(ema.flat, params.flat)
 
 
 def test_ema_standard_decay_value():
     params = tiny_params(seed=29)
     params.flat[:] = 0.0
-    ema = init_ema(params, decay=0.999)
+    ema = params.copy()
     ones = params.copy()
     ones.flat[:] = 1.0
-    ema_update(ema, ones)
-    np.testing.assert_allclose(ema.params.flat, 0.001, atol=1e-15)
+    ema_update(ema, ones, decay=0.999)
+    np.testing.assert_allclose(ema.flat, 0.001, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():

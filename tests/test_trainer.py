@@ -137,16 +137,16 @@ def test_micro_step_matches_straight_line_recomputation():
     # ---- straight-line recomputation ----
     b = cfg.batch_size
     feats_x = mlp_forward(params, lab_x)
-    logits_bx = linear(params.base_head, feats_x)
+    logits_bx = linear(params.heads[0], feats_x)
     loss_s_b = ce_sum(logits_bx, list(lab_y), [1.0] * b, [True] * b, b)
 
     n_counts = [6, 2]
     w_lab = [ratio_weight(n_counts, int(y), cfg.alpha) for y in lab_y]
-    logits_ax = linear(params.aux_head, feats_x)
+    logits_ax = linear(params.heads[1], feats_x)
     loss_s_a = ce_sum(logits_ax, list(lab_y), w_lab, [True] * b, b)
 
     feats_u = mlp_forward(params, unl_x)  # weak == strong == raw here
-    logits_bu = linear(params.base_head, feats_u)
+    logits_bu = linear(params.heads[0], feats_u)
     conf, qhat_b = [], []
     for row in logits_bu:
         m0 = max(row)
@@ -157,7 +157,7 @@ def test_micro_step_matches_straight_line_recomputation():
     mask = [c >= cfg.tau for c in conf]
     loss_u_b = ce_sum(logits_bu, qhat_b, [1.0] * b, mask, b)
 
-    logits_au = linear(params.aux_head, feats_u)
+    logits_au = linear(params.heads[1], feats_u)
     qhat_a = [argmax_first(row) for row in logits_au]
     est_pre = [max(c, 1) for c in oracle_ledger.counts]
     w_unl = [ratio_weight(est_pre, q, cfg.alpha) for q in qhat_a]
@@ -175,7 +175,7 @@ def test_micro_step_matches_straight_line_recomputation():
     rows = oracle_bank.get(
         np.maximum(oracle_ledger.counts, 1), n_mem, cfg.lambda_sampling, replay_rng
     )
-    logits_m = linear(params.aux_head, oracle_bank.features[rows])
+    logits_m = linear(params.heads[1], oracle_bank.features[rows])
     loss_mem = ce_sum(
         logits_m, oracle_bank.labels[rows].tolist(), [1.0] * len(rows),
         [True] * len(rows), len(rows),
@@ -228,8 +228,8 @@ def crafted_confidence_state(tau=0.9):
     enc = state.params.encoder_layers[0]
     enc.w[:] = np.eye(2)
     enc.b[:] = 0.0
-    state.params.base_head.w[:] = np.array([[8.0, -8.0], [-8.0, 8.0]])
-    state.params.base_head.b[:] = 0.0
+    state.params.heads[0].w[:] = np.array([[8.0, -8.0], [-8.0, 8.0]])
+    state.params.heads[0].b[:] = 0.0
     return cfg, state
 
 
@@ -375,8 +375,10 @@ def test_compute_step_equals_the_per_term_step_bit_for_bit(
         for name in ("augment", "bank"):
             assert (getattr(state.rngs, name).bit_generator.state
                     == getattr(twin.rngs, name).bit_generator.state)
-        adam_step(state.params, grads, state.adam, cfg.lr)
-        adam_step(twin.params, want_grads, twin.adam, cfg.lr)
+        adam_step(state.params, grads, state.adam, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
+                  cfg.adam_eps)
+        adam_step(twin.params, want_grads, twin.adam, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
+                  cfg.adam_eps)
     if mode == "bmb" and not warm:
         assert state.bank.evictions == twin.bank.evictions > 0
 
@@ -401,8 +403,8 @@ def test_memory_loss_gradients_reach_only_aux_head():
     for a, b in zip(g1.encoder_layers, g0.encoder_layers):
         np.testing.assert_array_equal(a.w, b.w)
         np.testing.assert_array_equal(a.b, b.b)
-    np.testing.assert_array_equal(g1.base_head.w, g0.base_head.w)
-    assert not np.allclose(g1.aux_head.w, g0.aux_head.w)
+    np.testing.assert_array_equal(g1.heads[0].w, g0.heads[0].w)
+    assert not np.allclose(g1.heads[1].w, g0.heads[1].w)
 
 
 def test_memory_loss_matches_finite_differences_on_aux_head():
@@ -424,7 +426,7 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
     h = 1e-5
     for arr_name, arr in [
         ("enc.w", state.params.encoder_layers[0].w),
-        ("base.w", state.params.base_head.w),
+        ("base.w", state.params.heads[0].w),
     ]:
         flat = arr.reshape(-1)
         orig = flat[0]
@@ -438,7 +440,7 @@ def test_memory_loss_matches_finite_differences_on_aux_head():
     logits = head_forward(state.params.heads[1:], feats[None])[0, 0]
     _, dlogits = masked_ce(logits, labels, np.ones(5), np.ones(5, dtype=bool), 5)
     analytic_gw = feats.T @ dlogits
-    flat = state.params.aux_head.w.reshape(-1)
+    flat = state.params.heads[1].w.reshape(-1)
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
@@ -461,13 +463,13 @@ def test_aux_stopgrad_matches_fixmatch_encoder_gradients():
     )[1]
     for a, b in zip(g_stop.encoder_layers, g_fix.encoder_layers):
         np.testing.assert_allclose(a.w, b.w, atol=1e-14)
-    np.testing.assert_allclose(g_stop.base_head.w, g_fix.base_head.w, atol=1e-14)
+    np.testing.assert_allclose(g_stop.heads[0].w, g_fix.heads[0].w, atol=1e-14)
 
 
 def test_diverged_training_raises_with_step():
     cfg = micro_cfg()
     state = make_state(cfg)
-    state.params.base_head.w[:] = np.nan
+    state.params.heads[0].w[:] = np.nan
     lab_x, lab_y, unl_pos, unl_x = micro_batches()
     with pytest.raises(TrainingDivergedError):
         train_step(state, lab_x, lab_y, unl_pos, unl_x)
@@ -481,7 +483,7 @@ def test_diverged_training_raises_with_step():
 def test_predict_tie_breaks_toward_smallest_class():
     cfg = micro_cfg()
     state = make_state(cfg)
-    for head in (state.params.aux_head, state.ema.params.aux_head):
+    for head in (state.params.heads[1], state.ema.heads[1]):
         head.w[:] = 0.0
         head.b[:] = 0.0
     x = np.random.default_rng(15).normal(size=(6, 3))
@@ -492,11 +494,11 @@ def test_predict_sign_rule_fixture():
     cfg = TrainConfig(num_classes=2, input_dim=2, hidden_sizes=(2,), batch_size=4,
                       augment=NO_AUG, seed=2)
     state = make_state(cfg, labeled_counts=(1, 1))
-    enc = state.ema.params.encoder_layers[0]
+    enc = state.ema.encoder_layers[0]
     enc.w[:] = np.eye(2)
     enc.b[:] = 0.0
-    state.ema.params.aux_head.w[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    state.ema.params.aux_head.b[:] = 0.0
+    state.ema.heads[1].w[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
+    state.ema.heads[1].b[:] = 0.0
     x = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 0.1]])
     assert predict(state, x).tolist() == [0, 1, 0, 1]
 
@@ -506,7 +508,7 @@ def test_predict_invariant_to_constant_logit_shift():
     state = make_state(cfg)
     x = np.random.default_rng(16).normal(size=(10, 3))
     before = predict(state, x)
-    state.ema.params.aux_head.b += 37.5
+    state.ema.heads[1].b += 37.5
     after = predict(state, x)
     assert np.array_equal(before, after)
 
@@ -515,8 +517,8 @@ def test_predict_uses_base_head_outside_bmb_mode():
     for mode in ("vanilla", "fixmatch"):
         cfg = micro_cfg(mode=mode, memory_capacity=1)
         state = make_state(cfg)
-        state.ema.params.base_head.w[:] = 0.0
-        state.ema.params.base_head.b[:] = np.array([0.0, 5.0])
+        state.ema.heads[0].w[:] = 0.0
+        state.ema.heads[0].b[:] = np.array([0.0, 5.0])
         x = np.random.default_rng(17).normal(size=(5, 3))
         assert np.all(predict(state, x) == 1)
 
@@ -553,7 +555,7 @@ def test_fit_is_deterministic():
     s2, log2 = fit(ds, tiny_fit_cfg())
     assert log1 == log2
     assert np.array_equal(s1.params.flat, s2.params.flat)
-    assert np.array_equal(s1.ema.params.flat, s2.ema.params.flat)
+    assert np.array_equal(s1.ema.flat, s2.ema.flat)
 
 
 def test_fit_warmup_keeps_bank_and_ledger_empty():
@@ -572,7 +574,7 @@ def test_fit_fixmatch_mode_never_touches_aux_head_bank_or_ledger():
     cfg = tiny_fit_cfg(mode="fixmatch", warmup_epochs=0)
     state, log = fit(ds, cfg)
     fresh = init_state(cfg, ds.labeled_class_counts(), len(ds.unlabeled))
-    assert np.array_equal(state.params.aux_head.w, fresh.params.aux_head.w)
+    assert np.array_equal(state.params.heads[1].w, fresh.params.heads[1].w)
     assert len(state.bank) == 0 and state.ledger.counts.sum() == 0
     assert all(r["bank_entropy"] is None for r in log)
 
@@ -624,6 +626,43 @@ def test_fit_requires_labeled_data_and_unlabeled_for_ssl_modes():
     no_unlabeled = Dataset(ds.labeled, empty, ds.test, ds.num_classes)
     state, log = fit(no_unlabeled, tiny_fit_cfg(mode="vanilla", epochs=1))
     assert len(log) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_fit_refuses_a_dataset_that_does_not_match_the_config(monkeypatch, seed):
+    """A dataset of 5 classes under a 4-class config once trained a full epoch
+    and then failed in evaluate (seed 0), or failed partway through an epoch
+    (seed 2); now fit refuses it, and a wrong feature width, before any step."""
+    def no_step(*args):
+        raise AssertionError("fit took a step")
+
+    monkeypatch.setattr(trainer_module, "train_step", no_step)
+    cfg = TrainConfig(num_classes=4, input_dim=6, mode="vanilla", epochs=3,
+                      iters_per_epoch=20, batch_size=4, seed=seed)
+    five = generate_dataset(DatasetSpec(num_classes=5, feature_dim=6, n1=40, m1=0, gamma_l=30))
+    with pytest.raises(ValueError, match=r"5 classes .*; config has num_classes 4"):
+        fit(five, cfg)
+    wide = generate_dataset(DatasetSpec(num_classes=4, feature_dim=7, n1=40, m1=0, gamma_l=30))
+    with pytest.raises(ValueError, match=r"4 classes and feature widths \[\(7,\).*input_dim 6"):
+        fit(wide, cfg)
+
+
+def test_train_step_reads_every_setting_from_the_current_config():
+    """Adam's constants and the EMA decay live in TrainConfig alone: a state
+    whose cfg is swapped before a step steps exactly like one built under the
+    new config."""
+    c1 = micro_cfg(mode="vanilla")
+    c2 = dataclasses.replace(c1, ema_decay=0.5, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-3)
+    a, b = make_state(c1), make_state(c2)
+    a.cfg = c2
+    batches = micro_batches(seed=3)
+    train_step(a, *batches)
+    train_step(b, *batches)
+    for name in ("params", "ema"):
+        assert getattr(a, name).flat.tobytes() == getattr(b, name).flat.tobytes()
+    assert a.adam.first_moment.tobytes() == b.adam.first_moment.tobytes()
+    assert a.adam.second_moment.tobytes() == b.adam.second_moment.tobytes()
+    assert a.adam.step_count == b.adam.step_count == 1
 
 
 def test_fit_counts_labeled_classes_over_the_configured_classes(tmp_path):
