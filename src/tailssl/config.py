@@ -26,10 +26,11 @@ from .util import canonical_json, sha256_text
 ENV_PREFIX = "TAILSSL_"
 
 # Each config section is a dataclass; its fields give the section's names, JSON
-# types, defaults, required fields and bounds. TrainConfig's num_classes, input_dim,
-# seed and augment are filled from the other sections by build_train_config.
+# types, defaults, required fields and bounds. TrainConfig's seed and augment are
+# filled from the other sections by build_train_config; the class count and the
+# feature width live in the dataset section alone, and fit reads them off the data.
 SECTIONS = {"dataset": DatasetSpec, "augment": AugmentConfig, "train": TrainConfig}
-_FILLED_FROM_OTHER_SECTIONS = {"num_classes", "input_dim", "seed", "augment"}
+_FILLED_FROM_OTHER_SECTIONS = {"seed", "augment"}
 
 
 def _section(name: str) -> tuple[dict, dict]:
@@ -200,13 +201,7 @@ def build_train_config(cfg: dict, seed: int) -> TrainConfig:
     train = dict(cfg["train"])
     train["hidden_sizes"] = tuple(train["hidden_sizes"])
     try:
-        return TrainConfig(
-            num_classes=cfg["dataset"]["num_classes"],
-            input_dim=cfg["dataset"]["feature_dim"],
-            seed=seed,
-            augment=AugmentConfig(**cfg["augment"]),
-            **train,
-        )
+        return TrainConfig(seed=seed, augment=AugmentConfig(**cfg["augment"]), **train)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 

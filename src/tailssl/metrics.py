@@ -20,13 +20,16 @@ class EvalReport:
 
 
 def evaluate(predictions: np.ndarray, truths: np.ndarray, num_classes: int) -> EvalReport:
-    """Exact counting metrics from predicted and true class indices, each in
-    [0, num_classes); an index outside raises ValueError before any count."""
+    """Exact counting metrics from predicted and true integer class indices,
+    each in [0, num_classes); a non-integer array or an index outside raises
+    ValueError before any count."""
     predictions = np.asarray(predictions)
     truths = np.asarray(truths)
     if predictions.shape != truths.shape:
         raise ValueError("predictions and truths must have equal length")
     for name, values in (("predictions", predictions), ("truths", truths)):
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ValueError(f"{name} must be integer class indices, not {values.dtype}")
         if values.size and not 0 <= values.min() <= values.max() < num_classes:
             raise ValueError(f"{name} outside [0, {num_classes})")
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)

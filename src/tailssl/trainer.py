@@ -83,8 +83,6 @@ MEMORY_CONTENTS = {"weak": (2,), "strong": (1,), "both": (2, 1)}
 
 @dataclass(frozen=True)
 class TrainConfig:
-    num_classes: int = bounded(minimum=2, maximum=MAX_SIZE)
-    input_dim: int = bounded(minimum=1, maximum=MAX_SIZE)
     hidden_sizes: tuple[int, ...] = bounded(
         (16, 8), items={"type": "integer", "minimum": 1, "maximum": MAX_SIZE}, minItems=1
     )
@@ -156,19 +154,25 @@ class TrainState:
 
 
 def init_state(
-    cfg: TrainConfig, labeled_class_counts: np.ndarray, num_unlabeled: int
+    cfg: TrainConfig, input_dim: int, labeled_class_counts: np.ndarray, num_unlabeled: int
 ) -> TrainState:
-    """Fresh parameters, optimizer, bank and a ledger over num_unlabeled rows.
+    """Fresh parameters, optimizer, bank and a ledger over num_unlabeled rows,
+    for inputs of width input_dim and K = len(labeled_class_counts) classes.
 
-    A config that sizes an array past MAX_SIZE bytes raises ConfigError before
-    any array is made: the parameters, the bank's features, or the step's three
-    encoder blocks of batch_size rows at the widest layer.
+    Before any array is made, K < 2 or input_dim < 1 raises ValueError (a
+    one-class bank's entropy would divide by ln 1 = 0), and a config that sizes
+    an array past MAX_SIZE bytes raises ConfigError: the parameters, the bank's
+    features, or the step's three encoder blocks of batch_size rows at the
+    widest layer.
     """
-    dims = tuple(map(int, (cfg.input_dim, *cfg.hidden_sizes)))  # Python ints never overflow
+    k = len(labeled_class_counts)
+    if k < 2 or input_dim < 1:
+        raise ValueError(f"need at least 2 classes and input width 1, got {k} and {input_dim}")
+    dims = tuple(map(int, (input_dim, *cfg.hidden_sizes)))  # Python ints never overflow
     capacity, batch_size = int(cfg.memory_capacity), int(cfg.batch_size)
     for name, value, sized, values in (
         ("hidden_sizes", list(dims[1:]), "the parameters",
-         ModelParams.size(dims, int(cfg.num_classes))),
+         ModelParams.size(dims, k)),
         ("memory_capacity", capacity, f"the bank's rows of width {dims[-1]}",
          capacity * dims[-1]),
         ("batch_size", batch_size, f"3 encoder blocks of width {max(dims)}",
@@ -178,14 +182,14 @@ def init_state(
             raise ConfigError(f"train {name} {value} sizes {sized}: "
                               f"{values} float64 values exceed {MAX_SIZE} bytes")
     init_rng, batch_rng, augment_rng, bank_rng = spawn_rngs(cfg.seed, 4)
-    params = init_params(cfg.input_dim, cfg.hidden_sizes, cfg.num_classes, init_rng)
+    params = init_params(input_dim, cfg.hidden_sizes, k, init_rng)
     return TrainState(
         cfg=cfg,
         params=params,
         ema=params.copy(),
         adam=init_adam(params),
-        bank=MemoryBank(cfg.memory_capacity, cfg.num_classes, cfg.beta, cfg.hidden_sizes[-1]),
-        ledger=PseudoLabelLedger(cfg.num_classes, num_unlabeled),
+        bank=MemoryBank(cfg.memory_capacity, k, cfg.beta, cfg.hidden_sizes[-1]),
+        ledger=PseudoLabelLedger(k, num_unlabeled),
         labeled_class_counts=np.maximum(np.asarray(labeled_class_counts, dtype=np.int64), 1),
         rngs=RngStreams(batch_rng, augment_rng, bank_rng),
         grads=zeros_like_params(params),
@@ -214,8 +218,8 @@ def compute_step(
     use_unsup = cfg.mode in ("fixmatch", "bmb") and not warm
     if len(labeled_x) != b or len(labeled_y) != b:
         raise ValueError("labeled batch size must equal cfg.batch_size")
-    if labeled_y.min() < 0 or labeled_y.max() >= cfg.num_classes:
-        raise ValueError(f"labeled_y outside [0, {cfg.num_classes})")
+    if labeled_y.min() < 0 or labeled_y.max() >= p.num_classes:
+        raise ValueError(f"labeled_y outside [0, {p.num_classes})")
     if use_unsup and (len(unlabeled_x) != b or len(unlabeled_pos) != b):
         raise ValueError("unlabeled batch size (positions and rows) must equal cfg.batch_size")
     grads = state.grads
@@ -374,18 +378,20 @@ def fit(
     Batches are drawn uniformly with replacement each iteration. After every
     epoch the EMA parameters are evaluated on the test split and a record with
     accuracy, per-class recall, shot-group accuracy, bank entropy, estimated
-    counts, and mean mask rate is appended to the returned log. A dataset
-    whose class count or feature width differs from the config's raises
-    ValueError before any draw.
+    counts, and mean mask rate is appended to the returned log. The dataset
+    alone gives the class count K and the feature width; splits of unequal
+    widths, or a labeled label outside [0, K), raise ValueError before any draw.
     """
+    k, d = data.num_classes, data.labeled.x.shape[-1]
     widths = [split.x.shape[1:] for split in (data.labeled, data.unlabeled, data.test)]
-    if data.num_classes != cfg.num_classes or widths != [(cfg.input_dim,)] * 3:
-        raise ValueError(f"dataset has {data.num_classes} classes and feature widths {widths}; "
-                         f"config has num_classes {cfg.num_classes}, input_dim {cfg.input_dim}")
+    if widths != [(d,)] * 3:
+        raise ValueError(f"dataset splits have feature widths {widths}, not one width")
     if len(data.labeled) == 0:
         raise ValueError("labeled split must be non-empty")
-    counts = np.bincount(data.labeled.y, minlength=cfg.num_classes)
-    state = init_state(cfg, counts, len(data.unlabeled))
+    if data.labeled.y.min() < 0 or data.labeled.y.max() >= k:
+        raise ValueError(f"labeled labels outside [0, {k})")
+    counts = data.labeled_class_counts()
+    state = init_state(cfg, d, counts, len(data.unlabeled))
     if cfg.shot_many_min is not None:
         thresholds = (cfg.shot_many_min, cfg.shot_few_max)
     else:
@@ -409,13 +415,13 @@ def fit(
                 u_x = data.unlabeled.x[ui]
             else:
                 ui = np.zeros(0, dtype=np.int64)
-                u_x = np.zeros((0, cfg.input_dim))
+                u_x = data.unlabeled.x[:0]
             m = train_step(state, data.labeled.x[li], data.labeled.y[li], ui, u_x)
             mask_rates.append(m.mask_rate)
             loss_totals.append(m.loss_total)
             accept_rates.append(m.enqueue_accept_rate)
 
-        report = evaluate(predict(state, data.test.x), data.test.y, cfg.num_classes)
+        report = evaluate(predict(state, data.test.x), data.test.y, k)
         bank_entropy = state.bank.balance_entropy() if len(state.bank) else None
         with np.errstate(over="ignore"):  # finite losses can overflow a sum, not a mean
             loss_mean = np.mean(loss_totals)

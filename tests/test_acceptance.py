@@ -364,10 +364,10 @@ NO_AUG = AugmentConfig(0.0, 0.0, 0.0, 0.0)
 def test_criterion_5_composition_gating_isolation():
     # (i) per-step recomposition at 1e-10 across random steps
     cfg = TrainConfig(
-        num_classes=3, input_dim=4, hidden_sizes=(5,), batch_size=6, memory_capacity=24,
+        hidden_sizes=(5,), batch_size=6, memory_capacity=24,
         warmup_epochs=0, tau=0.5, lambda_u=0.8, lambda_m=0.4, alpha=1.0, seed=3,
     )
-    state = init_state(cfg, np.array([9, 3, 1]), 99)
+    state = init_state(cfg, 4, np.array([9, 3, 1]), 99)
     rng = RNG(501)
     for _ in range(20):
         m = train_step(
@@ -385,10 +385,10 @@ def test_criterion_5_composition_gating_isolation():
 
     # (ii) crafted below-threshold samples: no loss, no ledger, no bank
     gate_cfg = TrainConfig(
-        num_classes=2, input_dim=2, hidden_sizes=(2,), batch_size=4, memory_capacity=8,
+        hidden_sizes=(2,), batch_size=4, memory_capacity=8,
         warmup_epochs=0, tau=0.9, augment=NO_AUG, seed=1,
     )
-    gstate = init_state(gate_cfg, np.array([3, 1]), 14)
+    gstate = init_state(gate_cfg, 2, np.array([3, 1]), 14)
     enc = gstate.params.encoder_layers[0]
     enc.w[:] = np.eye(2)
     enc.b[:] = 0.0
@@ -404,10 +404,10 @@ def test_criterion_5_composition_gating_isolation():
 
     # (iii) memory-loss gradients reach only the auxiliary head
     iso_cfg = TrainConfig(
-        num_classes=2, input_dim=3, hidden_sizes=(4,), batch_size=4, memory_capacity=16,
+        hidden_sizes=(4,), batch_size=4, memory_capacity=16,
         warmup_epochs=0, tau=0.5, lambda_m=1.0, augment=NO_AUG, seed=5,
     )
-    base_state = init_state(iso_cfg, np.array([6, 2]), 708)
+    base_state = init_state(iso_cfg, 3, np.array([6, 2]), 708)
     r = RNG(502)
     for i in range(8):
         store(base_state.bank, np.abs(r.normal(size=4)), i % 2)
@@ -417,7 +417,7 @@ def test_criterion_5_composition_gating_isolation():
     on = copy.deepcopy(base_state)
     off = copy.deepcopy(base_state)
     off.cfg = TrainConfig(
-        num_classes=2, input_dim=3, hidden_sizes=(4,), batch_size=4, memory_capacity=16,
+        hidden_sizes=(4,), batch_size=4, memory_capacity=16,
         warmup_epochs=0, tau=0.5, lambda_m=0.0, augment=NO_AUG, seed=5,
     )
     m_on, g_on = compute_step(on, lab_x, lab_y, positions, unl_x)
@@ -446,7 +446,7 @@ BENCH_SEEDS = (0, 1, 2)
 
 def bench_config(mode: str, seed: int, **overrides) -> TrainConfig:
     base = dict(
-        num_classes=10, input_dim=16, hidden_sizes=(16, 8), mode=mode, tau=0.95,
+        hidden_sizes=(16, 8), mode=mode, tau=0.95,
         alpha=0.75, beta=1.0, lambda_sampling=0.75, lambda_u=1.0, lambda_m=0.25,
         batch_size=64, memory_capacity=128, get_fraction=0.5, memory_content="strong",
         warmup_epochs=5, epochs=60, iters_per_epoch=100, lr=0.002, ema_decay=0.999,

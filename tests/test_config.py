@@ -25,7 +25,6 @@ from tailssl.config import (
     SECTIONS,
     SWEEP_SCHEMA,
     check,
-    field_schemas,
     schema_errors,
     validate_run_config,
 )
@@ -90,7 +89,7 @@ spec = DatasetSpec(num_classes=3, feature_dim=4, n1=20, m1=30, gamma_l=4, gamma_
                    test_per_class=6)
 save_dataset(generate_dataset(spec), "ds.csv", "ds.oracle.csv")
 ds = load_dataset("ds.csv", "ds.oracle.csv", num_classes=3)
-cfg = TrainConfig(num_classes=3, input_dim=4, hidden_sizes=(8, 4), batch_size=8,
+cfg = TrainConfig(hidden_sizes=(8, 4), batch_size=8,
                   memory_capacity=16, warmup_epochs=1, epochs=2, iters_per_epoch=5, tau=0.1)
 state, log = fit(ds, cfg)
 assert state.ledger.counts.sum() > 0
@@ -287,9 +286,8 @@ def constructs(section, fields, as_numpy=False):
             fields[name] = tuple(np.int64(v) for v in value) if as_numpy else tuple(value)
         elif as_numpy and isinstance(value, (int, float)) and not isinstance(value, bool):
             fields[name] = np.int64(value) if isinstance(value, int) else np.float64(value)
-    extra = {"num_classes": 3, "input_dim": 4} if section == "train" else {}
     try:
-        SECTIONS[section](**{**extra, **fields})
+        SECTIONS[section](**fields)
     except ValueError:
         return False
     return True
@@ -297,15 +295,11 @@ def constructs(section, fields, as_numpy=False):
 
 def validates(section, fields):
     """Whether validate_run_config accepts fields (over BASES); TrainConfig.seed is
-    the run config's `seeds` list, and its num_classes and input_dim are the dataset's
-    num_classes and feature_dim."""
+    the run config's `seeds` list."""
     cfg = {"name": "x", **copy.deepcopy(BASES)}
     cfg[section].update(fields)
     if "seed" in cfg["train"]:
         cfg["seeds"] = [cfg["train"].pop("seed")]
-    for name, dataset_name in (("num_classes", "num_classes"), ("input_dim", "feature_dim")):
-        if name in cfg["train"]:
-            cfg["dataset"][dataset_name] = cfg["train"].pop(name)
     try:
         validate_run_config(cfg)
     except ConfigError:
@@ -452,9 +446,9 @@ def test_constructor_still_rejects_what_its_hand_written_checks_rejected(section
 def test_constructor_message_names_the_class_and_the_field():
     with pytest.raises(ValueError, match="^TrainConfig field tau: 0 is less than or equal to "
                                          "the minimum of 0$"):
-        TrainConfig(num_classes=3, input_dim=4, tau=np.int64(0))
+        TrainConfig(tau=np.int64(0))
     with pytest.raises(ValueError, match="^TrainConfig field hidden_sizes/1: 0 is less than "):
-        TrainConfig(num_classes=3, input_dim=4, hidden_sizes=(8, 0))
+        TrainConfig(hidden_sizes=(8, 0))
     with pytest.raises(ValueError, match="^AugmentConfig field strong_dropout_prob: nan is not "
                                          "a JSON number$"):
         AugmentConfig(strong_dropout_prob=math.nan)
@@ -462,27 +456,13 @@ def test_constructor_message_names_the_class_and_the_field():
         DatasetSpec(num_classes=3, feature_dim=4, n1=5, m1=5, sample_seed=-1)
 
 
-def test_train_config_bounds_its_class_count_and_input_dim_as_the_dataset_does():
-    """A one-class TrainConfig would divide 0 by log(1) = 0 in the bank's entropy."""
-    with pytest.raises(ValueError, match="^TrainConfig field num_classes: 1 is less than "
-                                         "the minimum of 2$"):
-        TrainConfig(num_classes=1, input_dim=4)
-    with pytest.raises(ValueError, match="^TrainConfig field input_dim: 0 is less than "
-                                         "the minimum of 1$"):
-        TrainConfig(num_classes=3, input_dim=0)
-    train, dataset = field_schemas(TrainConfig), field_schemas(DatasetSpec)
-    assert (train["num_classes"], train["input_dim"]) == (
-        dataset["num_classes"], dataset["feature_dim"])
-
-
 def test_constructor_stores_an_integral_float_of_an_int_field_as_an_int():
     """8.0 is an integer to the schema, so the constructor keeps 8, which numpy can
     size an array by."""
-    cfg = TrainConfig(num_classes=3.0, input_dim=4, batch_size=np.float64(8.0),
-                      hidden_sizes=(6.0, 4), shot_many_min=5.0, shot_few_max=2)
-    assert (cfg.num_classes, cfg.batch_size, cfg.hidden_sizes, cfg.shot_many_min) == (3, 8, (6, 4), 5)
-    assert all(type(v) is int for v in (cfg.num_classes, cfg.batch_size, *cfg.hidden_sizes,
-                                        cfg.shot_many_min))
+    cfg = TrainConfig(batch_size=np.float64(8.0), hidden_sizes=(6.0, 4), shot_many_min=5.0,
+                      shot_few_max=2)
+    assert (cfg.batch_size, cfg.hidden_sizes, cfg.shot_many_min) == (8, (6, 4), 5)
+    assert all(type(v) is int for v in (cfg.batch_size, *cfg.hidden_sizes, cfg.shot_many_min))
     spec = DatasetSpec(num_classes=3, feature_dim=4.0, n1=5, m1=5, sample_seed=2.0)
     assert (type(spec.feature_dim), type(spec.sample_seed)) == (int, int)
 

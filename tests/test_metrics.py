@@ -30,6 +30,22 @@ def test_evaluate_refuses_class_indices_outside_the_classes():
         evaluate([0, 1, 3], [0, 1, 2], 3)
 
 
+def test_evaluate_refuses_non_integer_indices():
+    # an empty list is a float64 array; each of these once raised IndexError in np.add.at
+    with pytest.raises(ValueError, match="predictions must be integer class indices, not float64"):
+        evaluate([], [], 3)
+    with pytest.raises(ValueError, match="predictions must be integer class indices, not float64"):
+        evaluate([0.0, 1.5], [0, 1], 3)
+    with pytest.raises(ValueError, match="truths must be integer class indices, not float64"):
+        evaluate([0, 1], [0.0, 1.0], 3)
+    with pytest.raises(ValueError, match="predictions must be integer class indices, not bool"):
+        evaluate(np.array([True, False]), [0, 1], 3)
+    empty = np.zeros(0, dtype=np.int64)
+    report = evaluate(empty, empty, 3)
+    assert math.isnan(report.top1) and math.isnan(report.avg_class_recall)
+    assert np.isnan(report.per_class_recall).all() and report.confusion.sum() == 0
+
+
 def test_constant_predictor_on_balanced_two_class():
     preds = np.zeros(10, dtype=int)
     truths = np.array([0] * 5 + [1] * 5)

@@ -53,8 +53,6 @@ NO_AUG = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
 
 def micro_cfg(**kw):
     base = dict(
-        num_classes=2,
-        input_dim=3,
         hidden_sizes=(4,),
         batch_size=4,
         memory_capacity=16,
@@ -82,8 +80,8 @@ def micro_batches(seed=0, b=4, d=3):
 NUM_UNLABELED = 1000
 
 
-def make_state(cfg, labeled_counts=(6, 2)):
-    return init_state(cfg, np.array(labeled_counts), NUM_UNLABELED)
+def make_state(cfg, labeled_counts=(6, 2), input_dim=3):
+    return init_state(cfg, input_dim, np.array(labeled_counts), NUM_UNLABELED)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +219,10 @@ def test_loss_total_recomposes_every_step(seed):
 def crafted_confidence_state(tau=0.9):
     """Identity encoder (d=2), base head scaled so row confidence is controllable."""
     cfg = TrainConfig(
-        num_classes=2, input_dim=2, hidden_sizes=(2,), batch_size=4,
+        hidden_sizes=(2,), batch_size=4,
         memory_capacity=8, warmup_epochs=0, tau=tau, augment=NO_AUG, seed=1,
     )
-    state = make_state(cfg, labeled_counts=(3, 1))
+    state = make_state(cfg, labeled_counts=(3, 1), input_dim=2)
     enc = state.params.encoder_layers[0]
     enc.w[:] = np.eye(2)
     enc.b[:] = 0.0
@@ -355,12 +353,12 @@ def test_compute_step_equals_the_per_term_step_bit_for_bit(
     fills in the first step and later steps evict; each bmb step after warmup
     draws n_mem memory rows."""
     b = batch_size
-    cfg = TrainConfig(num_classes=3, input_dim=5, hidden_sizes=(6, 4), batch_size=b,
+    cfg = TrainConfig(hidden_sizes=(6, 4), batch_size=b,
                       mode=mode, memory_capacity=6, memory_content=memory_content,
                       aux_stopgrad=aux_stopgrad, lambda_u=lambda_u, lambda_m=0.7,
                       get_fraction=n_mem / b, beta=0.5, tau=0.34, warmup_epochs=1, seed=21)
     assert round_half_up(cfg.get_fraction * b) == n_mem
-    state = make_state(cfg, labeled_counts=(9, 4, 2))
+    state = make_state(cfg, labeled_counts=(9, 4, 2), input_dim=5)
     state.epoch = 0 if warm else 1
     twin = copy.deepcopy(state)
     rng = np.random.default_rng(22)
@@ -491,9 +489,9 @@ def test_predict_tie_breaks_toward_smallest_class():
 
 
 def test_predict_sign_rule_fixture():
-    cfg = TrainConfig(num_classes=2, input_dim=2, hidden_sizes=(2,), batch_size=4,
+    cfg = TrainConfig(hidden_sizes=(2,), batch_size=4,
                       augment=NO_AUG, seed=2)
-    state = make_state(cfg, labeled_counts=(1, 1))
+    state = make_state(cfg, labeled_counts=(1, 1), input_dim=2)
     enc = state.ema.encoder_layers[0]
     enc.w[:] = np.eye(2)
     enc.b[:] = 0.0
@@ -535,7 +533,7 @@ def tiny_dataset(seed=0):
 
 
 def tiny_fit_cfg(**kw):
-    base = dict(num_classes=3, input_dim=4, hidden_sizes=(8, 4), batch_size=8,
+    base = dict(hidden_sizes=(8, 4), batch_size=8,
                 memory_capacity=16, warmup_epochs=1, epochs=3, iters_per_epoch=5,
                 tau=0.6, seed=7)
     base.update(kw)
@@ -573,7 +571,7 @@ def test_fit_fixmatch_mode_never_touches_aux_head_bank_or_ledger():
     ds = tiny_dataset()
     cfg = tiny_fit_cfg(mode="fixmatch", warmup_epochs=0)
     state, log = fit(ds, cfg)
-    fresh = init_state(cfg, ds.labeled_class_counts(), len(ds.unlabeled))
+    fresh = init_state(cfg, 4, ds.labeled_class_counts(), len(ds.unlabeled))
     assert np.array_equal(state.params.heads[1].w, fresh.params.heads[1].w)
     assert len(state.bank) == 0 and state.ledger.counts.sum() == 0
     assert all(r["bank_entropy"] is None for r in log)
@@ -595,7 +593,7 @@ def test_fit_loss_mean_stays_finite_when_the_sum_overflows(monkeypatch):
     mean is then each loss over the count, with no overflow warning."""
     spec = DatasetSpec(num_classes=4, feature_dim=4, n1=20, m1=40, gamma_l=4, gamma_u=4,
                        test_per_class=10)
-    cfg = TrainConfig(num_classes=4, input_dim=4, epochs=3, warmup_epochs=1, iters_per_epoch=5,
+    cfg = TrainConfig(epochs=3, warmup_epochs=1, iters_per_epoch=5,
                       batch_size=8, hidden_sizes=(6,), memory_capacity=16, tau=0.26,
                       lambda_m=1e308)
     losses = []
@@ -628,23 +626,72 @@ def test_fit_requires_labeled_data_and_unlabeled_for_ssl_modes():
     assert len(log) == 1
 
 
-@pytest.mark.parametrize("seed", [0, 2])
-def test_fit_refuses_a_dataset_that_does_not_match_the_config(monkeypatch, seed):
-    """A dataset of 5 classes under a 4-class config once trained a full epoch
-    and then failed in evaluate (seed 0), or failed partway through an epoch
-    (seed 2); now fit refuses it, and a wrong feature width, before any step."""
-    def no_step(*args):
-        raise AssertionError("fit took a step")
+def test_readme_library_quickstart_runs_as_printed(capsys):
+    """The README's quickstart block, run verbatim, so the documented API cannot drift."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    top1, avg_class_recall = map(float, capsys.readouterr().out.split())
+    assert top1 == namespace["report"].top1 and 0 < avg_class_recall <= 1
+    assert len(namespace["log"]) == TrainConfig().epochs
 
+
+def no_step(*args):
+    raise AssertionError("fit took a step")
+
+
+def test_one_train_config_fits_datasets_of_any_class_count_and_width():
+    """The dataset alone sizes the encoder's input, the heads, the bank and the ledger."""
+    cfg = tiny_fit_cfg(epochs=1)
+    for k, d in ((3, 4), (5, 7)):
+        spec = DatasetSpec(num_classes=k, feature_dim=d, n1=20, m1=30, gamma_l=4, gamma_u=4,
+                           test_per_class=6)
+        state, log = fit(generate_dataset(spec), cfg)
+        assert len(log[0]["per_class_recall"]) == k
+        assert state.params.heads.w.shape == (2, cfg.hidden_sizes[-1], k)
+        assert state.params.input_dim == d
+        assert state.bank.num_classes == state.ledger.num_classes == k
+
+
+def test_fit_refuses_splits_of_unequal_width(monkeypatch):
+    """A test split wider than the training splits would fail only in predict,
+    after a full epoch; fit refuses it before any step."""
     monkeypatch.setattr(trainer_module, "train_step", no_step)
-    cfg = TrainConfig(num_classes=4, input_dim=6, mode="vanilla", epochs=3,
-                      iters_per_epoch=20, batch_size=4, seed=seed)
-    five = generate_dataset(DatasetSpec(num_classes=5, feature_dim=6, n1=40, m1=0, gamma_l=30))
-    with pytest.raises(ValueError, match=r"5 classes .*; config has num_classes 4"):
-        fit(five, cfg)
+    ds = generate_dataset(DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=0, gamma_l=30))
     wide = generate_dataset(DatasetSpec(num_classes=4, feature_dim=7, n1=40, m1=0, gamma_l=30))
-    with pytest.raises(ValueError, match=r"4 classes and feature widths \[\(7,\).*input_dim 6"):
-        fit(wide, cfg)
+    cfg = TrainConfig(mode="vanilla", epochs=3, iters_per_epoch=20, batch_size=4)
+    with pytest.raises(ValueError, match=r"feature widths \[\(6,\), \(6,\), \(7,\)\]"):
+        fit(dataclasses.replace(ds, test=wide.test), cfg)
+
+
+def test_fit_refuses_a_labeled_label_outside_the_classes_before_any_step(monkeypatch):
+    """A label equal to K once failed in compute_step partway through an epoch."""
+    monkeypatch.setattr(trainer_module, "train_step", no_step)
+    ds = tiny_dataset()
+    for bad in (ds.num_classes, -1):
+        y = ds.labeled.y.copy()
+        y[-1] = bad
+        labeled = Split(ds.labeled.ids, ds.labeled.x, y)
+        with pytest.raises(ValueError, match=r"labeled labels outside \[0, 3\)"):
+            fit(dataclasses.replace(ds, labeled=labeled), tiny_fit_cfg())
+
+
+def test_fit_refuses_a_one_class_dataset_before_any_step(monkeypatch):
+    """A one-class bank's entropy would divide by ln 1 = 0."""
+    monkeypatch.setattr(trainer_module, "train_step", no_step)
+    ds = tiny_dataset()
+    first = ds.labeled.y == 0
+    labeled = Split(ds.labeled.ids[first], ds.labeled.x[first], ds.labeled.y[first])
+    with pytest.raises(ValueError, match="need at least 2 classes and input width 1, got 1 and 4"):
+        fit(dataclasses.replace(ds, labeled=labeled, num_classes=1), tiny_fit_cfg())
+
+
+@pytest.mark.parametrize("k, input_dim", [(1, 3), (0, 3), (2, 0)])
+def test_init_state_refuses_fewer_than_two_classes_or_an_empty_input(k, input_dim):
+    with pytest.raises(ValueError, match=f"got {k} and {input_dim}$"):
+        init_state(micro_cfg(), input_dim, np.ones(k, dtype=np.int64), NUM_UNLABELED)
 
 
 def test_train_step_reads_every_setting_from_the_current_config():
@@ -672,7 +719,7 @@ def test_fit_counts_labeled_classes_over_the_configured_classes(tmp_path):
     save_dataset(tiny_dataset(), csv_path)
     ds = load_dataset(csv_path, num_classes=4)
     assert ds.labeled_class_counts().tolist() == [20, 10, 5, 0]
-    state, log = fit(ds, tiny_fit_cfg(num_classes=4, epochs=1))
+    state, log = fit(ds, tiny_fit_cfg(epochs=1))
     assert state.labeled_class_counts.tolist() == [20, 10, 5, 1]
     assert len(log[0]["per_class_recall"]) == 4
 
@@ -715,7 +762,7 @@ def test_fit_epoch_log_fingerprint_is_pinned():
     """A small bmb fit whose beta=0 bank evicts on every insert once full."""
     spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
                        test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
-    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+    cfg = TrainConfig(hidden_sizes=(16, 8), batch_size=32,
                       mode="bmb", beta=0.0, memory_content="both", memory_capacity=64,
                       warmup_epochs=1, epochs=6, iters_per_epoch=30, tau=0.6, seed=3)
     state, log = fit(generate_dataset(spec), cfg)
@@ -728,7 +775,7 @@ def test_fit_epoch_log_fingerprint_is_pinned():
 def pinned_fit(beta, memory_content, capacity, **overrides):
     spec = DatasetSpec(num_classes=4, feature_dim=6, n1=40, m1=120, gamma_l=3, gamma_u=3,
                        test_per_class=20, geometry_seed=31, sample_seed=32, separation=3.0)
-    settings = dict(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+    settings = dict(hidden_sizes=(16, 8), batch_size=32,
                     mode="bmb", beta=beta, memory_content=memory_content,
                     memory_capacity=capacity, warmup_epochs=1, epochs=6, iters_per_epoch=30,
                     tau=0.6, seed=3)
@@ -809,7 +856,7 @@ def test_fit_does_not_read_the_oracle_labels():
     ds = generate_dataset(spec)
     blind = dataclasses.replace(ds, unlabeled_oracle_y=None)
     assert ds.unlabeled_oracle_y is not None and blind.true_unlabeled_counts is not None
-    cfg = TrainConfig(num_classes=4, input_dim=6, hidden_sizes=(16, 8), batch_size=32,
+    cfg = TrainConfig(hidden_sizes=(16, 8), batch_size=32,
                       memory_capacity=16, warmup_epochs=1, epochs=3, iters_per_epoch=30,
                       tau=0.6, seed=3)
     digests = []
