@@ -23,6 +23,7 @@ from oracles import (
     store,
 )
 
+from tailssl.config import field_schemas
 from tailssl.data import (
     AugmentConfig,
     Dataset,
@@ -666,16 +667,16 @@ def test_fit_refuses_splits_of_unequal_width(monkeypatch):
         fit(dataclasses.replace(ds, test=wide.test), cfg)
 
 
-def test_fit_refuses_a_labeled_label_outside_the_classes_before_any_step(monkeypatch):
+@pytest.mark.parametrize("bad", [3, -1])
+def test_fit_refuses_a_labeled_label_outside_the_classes_before_any_step(monkeypatch, bad):
     """A label equal to K once failed in compute_step partway through an epoch."""
     monkeypatch.setattr(trainer_module, "train_step", no_step)
     ds = tiny_dataset()
-    for bad in (ds.num_classes, -1):
-        y = ds.labeled.y.copy()
-        y[-1] = bad
-        labeled = Split(ds.labeled.ids, ds.labeled.x, y)
-        with pytest.raises(ValueError, match=r"labeled labels outside \[0, 3\)"):
-            fit(dataclasses.replace(ds, labeled=labeled), tiny_fit_cfg())
+    y = ds.labeled.y.copy()
+    y[-1] = bad
+    labeled = Split(ds.labeled.ids, ds.labeled.x, y)
+    with pytest.raises(ValueError, match=r"labeled labels outside \[0, 3\)"):
+        fit(dataclasses.replace(ds, labeled=labeled), tiny_fit_cfg())
 
 
 def test_fit_refuses_a_one_class_dataset_before_any_step(monkeypatch):
@@ -692,6 +693,28 @@ def test_fit_refuses_a_one_class_dataset_before_any_step(monkeypatch):
 def test_init_state_refuses_fewer_than_two_classes_or_an_empty_input(k, input_dim):
     with pytest.raises(ValueError, match=f"got {k} and {input_dim}$"):
         init_state(micro_cfg(), input_dim, np.ones(k, dtype=np.int64), NUM_UNLABELED)
+
+
+@pytest.mark.parametrize("offset, accepted", [(1, True), (0, True), (-1, False)],
+                         ids=["inside", "on", "past"])
+@pytest.mark.parametrize("field", ["num_classes", "feature_dim"])
+def test_init_state_takes_the_class_count_and_width_a_dataset_spec_takes(field, offset, accepted):
+    """fit sizes the model from the dataset, so init_state's least K and input
+    width are DatasetSpec's schema minimums: each value around the bound passes
+    both or neither."""
+    sizes = {"num_classes": 3, "feature_dim": 4}
+    sizes[field] = field_schemas(DatasetSpec)[field]["minimum"] + offset
+    k, d = sizes["num_classes"], sizes["feature_dim"]
+    outcomes = []
+    for build in (lambda: DatasetSpec(num_classes=k, feature_dim=d, n1=5, m1=5),
+                  lambda: init_state(micro_cfg(), d, np.ones(k, dtype=np.int64), NUM_UNLABELED)):
+        try:
+            build()
+        except ValueError:
+            outcomes.append(False)
+        else:
+            outcomes.append(True)
+    assert outcomes == [accepted, accepted]
 
 
 def test_train_step_reads_every_setting_from_the_current_config():
