@@ -27,15 +27,18 @@ class PseudoLabelLedger:
         """
         if len(positions) != len(labels):
             raise ValueError("positions and labels must have the same length")
+        if positions.dtype.kind not in "iu" or labels.dtype.kind not in "iu":
+            raise ValueError("positions and labels must be integer arrays")
         if not len(labels):
             return
-        if labels.min() < 0 or labels.max() >= self.num_classes:
+        positions, labels = positions.tolist(), labels.tolist()
+        if min(labels) < 0 or max(labels) >= self.num_classes:
             raise ValueError(f"label out of range for {self.num_classes} classes")
-        if positions.min() < 0 or positions.max() >= len(self.latest):
+        if min(positions) < 0 or max(positions) >= len(self.latest):
             raise ValueError(f"position outside [0, {len(self.latest)})")
-        # the first hit in reverse order is each position's last occurrence
-        rows, last = np.unique(positions[::-1], return_index=True)
-        new = labels[::-1][last]
+        last = dict(zip(positions, labels))  # each position's last label
+        rows = np.fromiter(last, dtype=np.int64, count=len(last))
+        new = np.fromiter(last.values(), dtype=np.int64, count=len(last))
         old = self.latest[rows]
         self.latest[rows] = new
         k = self.num_classes

@@ -21,8 +21,11 @@ Draws. A class draw is `Generator.choice`'s inverse-CDF recipe run in numpy
 over a spec function: the probabilities restricted to the non-empty classes
 and renormalised, their cumulative sum divided by its last entry, then the
 first entry greater than one uniform. `_choice` holds it; `_victim_exact`
-runs it over `eviction_distribution` and `get` over `retrieval_distribution`,
-so their classes equal `rng.choice(support, p=...)` given the same uniforms.
+runs it over `eviction_distribution`, and `get` over the probabilities of
+`retrieval_distribution`, which it computes with the same expressions in one
+pass over the weights (it calls the spec function for the fallback when
+every weight underflows), so their classes equal `rng.choice(support, p=...)`
+given the same uniforms.
 P_in and P_out depend only on a class size, so the bank also tabulates both
 for every size 0..capacity once, each with the expression of its spec function
 (`accept_probability` is Python float arithmetic, the eviction weights a numpy
@@ -41,7 +44,10 @@ Writes come a batch at a time, all through `offer`. Each attempt uses one
 uniform to accept and, when the bank is full, one more to pick a victim.
 Out of uniforms during attempt i, `offer` draws the n - i that attempts
 i..n-1 are sure to use as one block, so the generator, a buffered half-word
-included, ends where one `rng.random()` per draw would leave it.
+included, ends where one `rng.random()` per draw would leave it. When every
+attempt is sure to be accepted (every P_in is 1, as at beta 0), the count is
+exact: one uniform per attempt, plus one for each attempt past the free
+slots, which all evict; such a call draws once.
 """
 
 from bisect import bisect_right
@@ -96,9 +102,9 @@ def retrieval_distribution(
 
 def _choice(probs: np.ndarray, counts: np.ndarray, u):
     """The class of each uniform in u by `Generator.choice`'s recipe (see the module notes)."""
-    support = np.flatnonzero(counts)
+    support = counts.nonzero()[0]
     p = probs[support]
-    cdf = (p / p.sum()).cumsum()
+    cdf = (p / np.add.reduce(p)).cumsum()
     cdf /= cdf[-1]
     return support[cdf.searchsorted(u, side="right")]
 
@@ -128,6 +134,7 @@ class MemoryBank:
         sizes = np.arange(1, capacity + 1, dtype=np.float64)
         self.p_out = [0.0] + (1.0 - sizes ** (-beta)).tolist()  # as in eviction_distribution
         self._weighted = any(self.p_out)  # else every victim draw falls back to the sizes
+        self._sure_accept = min(self.p_in) == 1.0  # every attempt is accepted (beta 0)
         self._fifo: list[list[int]] = [[] for _ in range(num_classes)]  # slots, oldest first
         self._free = list(range(capacity - 1, -1, -1))  # stack; slot 0 is used first
         self.evictions = 0  # records evicted since construction
@@ -136,7 +143,7 @@ class MemoryBank:
         return self.capacity - len(self._free)
 
     def counts(self) -> np.ndarray:
-        return np.array([len(fifo) for fifo in self._fifo], dtype=np.int64)
+        return np.fromiter(map(len, self._fifo), dtype=np.int64, count=self.num_classes)
 
     def offer(self, features: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> int:
         """Offer rows features[i] with labels[i] in order; returns how many were accepted.
@@ -156,14 +163,17 @@ class MemoryBank:
         if min(labels_list) < 0 or max(labels_list) >= self.num_classes:
             raise ValueError(f"pseudo_label out of range for {self.num_classes} classes")
         p_in, fifo, free = self.p_in, self._fifo, self._free
-        sizes = [len(f) for f in fifo]
+        sizes = list(map(len, fifo))
         stored = len(self)
         evicted = 0
         ahead: list[float] = []  # uniforms drawn ahead, the next one last
         writes: dict[int, int] = {}  # slot -> row of its last write
         for i, label in enumerate(labels_list):
             if not ahead:  # attempts i..n-1 draw at least n - i more uniforms
-                ahead = rng.random(n - i).tolist()[::-1]
+                draws = n - i
+                if self._sure_accept:  # and exactly one more per accept past the free slots
+                    draws += max(0, n - i - len(free))
+                ahead = rng.random(draws).tolist()[::-1]
             if ahead.pop() >= p_in[sizes[label]]:
                 continue
             if free:
@@ -231,10 +241,16 @@ class MemoryBank:
         estimated = np.asarray(estimated_counts, dtype=np.float64)
         if estimated.shape != (self.num_classes,):
             raise ValueError("estimated_counts must have one entry per class")
+        if np.logical_or.reduce(estimated < 1):
+            raise ValueError("estimated counts must be clamped >= 1")
         if n == 0 or not len(self):
             return np.zeros(0, dtype=np.int64)
         counts = self.counts()
-        classes = _choice(retrieval_distribution(estimated, counts, lam), counts, rng.random(n))
+        # retrieval_distribution's weights and normalisation, its fallback if they sum to 0
+        weights = np.where(counts > 0, estimated ** (-lam), 0.0)
+        total = np.add.reduce(weights)
+        probs = weights / total if total else retrieval_distribution(estimated, counts, lam)
+        classes = _choice(probs, counts, rng.random(n))
         positions = rng.integers(0, counts[classes])
         fifo = self._fifo
         return np.array(

@@ -7,8 +7,10 @@ The state is arrays and a step counter alone (the EMA is a ModelParams, Adam
 keeps its two moments and a step count); every setting arrives as an argument.
 The backward passes return no gradient arrays: they add into views of a
 gradient buffer that the caller owns, so several loss terms can share one
-buffer. All operations are deterministic functions of their inputs; the test
-suite checks every gradient path against central finite differences.
+buffer, and the head backward leaves the gradient w.r.t. its features to the
+callers whose loss reaches the encoder. All operations are deterministic
+functions of their inputs; the test suite checks every gradient path against
+central finite differences.
 
 Row blocks and head stacks. Every pass takes its rows as blocks, (B, n, d),
 and every head is a stack of layers, w (H, d, K) and b (H, K); one block or
@@ -24,6 +26,15 @@ Rows and segments. The CE scores rows, (n, K) logits, and returns one term per
 row; a loss is the negated sum of the terms of its own contiguous segment of
 rows. A segment's sum adds in the same order as a call on that segment alone,
 so one call carries every loss of a step bit for bit.
+
+Row maxima and row sums. numpy reduces each short row of an (n, K) array in
+its own inner loop, so a row-wise reduction over a few hundred rows of ten
+classes costs several times the arithmetic. A row max is taken over a
+class-major copy instead (`row_max`): one elementwise max across K rows of n
+values. A max is the same whatever its order, except for the sign of a zero
+max over both +0.0 and -0.0, so rows whose max is 0 keep the row-wise reduce
+and every max keeps its bits. Row sums stay row-wise: numpy adds a row in a
+pairwise order, and no class-major sum that reproduces that order is cheaper.
 """
 
 from dataclasses import dataclass
@@ -183,10 +194,24 @@ def head_forward(heads: LinearLayer, features: np.ndarray) -> np.ndarray:
     return features @ heads.w[:, None] + heads.b[:, None, None]
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) of a C-contiguous (n, k) array, bit for bit.
+
+    The max runs over a class-major copy: one reduce across k rows of n
+    values instead of n reduces of k values. A row whose max is 0 may hold
+    both +0.0 and -0.0, and which one wins depends on the order of the
+    reduction; those rows take the row-wise reduce.
+    """
+    m = np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)
+    if not np.logical_and.reduce(m):  # a zero max
+        zero = m == 0.0
+        m[zero] = np.maximum.reduce(a[zero], axis=1)
+    return m
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - row_max(logits)[:, None])
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def weighted_masked_ce(
@@ -204,31 +229,33 @@ def weighted_masked_ce(
     Nothing is checked: the caller passes float64 logits (n, k), integer
     targets (n,) in [0, k) and float64 coef (n,).
     """
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    rows = np.arange(len(targets))
-    terms = coef * logp[rows, targets]
+    n, k = logits.shape
+    logp = logits - row_max(logits)[:, None]
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
+    picked = np.arange(0, n * k, k) + targets  # flat index of each row's target
+    terms = coef * logp.take(picked)
     dlogits = np.exp(logp)
     dlogits *= coef[:, None]
-    dlogits[rows, targets] -= coef
+    dlogits.reshape(-1)[picked] -= coef
     return terms, dlogits
 
 
 def head_backward(
     heads: LinearLayer, features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer,
     scales: Sequence[float],
-) -> np.ndarray:
+) -> None:
     """Add scales[j] times block j's gradients of the stacked heads into grad,
-    blocks in order; returns dfeatures (H, B, n, d), unscaled.
+    blocks in order.
 
-    Shapes are those of `head_forward`; scales has one entry per block.
+    Shapes are those of `head_forward`; scales has one entry per block. The
+    gradient w.r.t. the features, dlogits @ heads.w.mT[:, None], is left to
+    the caller, which computes it only for features that the loss reaches
+    the encoder through.
     """
     logits_shape = heads.w.shape[:1] + features.shape[:-1] + heads.w.shape[-1:]
     if features.ndim != 3 or dlogits.shape != logits_shape:
         raise ValueError("dlogits shape does not match head output")
-    gw = np.swapaxes(features, -1, -2) @ dlogits
-    _add_blocks(grad, gw, dlogits.sum(axis=-2), scales)
-    return dlogits @ np.swapaxes(heads.w, -1, -2)[:, None]
+    _add_blocks(grad, features.mT @ dlogits, np.add.reduce(dlogits, axis=-2), scales)
 
 
 def _add_blocks(
@@ -257,15 +284,14 @@ def encoder_backward(
     if len(cache.inputs) != len(params.encoder_layers):
         raise ValueError("cache does not match encoder depth")
     blocks = len(dfeatures)
-    inputs = [a[:blocks] for a in cache.inputs]
-    preacts = [a[:blocks] for a in cache.preacts]
-    if dfeatures.shape != inputs[0].shape[:-1] + (params.feature_dim,):
+    if dfeatures.shape != cache.inputs[0][:blocks].shape[:-1] + (params.feature_dim,):
         raise ValueError("dfeatures shape does not match cached forward pass")
+    scales = [1.0] * blocks
     d = dfeatures
     for i in reversed(range(len(params.encoder_layers))):
-        dz = d * (preacts[i] > 0.0)
-        gw = np.swapaxes(inputs[i], -1, -2) @ dz
-        _add_blocks(grads.encoder_layers[i], gw, dz.sum(axis=-2), [1.0] * blocks)
+        dz = d * (cache.preacts[i][:blocks] > 0.0)
+        gw = cache.inputs[i][:blocks].mT @ dz
+        _add_blocks(grads.encoder_layers[i], gw, np.add.reduce(dz, axis=-2), scales)
         if i > 0:
             d = dz @ params.encoder_layers[i].w.T
 
@@ -295,7 +321,7 @@ def adam_step(
     A non-finite gradient raises before anything is updated.
     """
     g = grads.flat
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise TrainingDivergedError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count

@@ -67,6 +67,7 @@ from .numerics import (
     head_forward,
     init_adam,
     init_params,
+    row_max,
     softmax,
     weighted_masked_ce,
     zeros_like_params,
@@ -218,7 +219,7 @@ def compute_step(
     use_unsup = cfg.mode in ("fixmatch", "bmb") and not warm
     if len(labeled_x) != b or len(labeled_y) != b:
         raise ValueError("labeled batch size must equal cfg.batch_size")
-    if labeled_y.min() < 0 or labeled_y.max() >= p.num_classes:
+    if np.minimum.reduce(labeled_y) < 0 or np.maximum.reduce(labeled_y) >= p.num_classes:
         raise ValueError(f"labeled_y outside [0, {p.num_classes})")
     if use_unsup and (len(unlabeled_x) != b or len(unlabeled_pos) != b):
         raise ValueError("unlabeled batch size (positions and rows) must equal cfg.batch_size")
@@ -226,7 +227,7 @@ def compute_step(
     grads.flat.fill(0.0)
     n_heads = 2 if use_aux else 1  # vanilla and fixmatch train the base head alone
     n_loss = 2 if use_unsup else 1  # loss blocks: labeled weak, then unlabeled strong
-    heads, grad_heads = p.heads[:n_heads], grads.heads[:n_heads]
+    heads = p.heads[:n_heads]
 
     # (1) the weak views of the labeled and unlabeled rows in one draw, then
     # the strong view; blocks: labeled weak | unlabeled strong | unlabeled weak,
@@ -234,34 +235,39 @@ def compute_step(
     aug, aug_rng = cfg.augment, state.rngs.augment
     if use_unsup:
         weak = weak_augment(np.concatenate((labeled_x, unlabeled_x)), aug, aug_rng)
-        x = np.stack((weak[:b], strong_augment(unlabeled_x, aug, aug_rng), weak[b:]))
+        x = np.empty((3, b, weak.shape[-1]))
+        x[::2] = weak.reshape(2, b, -1)
+        x[1] = strong_augment(unlabeled_x, aug, aug_rng)
     else:
         x = weak_augment(labeled_x, aug, aug_rng)[None]
     feats, cache = encoder_forward(p, x)
     logits = head_forward(heads, feats)  # (head, block, row, class)
 
-    # per head and loss block: CE targets and coefficients (weight over b, 0
-    # where masked); per loss block: its scale
-    targets = np.empty((n_heads, n_loss, b), dtype=np.int64)
-    coef = np.ones((n_heads, n_loss, b))
+    # the CE's targets and coefficients (weight over b, 0 where masked): the
+    # loss blocks' rows of each head, then room for the memory rows
+    n_rows = n_heads * n_loss * b
+    n_mem = round_half_up(cfg.get_fraction * b) if use_unsup and use_aux else 0
+    ce_targets = np.empty(n_rows + n_mem, dtype=np.int64)
+    ce_coef = np.ones(n_rows + n_mem)
+    targets = ce_targets[:n_rows].reshape(n_heads, n_loss, b)
+    coef = ce_coef[:n_rows].reshape(n_heads, n_loss, b)
     targets[:, 0] = labeled_y
     if use_aux:
         coef[1, 0] = batch_weights(state.labeled_class_counts, labeled_y, cfg.alpha)
-    scales = [1.0, cfg.lambda_u][:n_loss]
     mask_rate = accept_rate = loss_mem = 0.0
     rows = ()
     if use_unsup:
         # (2) pseudo labels and mask from the weak view (constants: no gradient
         # flows through that block)
         probs_b = softmax(logits[0, 2])
-        mask = probs_b.max(axis=1) >= cfg.tau
+        mask = row_max(probs_b) >= cfg.tau
         mask_rate = int(np.count_nonzero(mask)) / b  # == mask.mean(), exactly
         targets[0, 1] = probs_b.argmax(axis=1)
         if use_aux:
             qhat_a = logits[1, 2].argmax(axis=1)
             targets[1, 1] = qhat_a
             coef[1, 1] = batch_weights(state.ledger.estimated_counts(), qhat_a, cfg.alpha)
-        coef[:, 1, ~mask] = 0.0
+        coef[:, 1] *= mask  # a masked row's coefficient becomes 0: the weights are finite
     coef /= b
 
     if use_unsup and use_aux:
@@ -269,7 +275,7 @@ def compute_step(
         # since those drive reversed sampling and the unlabeled weights); each
         # sample offers its feature of every block of the memory content, in order
         views = MEMORY_CONTENTS[cfg.memory_content]
-        confident = np.flatnonzero(mask)
+        confident = mask.nonzero()[0]
         labels = qhat_a[confident]
         state.ledger.record_batch(unlabeled_pos[confident], labels)
         offered = feats[views, confident[:, None]].reshape(-1, feats.shape[-1])
@@ -278,37 +284,42 @@ def compute_step(
         accept_rate = accepted / len(labels) if len(labels) else 0.0
 
         # (4) a fixed fraction of the batch re-drawn from the bank
-        n_mem = round_half_up(cfg.get_fraction * b)
         rows = state.bank.get(
             state.ledger.estimated_counts(), n_mem, cfg.lambda_sampling, state.rngs.bank
         )
 
     # one CE over the loss blocks' rows of each head, then the memory rows,
     # which the auxiliary head scores; each loss sums its own segment
-    n_rows = targets.size
+    n_ce = n_rows + len(rows)
     ce_logits = logits[:, :n_loss].reshape(n_rows, -1)
-    ce_targets, ce_coef = targets.reshape(-1), coef.reshape(-1)
     if len(rows):
+        aux = p.heads[1:]
         mem_feats = state.bank.features[rows][None]  # one block, scored by the aux head alone
-        ce_logits = np.concatenate((ce_logits, head_forward(p.heads[1:], mem_feats)[0, 0]))
-        ce_targets = np.concatenate((ce_targets, state.bank.labels[rows]))
-        ce_coef = np.concatenate((ce_coef, np.full(len(rows), 1.0 / len(rows))))
-    terms, dlogits = weighted_masked_ce(ce_logits, ce_targets, ce_coef)
+        ce_logits = np.concatenate((ce_logits, head_forward(aux, mem_feats)[0, 0]))
+        ce_targets[n_rows:] = state.bank.labels[rows]
+        ce_coef[n_rows:] = 1.0 / len(rows)
+    terms, dlogits = weighted_masked_ce(ce_logits, ce_targets[:n_ce], ce_coef[:n_ce])
     table = np.zeros((2, 2))
-    table[:n_heads, :n_loss] = -terms[:n_rows].reshape(n_heads, n_loss, b).sum(axis=-1)
+    table[:n_heads, :n_loss] = -np.add.reduce(terms[:n_rows].reshape(n_heads, n_loss, b), axis=-1)
     (loss_s_b, loss_u_b), (loss_s_a, loss_u_a) = table.tolist()
 
+    # the loss blocks' gradients; block 1 of each head's dfeatures scaled by
+    # lambda_u, and the heads' dfeatures added in head order (the auxiliary
+    # head's only when its gradient reaches the encoder)
     dlogits_blocks = dlogits[:n_rows].reshape(n_heads, n_loss, b, -1)
-    dfeat = head_backward(heads, feats[:n_loss], dlogits_blocks, grad_heads, scales)
-    block_scale = np.array(scales)[:, None, None]
-    dfeat_enc = dfeat[0] * block_scale
-    if use_aux and not cfg.aux_stopgrad:
-        dfeat_enc += block_scale * dfeat[1]
-    encoder_backward(p, cache, dfeat_enc, grads)
+    head_backward(heads, feats[:n_loss], dlogits_blocks, grads.heads[:n_heads],
+                  [1.0, cfg.lambda_u][:n_loss])
+    n_enc = 1 if cfg.aux_stopgrad else n_heads  # heads whose loss reaches the encoder
+    dfeat = dlogits_blocks[:n_enc] @ heads.w[:n_enc].mT[:, None]
+    if use_unsup:
+        dfeat[:, 1] *= cfg.lambda_u
+    if n_enc == 2:
+        dfeat[0] += dfeat[1]
+    encoder_backward(p, cache, dfeat[0], grads)
     if len(rows):
         # the memory loss reaches only the auxiliary head: stored features are constants
-        loss_mem = float(-terms[n_rows:].sum())
-        head_backward(p.heads[1:], mem_feats, dlogits[None, None, n_rows:], grads.heads[1:],
+        loss_mem = float(-np.add.reduce(terms[n_rows:]))
+        head_backward(aux, mem_feats, dlogits[None, None, n_rows:], grads.heads[1:],
                       [cfg.lambda_m])
 
     # (5) total loss per the two-branch decomposition
@@ -379,8 +390,9 @@ def fit(
     epoch the EMA parameters are evaluated on the test split and a record with
     accuracy, per-class recall, shot-group accuracy, bank entropy, estimated
     counts, and mean mask rate is appended to the returned log. The dataset
-    alone gives the class count K and the feature width; splits of unequal
-    widths, or a labeled label outside [0, K), raise ValueError before any draw.
+    alone gives the class count K and the feature width. Splits of unequal
+    widths or a labeled label outside [0, K) raise ValueError before any draw,
+    and a test label outside [0, K) before the first step.
     """
     k, d = data.num_classes, data.labeled.x.shape[-1]
     widths = [split.x.shape[1:] for split in (data.labeled, data.unlabeled, data.test)]
@@ -392,6 +404,8 @@ def fit(
         raise ValueError(f"labeled labels outside [0, {k})")
     counts = data.labeled_class_counts()
     state = init_state(cfg, d, counts, len(data.unlabeled))
+    if len(data.test) and (data.test.y.min() < 0 or data.test.y.max() >= k):
+        raise ValueError(f"test labels outside [0, {k})")
     if cfg.shot_many_min is not None:
         thresholds = (cfg.shot_many_min, cfg.shot_few_max)
     else:

@@ -15,4 +15,4 @@ def batch_weights(counts: np.ndarray, labels: np.ndarray, alpha: float) -> np.nd
     >= 1 (clamp before weighting), integer labels in [0, len(counts)) and
     alpha >= 0.
     """
-    return (counts.min() / counts[labels]) ** alpha
+    return (np.minimum.reduce(counts) / counts[labels]) ** alpha

@@ -72,6 +72,27 @@ def masked_ce(logits, targets, weights, mask, divisor):
     return float(-terms.sum()), dlogits
 
 
+def softmax_rowwise(logits):
+    """numerics.softmax as it was written with per-row reductions: the
+    reference that the class-major row max must match bit for bit."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def weighted_masked_ce_rowwise(logits, targets, coef):
+    """numerics.weighted_masked_ce as it was written with per-row reductions:
+    the reference that the class-major row max must match bit for bit."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(len(targets))
+    terms = coef * logp[rows, targets]
+    dlogits = np.exp(logp)
+    dlogits *= coef[:, None]
+    dlogits[rows, targets] -= coef
+    return terms, dlogits
+
+
 def argmax_first(row):
     best, best_v = 0, row[0]
     for j, v in enumerate(row):

@@ -130,6 +130,29 @@ def test_record_batch_rejects_bad_labels_and_lengths():
     assert ledger.latest.tolist() == [-1, -1, -1] and ledger.counts.tolist() == [0, 0, 0]
 
 
+def test_record_batch_checks_the_label_of_an_overwritten_repeat():
+    """Position 1's first label is out of range and its second is not: only
+    the last label of a position is kept, but every pair is checked."""
+    ledger = PseudoLabelLedger(3, 4)
+    record(ledger, 2, 1)
+    for labels in ([3, 0, 2], [-1, 0, 2]):
+        with pytest.raises(ValueError, match="label out of range for 3 classes"):
+            ledger.record_batch(np.array([1, 0, 1]), np.array(labels))
+        assert ledger.latest.tolist() == [-1, -1, 1, -1] and ledger.counts.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("positions, labels", [
+    pytest.param([1.5], [0], id="float-position"),
+    pytest.param([1], [0.0], id="float-label"),
+    pytest.param([True], [0], id="bool-position"),
+])
+def test_record_batch_rejects_non_integer_arrays(positions, labels):
+    ledger = PseudoLabelLedger(3, 4)
+    with pytest.raises(ValueError, match="must be integer arrays"):
+        ledger.record_batch(np.array(positions), np.array(labels))
+    assert ledger.latest.tolist() == [-1] * 4 and ledger.counts.tolist() == [0, 0, 0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

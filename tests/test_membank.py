@@ -278,6 +278,16 @@ def test_get_rejects_unclamped_counts():
         bank.get(np.array([0, 5]), 4, 1.0, RNG(13))
 
 
+@pytest.mark.parametrize("bank, n", [(filled_bank([2, 2]), 0), (MemoryBank(4, 2, 1.0, 2), 3)],
+                         ids=["no-draws", "empty-bank"])
+def test_get_checks_its_counts_even_when_it_draws_nothing(bank, n):
+    rng = RNG(13)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="clamped >= 1"):
+        bank.get(np.array([0, 5]), n, 1.0, rng)
+    assert rng.bit_generator.state == before
+
+
 # ---------------------------------------------------------------------------
 # Draws are bit-identical to Generator.choice
 # ---------------------------------------------------------------------------
@@ -501,6 +511,40 @@ def test_offer_equals_enqueue_each_draw_for_draw(beta, start, capacity):
         )
     assert total_accepted > 0 and bank.evictions > 0 and len(bank) == capacity
     assert fast.integers(0, 2**40, size=4).tolist() == slow.integers(0, 2**40, size=4).tolist()
+
+
+class CountingGenerator:
+    """A generator whose `random` calls are recorded, as the sizes drawn."""
+
+    def __init__(self, seed):
+        self.rng = RNG(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("stored, n, draws", [
+    pytest.param(24, 80, [160], id="full"),
+    pytest.param(20, 80, [156], id="four-free"),
+    pytest.param(0, 10, [10], id="never-full"),
+])
+def test_offer_at_beta_zero_draws_every_uniform_in_one_block(stored, n, draws):
+    """At beta 0 every attempt is accepted, and once the bank is full every
+    accept evicts, so the call's draws are known up front: one per attempt and
+    one per eviction. The generator ends where the per-record loop leaves it."""
+    data = RNG(9)
+    bank = MemoryBank(24, 5, 0.0, 3)
+    for _ in range(stored):
+        store(bank, data.normal(size=3), int(data.integers(5)))
+    twin = copy.deepcopy(bank)
+    features, labels = data.normal(size=(n, 3)), data.integers(0, 5, size=n)
+    counting, slow = CountingGenerator(21), RNG(21)
+    assert bank.offer(features, labels, counting) == enqueue_each(twin, features, labels, slow)
+    assert counting.sizes == draws
+    assert counting.rng.bit_generator.state == slow.bit_generator.state
+    assert bank_state(bank) == bank_state(twin)
 
 
 def test_offer_keeps_the_last_write_to_a_slot():

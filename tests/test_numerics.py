@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import masked_ce
+from oracles import masked_ce, softmax_rowwise, weighted_masked_ce_rowwise
 
 from tailssl.cli import load_model, save_model
 from tailssl.errors import ConfigError, TrainingDivergedError
@@ -24,6 +24,7 @@ from tailssl.numerics import (
     init_adam,
     init_params,
     named_arrays,
+    row_max,
     softmax,
     weighted_masked_ce,
     zeros_like_params,
@@ -287,6 +288,56 @@ def test_ce_segment_sums_equal_one_call_per_segment(data):
         assert dlogits[lo:hi].tobytes() == alone_dlogits.tobytes()
 
 
+def awkward_logits(rng, n, k):
+    """(n, k) logits whose rows are, at random: plain; all <= 0 with a max of
+    0 held by +0.0 and -0.0 at random; plain with some entries set to +-0.0;
+    or of magnitude up to 1e307."""
+    logits = rng.normal(scale=3.0, size=(n, k))
+    kind = rng.integers(0, 4, size=n)
+    zeros = np.where(rng.random((n, k)) < 0.5, 0.0, -0.0)
+    some = rng.random((n, k)) < 0.4
+    some[np.arange(n), rng.integers(0, k, size=n)] = True  # at least one zero per row
+    logits[kind == 1] = -np.abs(logits[kind == 1])
+    put = (kind[:, None] == 1) | (kind[:, None] == 2)
+    logits[put & some] = zeros[put & some]
+    big = kind == 3
+    logits[big] *= 10.0 ** rng.uniform(100, 307, size=(int(big.sum()), 1))
+    return logits
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_class_major_row_max_keeps_the_rowwise_bits(data):
+    """row_max, softmax and the CE against their per-row expressions, byte for
+    byte, on rows that mix +0.0 and -0.0, rows whose max is 0 and rows of
+    large magnitude."""
+    n = data.draw(st.integers(1, 300), label="rows")
+    k = data.draw(st.integers(2, 12), label="classes")
+    rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logits = awkward_logits(rng, n, k)
+    targets = rng.integers(0, k, size=n)
+    coef = np.where(rng.random(n) < 0.8, rng.uniform(0.1, 2.0, size=n), 0.0) / n
+    assert same_bytes(row_max(logits), logits.max(axis=1))
+    assert same_bytes(softmax(logits), softmax_rowwise(logits))
+    for got, want in zip(weighted_masked_ce(logits, targets, coef),
+                         weighted_masked_ce_rowwise(logits, targets, coef)):
+        assert same_bytes(got, want)
+
+
+def test_row_max_keeps_the_sign_of_a_zero_max():
+    """A max over +0.0 and -0.0 is whichever the reduction keeps; row_max
+    keeps the one the per-row reduce keeps, for every arrangement of them."""
+    zeros = (0.0, -0.0)
+    rows = np.array([[a, b, c] for a in zeros for b in zeros for c in (*zeros, -1.0)])
+    for width in (3, 9, 17):
+        logits = np.tile(rows, (1, width // 3))
+        assert same_bytes(row_max(logits), logits.max(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -307,8 +358,8 @@ def analytic_full_grads(params, batch, targets, weights, mask, head_name):
     _, dlogits = masked_ce(logits, targets, weights, mask, len(batch))
     grads = zeros_like_params(params)
     target = grads.heads[:1] if head_name == "base" else grads.heads[1:]
-    dfeat = head_backward(head, feats, dlogits[None, None], target, [1.0])
-    encoder_backward(params, cache, dfeat[0], grads)
+    head_backward(head, feats, dlogits[None, None], target, [1.0])
+    encoder_backward(params, cache, dlogits[None] @ head.w[0].T, grads)
     return grads
 
 
@@ -347,10 +398,11 @@ def test_encoder_gradients_add_across_losses():
     _, d1 = masked_ce(head_forward(params.heads[:1], feats)[0, 0], t1, ones, mask, 4)
     _, d2 = masked_ce(head_forward(params.heads[1:], feats)[0, 0], t2, ones, mask, 4)
     scratch = zeros_like_params(params)
-    df1 = head_backward(params.heads[:1], feats, d1[None, None], scratch.heads[:1], [1.0])
-    df2 = head_backward(params.heads[1:], feats, d2[None, None], scratch.heads[1:], [1.0])
+    head_backward(params.heads[:1], feats, d1[None, None], scratch.heads[:1], [1.0])
+    head_backward(params.heads[1:], feats, d2[None, None], scratch.heads[1:], [1.0])
+    df1, df2 = d1 @ params.heads.w[0].T, d2 @ params.heads.w[1].T
     joint = zeros_like_params(params)
-    encoder_backward(params, cache, df1[0] + df2[0], joint)
+    encoder_backward(params, cache, (df1 + df2)[None], joint)
     for sep_b, sep_a, j in zip(g_base.encoder_layers, g_aux.encoder_layers, joint.encoder_layers):
         np.testing.assert_allclose(sep_b.w + sep_a.w, j.w, atol=1e-13)
         np.testing.assert_allclose(sep_b.b + sep_a.b, j.b, atol=1e-13)
@@ -374,10 +426,10 @@ def test_head_backward_adds_scaled_gradients_into_the_buffer():
     for scale in (0.5, 2.0):
         want_w += scale * (feats.T @ dlogits)
         want_b += scale * dlogits.sum(axis=0)
-        dfeat = head_backward(
+        returned = head_backward(
             stack_of_one(head), feats[None], dlogits[None, None], stack_of_one(grad), [scale]
-        )[0, 0]
-        np.testing.assert_array_equal(dfeat, dlogits @ head.w.T)  # never scaled
+        )
+        assert returned is None  # the features' gradient is the caller's to compute
     np.testing.assert_array_equal(grad.w, want_w)
     np.testing.assert_array_equal(grad.b, want_b)
     with pytest.raises(ValueError):

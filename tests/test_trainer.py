@@ -679,6 +679,18 @@ def test_fit_refuses_a_labeled_label_outside_the_classes_before_any_step(monkeyp
         fit(dataclasses.replace(ds, labeled=labeled), tiny_fit_cfg())
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_fit_refuses_a_test_label_outside_the_classes_before_any_step(monkeypatch, bad):
+    """A test label equal to K once trained a full epoch and then failed in evaluate."""
+    monkeypatch.setattr(trainer_module, "train_step", no_step)
+    ds = tiny_dataset()
+    y = ds.test.y.copy()
+    y[0] = bad
+    test = Split(ds.test.ids, ds.test.x, y)
+    with pytest.raises(ValueError, match=r"test labels outside \[0, 3\)"):
+        fit(dataclasses.replace(ds, test=test), tiny_fit_cfg())
+
+
 def test_fit_refuses_a_one_class_dataset_before_any_step(monkeypatch):
     """A one-class bank's entropy would divide by ln 1 = 0."""
     monkeypatch.setattr(trainer_module, "train_step", no_step)
