@@ -102,8 +102,6 @@ def dataset_paths(data_dir: str) -> dict[str, str]:
 
 
 def _resolve_data_dir(cfg: dict, config_path: str) -> str:
-    if "data_dir_resolved" in cfg:  # self-contained resolved configs (run dirs)
-        return cfg["data_dir_resolved"]
     data_dir = cfg["data_dir"]
     if not os.path.isabs(data_dir):
         data_dir = os.path.join(os.path.dirname(os.path.abspath(config_path)), data_dir)
@@ -153,8 +151,7 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_configured_dataset(cfg: dict, config_path: str):
-    paths = dataset_paths(_resolve_data_dir(cfg, config_path))
+def _load_configured_dataset(cfg: dict, paths: dict[str, str]):
     for key in ("csv", "manifest"):
         if not os.path.exists(paths[key]):
             raise ConfigError(f"dataset file missing: {paths[key]} (run `tailssl generate` first)")
@@ -176,9 +173,10 @@ def _load_configured_dataset(cfg: dict, config_path: str):
 def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
     """Train one seed of a resolved config into run_dir; returns the report dict."""
     data_dir = _resolve_data_dir(cfg, config_path)
-    ds, dataset_hash = _load_configured_dataset(cfg, config_path)
+    paths = dataset_paths(data_dir)
+    ds, dataset_hash = _load_configured_dataset(cfg, paths)
     train_cfg = cfgmod.build_train_config(cfg, seed)
-    csv_path = dataset_paths(data_dir)["csv"]
+    csv_path = paths["csv"]
     if len(ds.labeled) == 0:
         raise ConfigError(f"{csv_path}: no labeled train rows; training needs at least one")
     if train_cfg.mode in ("fixmatch", "bmb") and len(ds.unlabeled) == 0:
@@ -187,8 +185,7 @@ def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
 
     state, log = fit(ds, train_cfg)
 
-    resolved = {k: v for k, v in cfg.items() if k != "data_dir_resolved"}
-    resolved["resolved_seed"] = seed
+    resolved = {**cfg, "resolved_seed": seed}
     chash = cfgmod.config_hash(resolved)  # hash excludes machine-local absolute paths
     stored = {**resolved, "config_hash": chash, "dataset_hash": dataset_hash,
               "data_dir_resolved": data_dir}
@@ -481,7 +478,7 @@ def cmd_export_embeddings(args) -> int:
         resolved_path, cfgmod.RESOLVED_SCHEMA, "resolved config",
         f"{args.run}: not a finished run directory",
     )
-    ds, _ = _load_configured_dataset(cfg, resolved_path)
+    ds, _ = _load_configured_dataset(cfg, dataset_paths(cfg["data_dir_resolved"]))
     params, ema = load_model(
         os.path.join(args.run, "model.npz"),
         cfg["train"]["hidden_sizes"],

@@ -4,10 +4,6 @@
 class TrainingDivergedError(RuntimeError):
     """Raised when a loss or gradient becomes non-finite during training."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; message carries the line number."""

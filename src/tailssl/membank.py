@@ -14,8 +14,9 @@ class distribution: class k is drawn with probability proportional to
 Storage is preallocated arrays, with no object per record. Slot i is row i of
 `features` (capacity, d) and of `labels` (capacity,). Each class keeps a FIFO
 list of its slots, oldest first, whose length is the class size; records of a
-class arrive in step order, so eviction pops the head. Free slots sit on a
-stack.
+class arrive in step order, so eviction pops the head. Slots fill in order: a
+bank of n records holds them in slots 0..n-1, and a write takes slot n, or its
+victim's oldest slot when the bank is full.
 
 Draws. A class draw is `Generator.choice`'s inverse-CDF recipe run in numpy
 over a spec function: the probabilities restricted to the non-empty classes
@@ -46,7 +47,7 @@ Out of uniforms during attempt i, `offer` draws the n - i that attempts
 i..n-1 are sure to use as one block, so the generator, a buffered half-word
 included, ends where one `rng.random()` per draw would leave it. When every
 attempt is sure to be accepted (every P_in is 1, as at beta 0), the count is
-exact: one uniform per attempt, plus one for each attempt past the free
+exact: one uniform per attempt, plus one for each attempt past the unfilled
 slots, which all evict; such a call draws once.
 """
 
@@ -136,11 +137,10 @@ class MemoryBank:
         self._weighted = any(self.p_out)  # else every victim draw falls back to the sizes
         self._sure_accept = min(self.p_in) == 1.0  # every attempt is accepted (beta 0)
         self._fifo: list[list[int]] = [[] for _ in range(num_classes)]  # slots, oldest first
-        self._free = list(range(capacity - 1, -1, -1))  # stack; slot 0 is used first
         self.evictions = 0  # records evicted since construction
 
     def __len__(self) -> int:
-        return self.capacity - len(self._free)
+        return sum(map(len, self._fifo))
 
     def counts(self) -> np.ndarray:
         return np.fromiter(map(len, self._fifo), dtype=np.int64, count=self.num_classes)
@@ -162,22 +162,23 @@ class MemoryBank:
         labels_list = labels.tolist()
         if min(labels_list) < 0 or max(labels_list) >= self.num_classes:
             raise ValueError(f"pseudo_label out of range for {self.num_classes} classes")
-        p_in, fifo, free = self.p_in, self._fifo, self._free
+        p_in, fifo, capacity = self.p_in, self._fifo, self.capacity
         sizes = list(map(len, fifo))
-        stored = len(self)
+        filled = stored = sum(sizes)
         evicted = 0
         ahead: list[float] = []  # uniforms drawn ahead, the next one last
         writes: dict[int, int] = {}  # slot -> row of its last write
         for i, label in enumerate(labels_list):
             if not ahead:  # attempts i..n-1 draw at least n - i more uniforms
                 draws = n - i
-                if self._sure_accept:  # and exactly one more per accept past the free slots
-                    draws += max(0, n - i - len(free))
+                if self._sure_accept:  # and exactly one more per accept past the unfilled slots
+                    draws += max(0, n - i - capacity + filled)
                 ahead = rng.random(draws).tolist()[::-1]
             if ahead.pop() >= p_in[sizes[label]]:
                 continue
-            if free:
-                slot = free.pop()
+            if filled < capacity:
+                slot = filled
+                filled += 1
             else:
                 if not ahead:
                     ahead = rng.random(n - i).tolist()[::-1]
@@ -194,7 +195,7 @@ class MemoryBank:
             self.features[slots] = features[rows]
             self.labels[slots] = labels[rows]
         self.evictions += evicted
-        return len(self) - stored + evicted  # an accept fills a free slot or evicts
+        return filled - stored + evicted  # an accept fills a slot or evicts
 
     def _victim(self, sizes: list[int], u: float) -> int:
         """Victim class for the uniform u, given every class's size (not all 0).

@@ -331,7 +331,7 @@ def compute_step(
         + cfg.lambda_m * loss_mem
     )
     if not np.isfinite(loss_total):
-        raise TrainingDivergedError(f"non-finite loss at step {state.step}", step=state.step)
+        raise TrainingDivergedError(f"non-finite loss at step {state.step}")
     metrics = StepMetrics(
         loss_s_b=loss_s_b,
         loss_u_b=loss_u_b,
@@ -360,7 +360,7 @@ def train_step(
         adam_step(state.params, grads, state.adam, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
                   cfg.adam_eps)
     except TrainingDivergedError as exc:
-        raise TrainingDivergedError(str(exc) + f" at step {state.step}", step=state.step) from None
+        raise TrainingDivergedError(str(exc) + f" at step {state.step}") from None
     ema_update(state.ema, state.params, cfg.ema_decay)
     state.step += 1
     return metrics

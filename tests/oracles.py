@@ -14,10 +14,11 @@ import numpy as np
 
 from tailssl.data import CSV_SPLITS, Dataset, Split
 from tailssl.errors import DatasetFormatError
-from tailssl.numerics import weighted_masked_ce
+from tailssl.numerics import weighted_masked_ce, zeros_like_params
 
 
 def mlp_forward(params, batch):
+    """Per-sample, per-unit loops: relu(x @ w + b) through every layer."""
     out = []
     for row in batch:
         h = list(row)
@@ -44,6 +45,21 @@ def linear(head, features):
             logits.append(acc)
         out.append(logits)
     return np.array(out)
+
+
+def numeric_grads(loss_fn, params, h=1e-5):
+    """Central finite differences over every parameter entry."""
+    grads = zeros_like_params(params)
+    flat, gf = params.flat, grads.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn()
+        flat[i] = orig - h
+        down = loss_fn()
+        flat[i] = orig
+        gf[i] = (up - down) / (2 * h)
+    return grads
 
 
 def softmax_row(row):
@@ -106,9 +122,11 @@ def ratio_weight(counts, cls, alpha):
 
 
 def store(bank, feature, label):
-    """Put one record of class label into a free slot of bank with no draw, as
-    an accepted offer into a bank that is not full puts it; sets up test banks."""
-    slot = bank._free.pop()
+    """Put one record of class label into slot len(bank) with no draw, as an
+    accepted offer into a bank that is not full puts it; sets up test banks."""
+    slot = len(bank)
+    if slot == bank.capacity:
+        raise ValueError("store needs a bank that is not full")
     bank.features[slot] = feature
     bank.labels[slot] = label
     bank._fifo[label].append(slot)
@@ -120,9 +138,9 @@ def enqueue_each(bank, features, labels, rng):
     For each row in order, one uniform accepts it with probability 1/C_k^beta
     (1 for an empty class). When the bank is full, rng.choice over the
     renormalised eviction distribution (1 - 1/C_k^beta over non-empty classes,
-    or C_k when every weight is 0) picks a victim class, whose oldest slot is
-    freed and reused. Works on the bank's slot lists and arrays directly.
-    Returns the number of rows accepted.
+    or C_k when every weight is 0) picks a victim class, whose oldest slot takes
+    the row; otherwise the row takes the next unused slot. Works on the bank's
+    slot lists and arrays directly. Returns the number of rows accepted.
     """
     accepted = 0
     for feature, label in zip(features, labels):
@@ -130,7 +148,8 @@ def enqueue_each(bank, features, labels, rng):
         size = len(bank._fifo[label])
         if rng.random() >= (1.0 if size == 0 else float(size) ** (-bank.beta)):
             continue
-        if not bank._free:
+        slot = sum(len(f) for f in bank._fifo)
+        if slot == bank.capacity:
             counts = np.array([len(f) for f in bank._fifo], dtype=np.float64)
             nonempty = counts > 0
             weights = np.zeros_like(counts)
@@ -141,9 +160,8 @@ def enqueue_each(bank, features, labels, rng):
             probs = weights / total
             support = np.flatnonzero(counts)
             victim = int(rng.choice(support, p=probs[support] / probs[support].sum()))
-            bank._free.append(bank._fifo[victim].pop(0))
+            slot = bank._fifo[victim].pop(0)
             bank.evictions += 1
-        slot = bank._free.pop()
         bank.features[slot] = feature
         bank.labels[slot] = label
         bank._fifo[label].append(slot)

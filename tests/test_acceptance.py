@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 from mpmath import mp, mpf
-from oracles import masked_ce, store
+from oracles import masked_ce, numeric_grads, store
 
 from tailssl.cli import main as cli_main
 from tailssl.data import AugmentConfig, DatasetSpec, generate_dataset, longtail_counts
@@ -168,20 +168,6 @@ def test_criterion_1_formula_oracles():
 # ===========================================================================
 
 
-def _numeric_grads(loss_fn, params, h=1e-5):
-    grads = zeros_like_params(params)
-    flat, gf = params.flat, grads.flat
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = loss_fn()
-        flat[i] = orig - h
-        down = loss_fn()
-        flat[i] = orig
-        gf[i] = (up - down) / (2 * h)
-    return grads
-
-
 def test_criterion_2_gradient_suite():
     t0 = time.time()
     rng = RNG(201)
@@ -218,7 +204,7 @@ def test_criterion_2_gradient_suite():
             tgt = analytic.heads[:1] if head_name == "base" else analytic.heads[1:]
             head_backward(head, feats, dlogits[None, None], tgt, [1.0])
             encoder_backward(params, cache, dlogits[None] @ head.w[0].T, analytic)
-            numeric = _numeric_grads(loss_fn, params)
+            numeric = numeric_grads(loss_fn, params)
             np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)
             cases += 1
 
@@ -241,7 +227,7 @@ def test_criterion_2_gradient_suite():
     analytic = zeros_like_params(params)
     analytic.heads[1].w += feats.T @ dlogits
     analytic.heads[1].b += dlogits.sum(axis=0)
-    numeric = _numeric_grads(mem_loss, params)
+    numeric = numeric_grads(mem_loss, params)
     np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)
     cases += 1
 

@@ -45,15 +45,6 @@ def offer_one(bank, feature, label, rng):
     return bank.offer(np.reshape(feature, (1, -1)), np.array([label]), rng) == 1
 
 
-def evict(bank, rng):
-    """One eviction as `offer` makes it on a full bank: `_victim` on one
-    uniform, then the oldest slot of that class is freed. Returns the slot,
-    whose rows keep the evicted record until the next insert."""
-    slot = bank._fifo[bank._victim([len(f) for f in bank._fifo], rng.random())].pop(0)
-    bank._free.append(slot)
-    return slot
-
-
 # ---------------------------------------------------------------------------
 # offer: acceptance
 # ---------------------------------------------------------------------------
@@ -123,11 +114,12 @@ def test_offer_rejects_a_label_outside_the_classes(label):
 
 
 def test_victim_only_nonzero_weight_class():
-    # C = (10, 1), beta=1: weights (0.9, 0) -> class 0 always evicted
+    # a full bank, C = (10, 1), beta=1: weights (0.9, 0) -> class 0 always
+    # evicted; a class-1 row is always accepted (C_1 = 1)
     for seed in range(20):
-        bank = filled_bank([10, 1], beta=1.0)
-        victim = evict(bank, RNG(seed))
-        assert bank.labels[victim] == 0
+        bank = filled_bank([10, 1], capacity=11, beta=1.0)
+        assert offer_one(bank, FEAT, 1, RNG(seed))
+        assert bank.evictions == 1 and bank.counts().tolist() == [9, 2]
 
 
 def test_offer_evicts_oldest_within_class():
@@ -242,11 +234,18 @@ def reference_get(bank, estimated, n, lam, rng):
 
 
 def churned_bank(counts, seed):
-    """filled_bank plus a few evict/re-insert rounds, so slots are out of position order."""
-    bank = filled_bank(counts, beta=1.0)
+    """A full filled_bank after a few evictions as `offer` makes them (`_victim` on
+    one uniform picks the class whose oldest slot goes), each slot rewritten at
+    once with a record of its victim's class: slots are out of position order,
+    and the counts are unchanged."""
+    bank = filled_bank(counts, capacity=sum(counts), beta=1.0)
     rng = RNG(seed)
+    fifo = bank._fifo
     for _ in range(sum(counts) // 2):
-        store(bank, FEAT, int(bank.labels[evict(bank, rng)]))
+        victim = bank._victim(list(map(len, fifo)), rng.random())
+        slot = fifo[victim].pop(0)
+        bank.features[slot] = FEAT
+        fifo[victim].append(slot)
     return bank
 
 
@@ -337,25 +336,24 @@ def boundary_uniforms(probs):
     return [m * 2.0**-53 for m in sorted(out)]
 
 
-def reference_victim(bank, rng):
+def reference_victim(sizes, beta, rng):
     """Straight-line victim draw: rng.choice over the renormalised eviction_distribution."""
-    counts = bank.counts()
-    probs = eviction_distribution(counts, bank.beta)
+    counts = np.array(sizes)
+    probs = eviction_distribution(counts, beta)
     support = np.flatnonzero(counts)
     return int(rng.choice(support, p=probs[support] / probs[support].sum()))
 
 
-def victim_probs(bank):
-    counts = bank.counts()
-    return eviction_distribution(counts, bank.beta)[counts > 0]
+def victim_probs(sizes, beta):
+    counts = np.array(sizes)
+    return eviction_distribution(counts, beta)[counts > 0]
 
 
-def assert_victim_matches_reference(bank, fast, slow):
-    """One eviction on `fast` against the reference draw on `slow`, a twin generator."""
-    want = reference_victim(bank, slow)
-    want_slot = int(bank._fifo[want][0])
-    slot = evict(bank, fast)
-    assert (int(bank.labels[slot]), slot) == (want, want_slot)
+def assert_victim_matches_reference(bank, sizes, fast, slow):
+    """`bank._victim` over the class sizes on `fast` against the reference draw
+    on `slow`, a twin generator. Returns the victim."""
+    want = reference_victim(sizes, bank.beta, slow)
+    assert bank._victim(sizes, fast.random()) == want
     return want
 
 
@@ -371,22 +369,24 @@ def random_counts(k, seed, high=20):
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
 @pytest.mark.parametrize("k", NUM_CLASSES)
 def test_victim_draws_equal_generator_choice(k, beta):
-    """Victim, freed slot and generator state equal rng.choice's: first along a
-    stream of evictions that drains the bank's counts, then at every CDF edge."""
+    """Victim and generator state equal rng.choice's: first along a stream of
+    victims, each taken off the class sizes, that drains them, then at every
+    CDF edge."""
     seed = 1000 * k + int(10 * beta)
     bank = filled_bank(random_counts(k, seed), beta=beta)
+    sizes = bank.counts().tolist()
     fast, slow = RNG(seed), RNG(seed)
-    for _ in range(min(len(bank), 120)):
-        assert_victim_matches_reference(bank, fast, slow)
+    for _ in range(min(sum(sizes), 120)):
+        sizes[assert_victim_matches_reference(bank, sizes, fast, slow)] -= 1
     assert fast.random() == slow.random()
 
-    if not len(bank):
+    if not any(sizes):
         bank = filled_bank(random_counts(k, seed + 1), beta=beta)
-    for u in boundary_uniforms(victim_probs(bank)):
+        sizes = bank.counts().tolist()
+    for u in boundary_uniforms(victim_probs(sizes, beta)):
         fast, slow = generator_drawing(u, seed), generator_drawing(u, seed)
-        victim = assert_victim_matches_reference(bank, fast, slow)
+        assert_victim_matches_reference(bank, sizes, fast, slow)
         assert fast.random() == slow.random()
-        store(bank, FEAT, victim)  # back to the same counts
 
 
 @pytest.mark.parametrize(
@@ -403,14 +403,13 @@ def test_victim_draws_equal_generator_choice(k, beta):
 def test_victim_fallback_draws_equal_generator_choice(counts, beta):
     """When every eviction weight vanishes the draw falls back to the counts. Most of
     these CDFs have edges a uniform can hit exactly, so ties are probed too."""
-    bank = filled_bank(list(counts), beta=beta)
-    probs = victim_probs(bank)
+    bank, sizes = filled_bank(list(counts), beta=beta), list(counts)
+    probs = victim_probs(sizes, beta)
     np.testing.assert_array_equal(probs, np.array([c for c in counts if c]) / sum(counts))
     for u in boundary_uniforms(probs):
         fast, slow = generator_drawing(u, 5), generator_drawing(u, 5)
-        victim = assert_victim_matches_reference(bank, fast, slow)
+        assert_victim_matches_reference(bank, sizes, fast, slow)
         assert fast.random() == slow.random()
-        store(bank, FEAT, victim)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, RANDOM_BETA])
@@ -462,7 +461,6 @@ def bank_state(bank):
     """Everything a later draw, get or offer can depend on."""
     return (
         [list(f) for f in bank._fifo],
-        list(bank._free),
         bank.features.tolist(),
         bank.labels.tolist(),
         bank.evictions,
@@ -600,7 +598,7 @@ def test_offer_victims_at_every_cdf_edge_equal_enqueue_each(beta, monkeypatch):
     recipe."""
     counts = [7, 1, 3, 12, 0, 2, 5, 1, 9]
     base = filled_bank(counts, capacity=sum(counts), beta=beta)
-    edges = boundary_uniforms(victim_probs(base))
+    edges = boundary_uniforms(victim_probs(counts, beta))
     exact = count_exact_victims(monkeypatch)
     for u in [*edges, 0.0, 1.0 - 2.0**-53]:
         bank, twin = copy.deepcopy(base), copy.deepcopy(base)
@@ -659,8 +657,9 @@ def test_counts_match_brute_force_recount_after_op_sequence():
         op = rng.random()
         if op < 0.7 or len(bank) == 0:
             offer_one(bank, FEAT, int(rng.integers(6)), rng)
-        elif op < 0.85:
-            evict(bank, rng)
+        elif op < 0.85:  # a few rows at once, evicting once the bank is full
+            n = int(rng.integers(2, 6))
+            bank.offer(np.zeros((n, 2)), rng.integers(6, size=n), rng)
         else:
             bank.get(np.maximum(rng.integers(1, 50, size=6), 1), 5, 1.0, rng)
         recount = np.zeros(6, dtype=int)
@@ -716,20 +715,43 @@ def test_capacity_never_exceeded_and_eviction_decrements(capacity, beta, ops, se
     bank = MemoryBank(capacity, 4, beta, 2)
     rng = RNG(seed)
     for label, kind in ops:
-        before = len(bank)
-        if kind == 0 or before == 0:
-            accepted = offer_one(bank, FEAT, label, rng)
-            if before >= capacity:
-                assert len(bank) == before if accepted else before
-            elif accepted:
-                assert len(bank) == before + 1
-        elif kind == 1:
-            evict(bank, rng)
-            assert len(bank) == before - 1
+        before, counts, evictions = len(bank), bank.counts(), bank.evictions
+        if kind < 2 or before == 0:  # kind + 1 rows of the class
+            accepted = bank.offer(np.zeros((kind + 1, 2)), np.full(kind + 1, label), rng)
+            evicted = bank.evictions - evictions
+            assert evicted == max(0, before + accepted - capacity)
+            assert len(bank) == before + accepted - evicted
+            counts[label] += accepted
+            lost = counts - bank.counts()
+            assert lost.min() >= 0 and lost.sum() == evicted  # each eviction decrements a class
         else:
             bank.get(np.ones(4), 3, 1.0, rng)
             assert len(bank) == before
         assert len(bank) <= capacity
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    beta=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+    offers=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), max_size=20),
+    seed=st.integers(0, 2**31),
+)
+def test_offer_fills_slots_in_order(capacity, beta, offers, seed):
+    """After every offer the classes hold exactly slots 0..len(bank)-1, each
+    once, every slot's label is its class, and offer returns the number of rows
+    that the per-record loop accepts."""
+    bank = MemoryBank(capacity, 4, beta, 1)
+    twin = copy.deepcopy(bank)
+    fast, slow = RNG(seed), RNG(seed)
+    for labels in offers:
+        features = np.arange(len(labels), dtype=np.float64)[:, None]
+        accepted = bank.offer(features, np.array(labels), fast)
+        assert accepted == enqueue_each(twin, features, labels, slow)
+        slots = sorted(slot for fifo in bank._fifo for slot in fifo)
+        assert slots == list(range(len(bank)))
+        for k, fifo in enumerate(bank._fifo):
+            assert bank.labels[fifo].tolist() == [k] * len(fifo)
 
 
 def test_acceptance_monotone_in_count_and_eviction_weight_monotone():

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import masked_ce, softmax_rowwise, weighted_masked_ce_rowwise
+from oracles import (
+    linear,
+    masked_ce,
+    mlp_forward,
+    numeric_grads,
+    softmax_rowwise,
+    weighted_masked_ce_rowwise,
+)
 
 from tailssl.cli import load_model, save_model
 from tailssl.errors import ConfigError, TrainingDivergedError
@@ -48,36 +55,6 @@ def stack_of_one(layer):
 # ---------------------------------------------------------------------------
 
 
-def oracle_mlp_forward(params, batch):
-    """Per-sample, per-unit loops: relu(x @ w + b) through every layer."""
-    out = []
-    for row in batch:
-        h = list(row)
-        for layer in params.encoder_layers:
-            z = []
-            for j in range(layer.w.shape[1]):
-                acc = layer.b[j]
-                for i in range(layer.w.shape[0]):
-                    acc += h[i] * layer.w[i, j]
-                z.append(max(acc, 0.0))
-            h = z
-        out.append(h)
-    return np.array(out)
-
-
-def oracle_head(head, features):
-    out = []
-    for row in features:
-        logits = []
-        for j in range(head.w.shape[1]):
-            acc = head.b[j]
-            for i in range(head.w.shape[0]):
-                acc += row[i] * head.w[i, j]
-            logits.append(acc)
-        out.append(logits)
-    return np.array(out)
-
-
 def oracle_ce(logits, targets, weights, mask, divisor):
     total = 0.0
     for i, row in enumerate(logits):
@@ -88,21 +65,6 @@ def oracle_ce(logits, targets, weights, mask, divisor):
         logp = (row[targets[i]] - m) - math.log(denom)
         total += -weights[i] * logp
     return total / divisor
-
-
-def numeric_grads(loss_fn, params, h=1e-5):
-    """Central finite differences over every parameter entry."""
-    grads = zeros_like_params(params)
-    flat, gf = params.flat, grads.flat
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = loss_fn()
-        flat[i] = orig - h
-        down = loss_fn()
-        flat[i] = orig
-        gf[i] = (up - down) / (2 * h)
-    return grads
 
 
 def assert_grads_close(analytic, numeric, rtol, atol=1e-8):
@@ -137,7 +99,7 @@ def test_encoder_matches_straight_line_oracle():
     params = tiny_params(d=5, hidden=(6, 4), k=3, seed=3)
     batch = RNG(4).normal(size=(3, 5))
     feats = encoder_forward(params, batch[None])[0][0]
-    np.testing.assert_allclose(feats, oracle_mlp_forward(params, batch), atol=1e-12)
+    np.testing.assert_allclose(feats, mlp_forward(params, batch), atol=1e-12)
 
 
 def test_encoder_rejects_wrong_input_dim():
@@ -167,7 +129,7 @@ def test_head_matches_straight_line_oracle():
     head = LinearLayer(RNG(7).normal(size=(4, 3)), RNG(8).normal(size=3))
     feats = RNG(9).normal(size=(5, 4))
     logits = head_forward(stack_of_one(head), feats[None])[0, 0]
-    np.testing.assert_allclose(logits, oracle_head(head, feats), atol=1e-12)
+    np.testing.assert_allclose(logits, linear(head, feats), atol=1e-12)
 
 
 def test_head_rejects_dim_mismatch():

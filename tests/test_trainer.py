@@ -323,7 +323,7 @@ def test_step_bookkeeping_equals_per_record_loop(memory_content, beta, start):
         before = copy.deepcopy(state)
         compute_step(state, lab_x, lab_y, unl_pos, unl_x)
         replay_bookkeeping(before, lab_x, unl_pos, unl_x)
-        for attr in ("_fifo", "_free", "evictions"):
+        for attr in ("_fifo", "evictions"):
             assert getattr(state.bank, attr) == getattr(before.bank, attr)
         np.testing.assert_array_equal(state.bank.features, before.bank.features)
         np.testing.assert_array_equal(state.bank.labels, before.bank.labels)
@@ -466,12 +466,15 @@ def test_aux_stopgrad_matches_fixmatch_encoder_gradients():
 
 
 def test_diverged_training_raises_with_step():
-    cfg = micro_cfg()
-    state = make_state(cfg)
-    state.params.heads[0].w[:] = np.nan
-    lab_x, lab_y, unl_pos, unl_x = micro_batches()
-    with pytest.raises(TrainingDivergedError):
-        train_step(state, lab_x, lab_y, unl_pos, unl_x)
+    """The message ends with the number of steps taken before the divergence."""
+    batches = micro_batches()
+    for good_steps in (0, 3):
+        state = make_state(micro_cfg())
+        for _ in range(good_steps):
+            train_step(state, *batches)
+        state.params.heads[0].w[:] = np.nan
+        with pytest.raises(TrainingDivergedError, match=f"^non-finite loss at step {good_steps}$"):
+            train_step(state, *batches)
 
 
 # ---------------------------------------------------------------------------
