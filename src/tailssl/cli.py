@@ -127,9 +127,9 @@ MANIFEST_SCHEMA = {
 
 def cmd_generate(args) -> int:
     cfg = cfgmod.load_run_config(args.config)
+    spec = cfgmod.build_dataset_spec(cfg)
     out_dir = args.out or _resolve_data_dir(cfg, args.config)
     os.makedirs(out_dir, exist_ok=True)
-    spec = cfgmod.build_dataset_spec(cfg)
     ds = generate_dataset(spec)
     paths = dataset_paths(out_dir)
     save_dataset(ds, paths["csv"], paths["oracle"])

@@ -15,6 +15,7 @@ stored next to run outputs.
 import copy
 import dataclasses
 import json
+import math
 import os
 
 from .data import AugmentConfig, DatasetSpec
@@ -120,8 +121,23 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# Python's json reads NaN, Infinity and -Infinity, which JSON does not have.
-_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_object(pairs: list) -> dict:
+    """An object of pairs, refusing a member that holds a number past the float
+    range, such as 1e400, which Python's json reads as inf."""
+    for key, value in pairs:
+        values = [value]
+        while values:
+            item = values.pop()
+            if isinstance(item, list):
+                values += item
+            elif isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{key} holds a number past the float range")
+    return dict(pairs)
+
+
+# Python's json reads NaN, Infinity and -Infinity, which JSON does not have, and
+# reads a number past the float range as an infinity.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_finite_object)
 
 
 def read_json(path, unreadable: str):
@@ -194,7 +210,10 @@ def load_sweep_config(path, env=None, use_env: bool = True) -> dict:
 
 
 def build_dataset_spec(cfg: dict) -> DatasetSpec:
-    return DatasetSpec(**cfg["dataset"])
+    try:
+        return DatasetSpec(**cfg["dataset"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_train_config(cfg: dict, seed: int) -> TrainConfig:

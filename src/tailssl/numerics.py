@@ -7,10 +7,14 @@ The state is arrays and a step counter alone (the EMA is a ModelParams, Adam
 keeps its two moments and a step count); every setting arrives as an argument.
 The backward passes return no gradient arrays: they add into views of a
 gradient buffer that the caller owns, so several loss terms can share one
-buffer, and the head backward leaves the gradient w.r.t. its features to the
-callers whose loss reaches the encoder. All operations are deterministic
-functions of their inputs; the test suite checks every gradient path against
-central finite differences.
+buffer. The head backward takes the features, the logits' gradient, the
+heads' gradient stack and one scale per block, and leaves the gradient w.r.t.
+its features to the callers whose loss reaches the encoder. The encoder's
+cache is its activations alone, the input and every layer's ReLU output, the
+last of which is the features; the encoder backward takes its ReLU mask from
+them, so callers must not write into the features before that pass. All
+operations are deterministic functions of their inputs; the test suite checks
+every gradient path against central finite differences.
 
 Row blocks and head stacks. Every pass takes its rows as blocks, (B, n, d),
 and every head is a stack of layers, w (H, d, K) and b (H, K); one block or
@@ -156,32 +160,24 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EncoderCache:
-    """Per-layer inputs and pre-activations, enough for an exact backward pass."""
-
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-
-
-def encoder_forward(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
+def encoder_forward(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """ReLU MLP forward of row blocks (B, n, D).
 
-    Returns (features, cache); features (B, n, d) = relu of the last layer.
+    Returns (features, cache); features (B, n, d) = relu of the last layer,
+    and cache = [input, h_1, ..., h_L] holds every layer's activation, so
+    cache[-1] is features itself. A backward pass reads the activations, so
+    callers must not write into the features before it.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3 or batch.shape[-1] != params.input_dim:
+    h = np.asarray(batch, dtype=np.float64)
+    if h.ndim != 3 or h.shape[-1] != params.input_dim:
         raise ValueError(
-            f"batch shape {batch.shape} is not row blocks of input dim {params.input_dim}"
+            f"batch shape {h.shape} is not row blocks of input dim {params.input_dim}"
         )
-    inputs, preacts = [], []
-    h = batch
+    cache = [h]
     for layer in params.encoder_layers:
-        inputs.append(h)
-        z = h @ layer.w + layer.b
-        preacts.append(z)
-        h = np.maximum(z, 0.0)
-    return h, EncoderCache(inputs, preacts)
+        h = np.maximum(h @ layer.w + layer.b, 0.0)
+        cache.append(h)
+    return h, cache
 
 
 def head_forward(heads: LinearLayer, features: np.ndarray) -> np.ndarray:
@@ -241,18 +237,18 @@ def weighted_masked_ce(
 
 
 def head_backward(
-    heads: LinearLayer, features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer,
-    scales: Sequence[float],
+    features: np.ndarray, dlogits: np.ndarray, grad: LinearLayer, scales: Sequence[float]
 ) -> None:
     """Add scales[j] times block j's gradients of the stacked heads into grad,
     blocks in order.
 
-    Shapes are those of `head_forward`; scales has one entry per block. The
-    gradient w.r.t. the features, dlogits @ heads.w.mT[:, None], is left to
-    the caller, which computes it only for features that the loss reaches
-    the encoder through.
+    features (B, n, d) and dlogits (H, B, n, K) are the input and the output
+    gradient of `head_forward`; grad is the (H, d, K) stack that receives the
+    heads' gradients, and scales has one entry per block. The gradient w.r.t.
+    the features, dlogits @ heads.w.mT[:, None], is left to the caller, which
+    computes it only for features that the loss reaches the encoder through.
     """
-    logits_shape = heads.w.shape[:1] + features.shape[:-1] + heads.w.shape[-1:]
+    logits_shape = grad.w.shape[:1] + features.shape[:-1] + grad.w.shape[-1:]
     if features.ndim != 3 or dlogits.shape != logits_shape:
         raise ValueError("dlogits shape does not match head output")
     _add_blocks(grad, features.mT @ dlogits, np.add.reduce(dlogits, axis=-2), scales)
@@ -273,24 +269,25 @@ def _add_blocks(
 
 
 def encoder_backward(
-    params: ModelParams, cache: EncoderCache, dfeatures: np.ndarray, grads: ModelParams
+    params: ModelParams, cache: list[np.ndarray], dfeatures: np.ndarray, grads: ModelParams
 ) -> None:
     """Backprop dfeatures through the cached encoder pass, adding each layer's
     gradients into grads.encoder_layers; exact ReLU subgradient at 0 is 0.
 
     dfeatures (B', n, d) covers the cached pass's first B' blocks, and each
-    layer adds their gradients in block order.
+    layer adds their gradients in block order. The ReLU mask is taken from
+    the activation: max(z, 0) > 0 exactly where z > 0, NaN and -0.0 included.
     """
-    if len(cache.inputs) != len(params.encoder_layers):
+    if len(cache) != len(params.encoder_layers) + 1:
         raise ValueError("cache does not match encoder depth")
     blocks = len(dfeatures)
-    if dfeatures.shape != cache.inputs[0][:blocks].shape[:-1] + (params.feature_dim,):
+    if dfeatures.shape != cache[0][:blocks].shape[:-1] + (params.feature_dim,):
         raise ValueError("dfeatures shape does not match cached forward pass")
     scales = [1.0] * blocks
     d = dfeatures
     for i in reversed(range(len(params.encoder_layers))):
-        dz = d * (cache.preacts[i][:blocks] > 0.0)
-        gw = cache.inputs[i][:blocks].mT @ dz
+        dz = d * (cache[i + 1][:blocks] > 0.0)
+        gw = cache[i][:blocks].mT @ dz
         _add_blocks(grads.encoder_layers[i], gw, np.add.reduce(dz, axis=-2), scales)
         if i > 0:
             d = dz @ params.encoder_layers[i].w.T
@@ -318,11 +315,12 @@ def adam_step(
 ) -> None:
     """Standard Adam with bias correction, in place. p -= lr * mhat / (sqrt(vhat) + eps).
 
-    A non-finite gradient raises before anything is updated.
+    A non-finite gradient raises before anything is updated, the step count
+    included, naming the count of steps taken.
     """
     g = grads.flat
     if not np.logical_and.reduce(np.isfinite(g)):
-        raise TrainingDivergedError("non-finite gradient in Adam step")
+        raise TrainingDivergedError(f"non-finite gradient in Adam step at step {state.step_count}")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - beta1**t

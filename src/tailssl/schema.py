@@ -141,18 +141,29 @@ def _as_json(value):
     return value.item() if hasattr(value, "item") else value
 
 
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def check_fields(obj) -> None:
     """Raise ValueError `<Class> field <name>: <message>` for the first field of the
     dataclass obj that breaks its schema (field_schemas), and store an integral float
     of an `int` field as an int (as_ints), so a value accepted here is one the code can use.
 
     NaN and the infinities break every field: JSON cannot write them, and a
-    bound compares false against NaN.
+    bound compares false against NaN. An int past the float range breaks a
+    `number` field, whose float arithmetic would overflow.
     """
     for name, schema in field_schemas(type(obj)).items():
         value = _as_json(getattr(obj, name))
         if isinstance(value, float) and not math.isfinite(value):
             errors = [((name,), f"{value!r} is not a JSON number")]
+        elif "number" in schema["type"] and _IS_TYPE["number"](value) and not _fits_float(value):
+            errors = [((name,), f"{value!r} is past the float range")]
         else:
             errors = schema_errors(value, schema, (name,))
         for path, message in errors:

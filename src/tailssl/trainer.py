@@ -144,14 +144,13 @@ class TrainState:
     cfg: TrainConfig
     params: ModelParams
     ema: ModelParams  # EMA of params; predict scores with it
-    adam: AdamState
+    adam: AdamState  # adam.step_count is the number of steps taken
     bank: MemoryBank
     ledger: PseudoLabelLedger
     labeled_class_counts: np.ndarray  # clamped >= 1, drives the labeled weights
     rngs: RngStreams
     grads: ModelParams  # compute_step's gradient buffer, cleared at the start of each step
     epoch: int = 0
-    step: int = 0
 
 
 def init_state(
@@ -293,9 +292,8 @@ def compute_step(
     n_ce = n_rows + len(rows)
     ce_logits = logits[:, :n_loss].reshape(n_rows, -1)
     if len(rows):
-        aux = p.heads[1:]
         mem_feats = state.bank.features[rows][None]  # one block, scored by the aux head alone
-        ce_logits = np.concatenate((ce_logits, head_forward(aux, mem_feats)[0, 0]))
+        ce_logits = np.concatenate((ce_logits, head_forward(p.heads[1:], mem_feats)[0, 0]))
         ce_targets[n_rows:] = state.bank.labels[rows]
         ce_coef[n_rows:] = 1.0 / len(rows)
     terms, dlogits = weighted_masked_ce(ce_logits, ce_targets[:n_ce], ce_coef[:n_ce])
@@ -307,7 +305,7 @@ def compute_step(
     # lambda_u, and the heads' dfeatures added in head order (the auxiliary
     # head's only when its gradient reaches the encoder)
     dlogits_blocks = dlogits[:n_rows].reshape(n_heads, n_loss, b, -1)
-    head_backward(heads, feats[:n_loss], dlogits_blocks, grads.heads[:n_heads],
+    head_backward(feats[:n_loss], dlogits_blocks, grads.heads[:n_heads],
                   [1.0, cfg.lambda_u][:n_loss])
     n_enc = 1 if cfg.aux_stopgrad else n_heads  # heads whose loss reaches the encoder
     dfeat = dlogits_blocks[:n_enc] @ heads.w[:n_enc].mT[:, None]
@@ -319,8 +317,7 @@ def compute_step(
     if len(rows):
         # the memory loss reaches only the auxiliary head: stored features are constants
         loss_mem = float(-np.add.reduce(terms[n_rows:]))
-        head_backward(aux, mem_feats, dlogits[None, None, n_rows:], grads.heads[1:],
-                      [cfg.lambda_m])
+        head_backward(mem_feats, dlogits[None, None, n_rows:], grads.heads[1:], [cfg.lambda_m])
 
     # (5) total loss per the two-branch decomposition
     loss_total = (
@@ -331,7 +328,7 @@ def compute_step(
         + cfg.lambda_m * loss_mem
     )
     if not np.isfinite(loss_total):
-        raise TrainingDivergedError(f"non-finite loss at step {state.step}")
+        raise TrainingDivergedError(f"non-finite loss at step {state.adam.step_count}")
     metrics = StepMetrics(
         loss_s_b=loss_s_b,
         loss_u_b=loss_u_b,
@@ -356,13 +353,9 @@ def train_step(
     each under the settings state.cfg holds when the step runs."""
     metrics, grads = compute_step(state, labeled_x, labeled_y, unlabeled_pos, unlabeled_x)
     cfg = state.cfg
-    try:
-        adam_step(state.params, grads, state.adam, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
-                  cfg.adam_eps)
-    except TrainingDivergedError as exc:
-        raise TrainingDivergedError(str(exc) + f" at step {state.step}") from None
+    adam_step(state.params, grads, state.adam, cfg.lr, cfg.adam_beta1, cfg.adam_beta2,
+              cfg.adam_eps)
     ema_update(state.ema, state.params, cfg.ema_decay)
-    state.step += 1
     return metrics
 
 

@@ -202,7 +202,7 @@ def test_criterion_2_gradient_suite():
 
             analytic = zeros_like_params(params)
             tgt = analytic.heads[:1] if head_name == "base" else analytic.heads[1:]
-            head_backward(head, feats, dlogits[None, None], tgt, [1.0])
+            head_backward(feats, dlogits[None, None], tgt, [1.0])
             encoder_backward(params, cache, dlogits[None] @ head.w[0].T, analytic)
             numeric = numeric_grads(loss_fn, params)
             np.testing.assert_allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-8)

@@ -20,7 +20,7 @@ from tailssl.data import DatasetSpec, generate_dataset
 from tailssl.trainer import TrainConfig, fit
 
 # mean calls per post-warmup train_step under calls_per_step's fixed run
-BUDGET = {"vanilla": 71, "fixmatch": 92, "bmb": 164}
+BUDGET = {"vanilla": 68, "fixmatch": 89, "bmb": 157}
 
 # the benchmark's dataset with a smaller test split; every train setting but
 # the mode, tau and the length of the run is TrainConfig's default. At tau

@@ -855,14 +855,17 @@ def test_corrupt_json_run_artefact_exits_2(workspace, capsys, command, damaged, 
         ("train", "train", "beta", "Infinity"),
         ("train", "augment", "weak_noise_sigma", "-Infinity"),
         ("sweep", "train", "tau", "NaN"),
+        ("generate", "dataset", "separation", "1e400"),
+        ("train", "train", "lambda_m", "-1e400"),
     ],
 )
 def test_non_finite_json_constant_in_a_config_exits_2(
     workspace, capsys, command, section, field, constant
 ):
-    """Python's json reads NaN and the infinities; a config file may not hold them.
-    Read leniently, a NaN separation wrote all-NaN features, a NaN lr read as
-    "training diverged" and an infinite beta trained."""
+    """Python's json reads NaN and the infinities, and reads a number past the
+    float range as an infinity; a config file may not hold them. Read leniently,
+    a NaN separation wrote all-NaN features, a NaN lr read as "training
+    diverged", an infinite beta trained and a 1e400 separation crashed."""
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
     cfg = tiny_config()
@@ -874,7 +877,61 @@ def test_non_finite_json_constant_in_a_config_exits_2(
     path.write_text(text)
     capsys.readouterr()
     assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 2
-    assert f"{path} is not valid JSON: {constant} is not a JSON number" in capsys.readouterr().err
+    reason = (f"{field} holds a number past the float range" if constant[-1].isdigit()
+              else f"{constant} is not a JSON number")
+    assert f"{path} is not valid JSON: {reason}" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_sweep_value_past_the_float_range_exits_2(workspace, capsys):
+    """Python's json reads 1e400 as inf, which the sweep wrote into its manifest
+    as Infinity, a run file the package's own reader refuses."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    path = tmp / "sweep.json"
+    path.write_text('{"parameter": "beta", "values": [0.5, 1e400], "base": "config.json"}')
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--out", str(tmp / "out")]) == 2
+    assert (f"error: {path} is not valid JSON: values holds a number past the float range"
+            in capsys.readouterr().err)
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, name, cls",
+    [
+        ("train", "train", "beta", "TrainConfig"),
+        ("train", "train", "lr", "TrainConfig"),
+        ("train", "train", "alpha", "TrainConfig"),
+        ("train", "train", "lambda_u", "TrainConfig"),
+        ("generate", "dataset", "gamma_l", "DatasetSpec"),
+    ],
+)
+def test_int_past_the_float_range_in_a_number_field_exits_2(
+    workspace, capsys, command, section, name, cls
+):
+    """An integer literal that no float holds crashed with OverflowError in the
+    first float arithmetic on it."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    cfg[section][name] = 10**400
+    path = tmp / "huge.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 2
+    assert (f"error: {cls} field {name}: {10**400!r} is past the float range"
+            in capsys.readouterr().err)
+    assert not (tmp / "out").exists()
+
+
+def test_env_override_past_the_float_range_exits_2(workspace, capsys, monkeypatch):
+    """A bare 1e400 from the environment reads as inf, which the dataset spec refuses."""
+    tmp, cfg_path = workspace
+    monkeypatch.setenv("TAILSSL_DATASET__SEPARATION", "1e400")
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp / "out")]) == 2
+    assert ("error: DatasetSpec field separation: inf is not a JSON number"
+            in capsys.readouterr().err)
     assert not (tmp / "out").exists()
 
 

@@ -704,7 +704,7 @@ def test_entropy_of_fewer_than_two_classes_raises():
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     capacity=st.integers(1, 12),
     beta=st.floats(0.0, 3.0, allow_nan=False),

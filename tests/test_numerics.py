@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _encode_backward,
     linear,
     masked_ce,
     mlp_forward,
@@ -155,7 +156,7 @@ def test_passes_reject_bare_rows_and_unstacked_heads():
         head_forward(params.heads[0], feats)
     grads = zeros_like_params(params)
     with pytest.raises(ValueError):
-        head_backward(params.heads, feats[0], np.zeros((2, 4, 2)), grads.heads, [1.0])
+        head_backward(feats[0], np.zeros((2, 4, 2)), grads.heads, [1.0])
     with pytest.raises(ValueError):
         encoder_backward(params, cache, np.zeros((4, params.feature_dim)), grads)
     assert np.all(grads.flat == 0)
@@ -320,7 +321,7 @@ def analytic_full_grads(params, batch, targets, weights, mask, head_name):
     _, dlogits = masked_ce(logits, targets, weights, mask, len(batch))
     grads = zeros_like_params(params)
     target = grads.heads[:1] if head_name == "base" else grads.heads[1:]
-    head_backward(head, feats, dlogits[None, None], target, [1.0])
+    head_backward(feats, dlogits[None, None], target, [1.0])
     encoder_backward(params, cache, dlogits[None] @ head.w[0].T, grads)
     return grads
 
@@ -360,8 +361,8 @@ def test_encoder_gradients_add_across_losses():
     _, d1 = masked_ce(head_forward(params.heads[:1], feats)[0, 0], t1, ones, mask, 4)
     _, d2 = masked_ce(head_forward(params.heads[1:], feats)[0, 0], t2, ones, mask, 4)
     scratch = zeros_like_params(params)
-    head_backward(params.heads[:1], feats, d1[None, None], scratch.heads[:1], [1.0])
-    head_backward(params.heads[1:], feats, d2[None, None], scratch.heads[1:], [1.0])
+    head_backward(feats, d1[None, None], scratch.heads[:1], [1.0])
+    head_backward(feats, d2[None, None], scratch.heads[1:], [1.0])
     df1, df2 = d1 @ params.heads.w[0].T, d2 @ params.heads.w[1].T
     joint = zeros_like_params(params)
     encoder_backward(params, cache, (df1 + df2)[None], joint)
@@ -379,8 +380,27 @@ def test_backward_rejects_mismatched_cache():
         )
 
 
+def test_encoder_backward_masks_by_activation_as_the_oracle_masks_by_preactivation():
+    """The cache keeps activations only: max(z, 0) > 0 exactly where z > 0, so
+    the backward pass gives the pre-activation oracle's bytes at +-0.0, NaN,
+    +-inf and subnormals, NaN gradients included."""
+    params = tiny_params(d=3, hidden=(4, 4), k=2, seed=32)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, -5e-324]
+    rng = RNG(33)
+    x = rng.normal(size=(6, 3))
+    preacts = [rng.permutation(np.resize(specials, 24)).reshape(6, 4) for _ in range(2)]
+    preacts[1][:, 0] = rng.normal(size=6)  # finite values too
+    dfeat = rng.normal(size=(6, 4))
+    acts = [np.maximum(z, 0.0) for z in preacts]
+    want, got = zeros_like_params(params), zeros_like_params(params)
+    with np.errstate(invalid="ignore"):
+        _encode_backward(params, ([x, acts[0]], preacts), dfeat, want)
+        encoder_backward(params, [a[None] for a in (x, *acts)], dfeat[None], got)
+    assert np.isnan(want.flat).any() and np.isinf(want.flat).any()
+    assert same_bytes(got.flat, want.flat)
+
+
 def test_head_backward_adds_scaled_gradients_into_the_buffer():
-    head = LinearLayer(RNG(22).normal(size=(4, 3)), RNG(23).normal(size=3))
     feats = RNG(24).normal(size=(5, 4))
     dlogits = RNG(25).normal(size=(5, 3))
     grad = LinearLayer(RNG(26).normal(size=(4, 3)), RNG(27).normal(size=3))
@@ -388,16 +408,12 @@ def test_head_backward_adds_scaled_gradients_into_the_buffer():
     for scale in (0.5, 2.0):
         want_w += scale * (feats.T @ dlogits)
         want_b += scale * dlogits.sum(axis=0)
-        returned = head_backward(
-            stack_of_one(head), feats[None], dlogits[None, None], stack_of_one(grad), [scale]
-        )
+        returned = head_backward(feats[None], dlogits[None, None], stack_of_one(grad), [scale])
         assert returned is None  # the features' gradient is the caller's to compute
     np.testing.assert_array_equal(grad.w, want_w)
     np.testing.assert_array_equal(grad.b, want_b)
     with pytest.raises(ValueError):
-        head_backward(
-            stack_of_one(head), feats[None], dlogits[None, None, :, :2], stack_of_one(grad), [1.0]
-        )
+        head_backward(feats[None], dlogits[None, None, :, :2], stack_of_one(grad), [1.0])
 
 
 def test_encoder_backward_adds_both_passes_into_one_buffer():

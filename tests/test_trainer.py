@@ -477,6 +477,28 @@ def test_diverged_training_raises_with_step():
             train_step(state, *batches)
 
 
+def test_non_finite_gradient_raises_with_adams_step_count():
+    """A finite loss whose gradient overflows stops the step in Adam, whose
+    message ends with the number of steps taken, and leaves the state as it was."""
+    batches = micro_batches()
+    for good_steps in (0, 3):
+        state = make_state(micro_cfg())
+        for _ in range(good_steps):
+            train_step(state, *batches)
+        # feature 0 of every row is tiny, and the heads read it with huge weights:
+        # the logits stay finite, their gradient w.r.t. the feature overflows
+        state.params.encoder_layers[-1].w[:, 0] = 0.0
+        state.params.encoder_layers[-1].b[0] = 1e-307
+        state.params.heads.w[:, 0] = [1e308, -1e308]
+        params, ema = state.params.flat.copy(), state.ema.flat.copy()
+        with pytest.raises(
+            TrainingDivergedError, match=f"^non-finite gradient in Adam step at step {good_steps}$"
+        ), np.errstate(over="ignore"):
+            train_step(state, *batches)
+        assert state.adam.step_count == good_steps
+        assert np.array_equal(state.params.flat, params) and np.array_equal(state.ema.flat, ema)
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -548,7 +570,7 @@ def test_fit_zero_epochs_returns_initial_state_and_empty_log():
     ds = tiny_dataset()
     state, log = fit(ds, tiny_fit_cfg(epochs=0))
     assert log == []
-    assert state.step == 0
+    assert state.adam.step_count == 0
 
 
 def test_fit_is_deterministic():
@@ -589,7 +611,7 @@ def test_fit_epoch_log_schema_and_monotone_epochs():
         for key in ("acc", "avg_class_recall", "group_acc", "bank_entropy", "mask_rate"):
             assert key in r
         assert set(r["group_acc"]) == {"many", "medium", "few"}
-    assert state.step == 15
+    assert state.adam.step_count == 15
 
 
 def test_fit_loss_mean_stays_finite_when_the_sum_overflows(monkeypatch):
