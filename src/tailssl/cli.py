@@ -348,7 +348,7 @@ def cmd_sweep(args) -> int:
         for seed in cell["seeds"]:
             run_dir = os.path.join(args.out, f"{parameter}-{value}", f"seed-{seed}")
             try:
-                head = _headline(run_training(cell, run_dir, seed, args.config))
+                head = _headline(run_training(cell, run_dir, seed, sweep["base_path"]))
             except (ConfigError, DatasetFormatError, TrainingDivergedError) as exc:
                 failures.append({"value": value, "seed": seed, "error": str(exc)})
                 continue

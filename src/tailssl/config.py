@@ -1,8 +1,9 @@
 """Run and sweep configuration: JSON files validated against a published schema.
 
 The schemas are Draft 2020-12 JSON Schema data, checked by the walker in
-`schema` (re-exported here). Config and run files are strict JSON: NaN and the
-infinities are rejected.
+`schema` (re-exported here). Config and run files are strict JSON: the literals NaN
+and Infinity are rejected, and a number past the float range, which reads as an
+infinity, fails its field's `number` type.
 
 A run config bundles the dataset spec, augmentation strengths, training
 hyperparameters, a name, and a seed list. Any field can be overridden from the
@@ -15,7 +16,6 @@ stored next to run outputs.
 import copy
 import dataclasses
 import json
-import math
 import os
 
 from .data import AugmentConfig, DatasetSpec
@@ -121,23 +121,8 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _finite_object(pairs: list) -> dict:
-    """An object of pairs, refusing a member that holds a number past the float
-    range, such as 1e400, which Python's json reads as inf."""
-    for key, value in pairs:
-        values = [value]
-        while values:
-            item = values.pop()
-            if isinstance(item, list):
-                values += item
-            elif isinstance(item, float) and not math.isfinite(item):
-                raise ValueError(f"{key} holds a number past the float range")
-    return dict(pairs)
-
-
-# Python's json reads NaN, Infinity and -Infinity, which JSON does not have, and
-# reads a number past the float range as an infinity.
-_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_finite_object)
+# Python's json reads NaN, Infinity and -Infinity, which JSON does not have.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def read_json(path, unreadable: str):
@@ -181,32 +166,32 @@ def validate_run_config(cfg: dict) -> dict:
     return check(_merge_defaults(cfg), RUN_SCHEMA, "config")
 
 
-def load_run_config(path, env=None, use_env: bool = True) -> dict:
+def load_run_config(path, use_env: bool = True) -> dict:
     raw = read_json(path, f"cannot read config {path}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be an object")
     if use_env:
-        raw = apply_env_overrides(raw, env)
+        raw = apply_env_overrides(raw)
     return validate_run_config(raw)
 
 
-def load_sweep_config(path, env=None, use_env: bool = True) -> dict:
-    """The sweep's parameter and values, and `cells`: one resolved run config per value,
-    the base with train[parameter] set to it."""
+def load_sweep_config(path) -> dict:
+    """The sweep's parameter and values; `cells`: one resolved run config per value, the
+    base with train[parameter] set to it; and `base_path`: the file a cell's relative
+    data_dir resolves against (the base file, or the sweep file for an inline base)."""
     raw = read_json(path, f"cannot read sweep config {path}")
     check(raw, SWEEP_SCHEMA, "sweep")
-    base = raw["base"]
+    base, base_path = raw["base"], path
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(os.fspath(path)), base)
-        base = load_run_config(base_path, env=env, use_env=use_env)
+        base = load_run_config(base_path)
     else:
-        if use_env:
-            base = apply_env_overrides(base, env)
-        base = validate_run_config(base)
+        base = validate_run_config(apply_env_overrides(base))
     parameter = raw["parameter"]
     cells = [validate_run_config({**base, "train": {**base["train"], parameter: value}})
              for value in raw["values"]]
-    return {"parameter": parameter, "values": raw["values"], "cells": cells}
+    return {"parameter": parameter, "values": raw["values"], "cells": cells,
+            "base_path": base_path}
 
 
 def build_dataset_spec(cfg: dict) -> DatasetSpec:

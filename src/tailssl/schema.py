@@ -1,6 +1,9 @@
 """A walker of the JSON Schema keywords in KEYWORDS (Draft 2020-12 semantics; any other
 keyword raises), and config dataclass fields that declare their bounds in those keywords:
 `config` builds the run schema from the declarations, and `check_fields` checks a dataclass.
+
+The walker's one difference from Draft 2020-12: a `number` is finite (RFC 8259), so
+NaN, the infinities and an int past the float range are not of type 'number'.
 """
 
 import dataclasses
@@ -19,13 +22,23 @@ KEYWORDS = {
 # numpy's largest dimension: the maximum of every field that sizes an array
 MAX_SIZE = 2**63 - 1
 
+
+def _is_number(v) -> bool:
+    """A JSON number: RFC 8259 numbers are finite, so NaN, the infinities and an int
+    past the float range (on which float arithmetic overflows) are not."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": _is_number,
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
     or (isinstance(v, float) and v.is_integer()),
 }
@@ -58,7 +71,7 @@ def schema_errors(value, schema: dict, path: tuple = ()):
         value == e and isinstance(value, bool) == isinstance(e, bool) for e in schema["enum"]
     ):
         yield path, f"{value!r} is not one of {schema['enum']!r}"
-    if _IS_TYPE["number"](value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         for keyword, fails, words in _BOUNDS:
             if keyword in schema and fails(value, schema[keyword]):
                 yield path, f"{value!r} is {words} {schema[keyword]!r}"
@@ -141,32 +154,13 @@ def _as_json(value):
     return value.item() if hasattr(value, "item") else value
 
 
-def _fits_float(value) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
 def check_fields(obj) -> None:
     """Raise ValueError `<Class> field <name>: <message>` for the first field of the
     dataclass obj that breaks its schema (field_schemas), and store an integral float
-    of an `int` field as an int (as_ints), so a value accepted here is one the code can use.
-
-    NaN and the infinities break every field: JSON cannot write them, and a
-    bound compares false against NaN. An int past the float range breaks a
-    `number` field, whose float arithmetic would overflow.
-    """
+    of an `int` field as an int (as_ints), so a value accepted here is one the code can use."""
     for name, schema in field_schemas(type(obj)).items():
         value = _as_json(getattr(obj, name))
-        if isinstance(value, float) and not math.isfinite(value):
-            errors = [((name,), f"{value!r} is not a JSON number")]
-        elif "number" in schema["type"] and _IS_TYPE["number"](value) and not _fits_float(value):
-            errors = [((name,), f"{value!r} is past the float range")]
-        else:
-            errors = schema_errors(value, schema, (name,))
-        for path, message in errors:
+        for path, message in schema_errors(value, schema, (name,)):
             raise ValueError(f"{type(obj).__name__} field {'/'.join(map(str, path))}: {message}")
         fixed = as_ints(value, schema)
         if fixed is not value:  # an int for a float, or an array; the dataclasses are frozen

@@ -19,6 +19,7 @@ from tailssl.cli import MANIFEST_SCHEMA, REPORT_SCHEMA, main
 from tailssl.config import (
     RESOLVED_SCHEMA,
     RUN_SCHEMA,
+    SECTIONS,
     SWEEP_SCHEMA,
     apply_env_overrides,
     config_hash,
@@ -28,6 +29,7 @@ from tailssl.config import (
 )
 from tailssl.data import load_dataset, longtail_counts
 from tailssl.errors import ConfigError
+from tailssl.numerics import encoder_forward
 
 
 def tiny_config(**train_overrides):
@@ -696,6 +698,23 @@ def test_sweep_records_cells_whose_mode_needs_missing_unlabeled_rows(workspace, 
         assert [r["param_value"] for r in csv.DictReader(fh)] == ["vanilla", "vanilla"]
 
 
+def test_sweep_with_a_path_base_reads_the_dataset_beside_the_base_file(workspace):
+    """A path base's data_dir resolves against the base file, as under `generate
+    --config <base>` and `train --config <base>`; an inline base's against the sweep file."""
+    tmp, _ = workspace
+    base = tiny_config(epochs=1, iters_per_epoch=2)
+    base["seeds"] = [0]
+    (tmp / "sub").mkdir()
+    (tmp / "sub" / "base.json").write_text(json.dumps(base))
+    assert main(["generate", "--config", str(tmp / "sub" / "base.json")]) == 0
+    assert not (tmp / "data").exists()
+    sweep_path = tmp / "sweep.json"
+    sweep_path.write_text(json.dumps({"parameter": "beta", "values": [1.0], "base": "sub/base.json"}))
+    assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 0
+    resolved = json.loads(read(tmp / "sw" / "beta-1.0" / "seed-0" / "config.resolved.json"))
+    assert resolved["data_dir_resolved"] == str(tmp / "sub" / "data")
+
+
 def test_sweep_rejects_invalid_value(workspace):
     tmp, cfg_path = workspace
     sweep = {"parameter": "mode", "values": ["bogus"], "base": tiny_config()}
@@ -772,6 +791,27 @@ def test_export_embeddings_shape_and_ids(workspace):
     assert len(body) == 3 * 6  # test split size
     ds = load_dataset(tmp / "data" / "dataset.csv", num_classes=3)
     assert sorted(int(r[0]) for r in body) == sorted(ds.test.ids.tolist())
+
+
+def test_export_embeddings_raw_params_writes_the_raw_encoders_features(workspace):
+    """The default output holds the EMA encoder's features and --raw-params the raw
+    encoder's, for the same ids and labels."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    run = ["export-embeddings", "--run", str(tmp / "run"), "--out"]
+    assert main([*run, str(tmp / "ema.csv")]) == 0
+    assert main([*run, str(tmp / "raw.csv"), "--raw-params"]) == 0
+    params, ema = cli.load_model(tmp / "run" / "model.npz", [8, 4], 4, 3)
+    test = load_dataset(tmp / "data" / "dataset.csv", num_classes=3).test
+    tables = {}
+    for name, model in (("ema", ema), ("raw", params)):
+        with open(tmp / f"{name}.csv") as fh:
+            body = list(csv.reader(fh))[1:]
+        assert [(int(r[0]), int(r[1])) for r in body] == list(zip(test.ids.tolist(), test.y.tolist()))
+        tables[name] = np.array([[float(v) for v in r[2:]] for r in body])
+        np.testing.assert_array_equal(tables[name], encoder_forward(model, test.x[None])[0][0])
+    assert not np.array_equal(tables["ema"], tables["raw"])
 
 
 @pytest.mark.parametrize(
@@ -877,23 +917,23 @@ def test_non_finite_json_constant_in_a_config_exits_2(
     path.write_text(text)
     capsys.readouterr()
     assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 2
-    reason = (f"{field} holds a number past the float range" if constant[-1].isdigit()
-              else f"{constant} is not a JSON number")
-    assert f"{path} is not valid JSON: {reason}" in capsys.readouterr().err
+    reason = (f"config field {section}/{field}: {float(constant)!r} is not of type 'number'"
+              if constant[-1].isdigit() else f"{path} is not valid JSON: {constant} is not a JSON number")
+    assert reason in capsys.readouterr().err
     assert not (tmp / "out").exists()
 
 
 def test_sweep_value_past_the_float_range_exits_2(workspace, capsys):
     """Python's json reads 1e400 as inf, which the sweep wrote into its manifest
-    as Infinity, a run file the package's own reader refuses."""
+    as Infinity, a run file the package's own reader refuses; the cell's config
+    refuses it before anything is written."""
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
     path = tmp / "sweep.json"
     path.write_text('{"parameter": "beta", "values": [0.5, 1e400], "base": "config.json"}')
     capsys.readouterr()
     assert main(["sweep", "--config", str(path), "--out", str(tmp / "out")]) == 2
-    assert (f"error: {path} is not valid JSON: values holds a number past the float range"
-            in capsys.readouterr().err)
+    assert "error: config field train/beta: inf is not of type 'number'" in capsys.readouterr().err
     assert not (tmp / "out").exists()
 
 
@@ -911,7 +951,7 @@ def test_int_past_the_float_range_in_a_number_field_exits_2(
     workspace, capsys, command, section, name, cls
 ):
     """An integer literal that no float holds crashed with OverflowError in the
-    first float arithmetic on it."""
+    first float arithmetic on it; the run schema and the field's dataclass refuse it."""
     tmp, cfg_path = workspace
     main(["generate", "--config", str(cfg_path)])
     cfg = tiny_config()
@@ -920,19 +960,41 @@ def test_int_past_the_float_range_in_a_number_field_exits_2(
     path.write_text(json.dumps(cfg))
     capsys.readouterr()
     assert main([command, "--config", str(path), "--out", str(tmp / "out")]) == 2
-    assert (f"error: {cls} field {name}: {10**400!r} is past the float range"
+    assert (f"error: config field {section}/{name}: {10**400!r} is not of type 'number'"
             in capsys.readouterr().err)
     assert not (tmp / "out").exists()
+    assert SECTIONS[section].__name__ == cls
+    with pytest.raises(ValueError, match=f"^{cls} field {name}: {10**400!r} is not of type "):
+        SECTIONS[section](**cfg[section])
 
 
 def test_env_override_past_the_float_range_exits_2(workspace, capsys, monkeypatch):
-    """A bare 1e400 from the environment reads as inf, which the dataset spec refuses."""
+    """A bare 1e400 from the environment reads as inf, which the run schema refuses."""
     tmp, cfg_path = workspace
     monkeypatch.setenv("TAILSSL_DATASET__SEPARATION", "1e400")
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp / "out")]) == 2
-    assert ("error: DatasetSpec field separation: inf is not a JSON number"
+    assert ("error: config field dataset/separation: inf is not of type 'number'"
             in capsys.readouterr().err)
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("base", ["config.json", "inline"])
+def test_env_override_past_the_float_range_refuses_a_sweep_before_its_cells(
+    workspace, capsys, monkeypatch, base
+):
+    """The run schema refuses the override when the sweep loads, so no cell runs and
+    no output directory is made; a sweep whose every cell failed exited 4."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    sweep_path = tmp / "sweep.json"
+    base = tiny_config() if base == "inline" else base
+    sweep_path.write_text(json.dumps({"parameter": "beta", "values": [0.5], "base": base}))
+    monkeypatch.setenv("TAILSSL_TRAIN__LAMBDA_M", "1e400")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 2
+    assert ("error: config field train/lambda_m: inf is not of type 'number'"
+            in capsys.readouterr().err)
+    assert not (tmp / "sw").exists()
 
 
 def test_env_override_spelled_nan_fails_the_type_check(workspace, capsys, monkeypatch):
@@ -1311,6 +1373,20 @@ def test_resolved_config_hash_is_pinned(path, digest):
     # Catches a drifted default, or an integer default that became a float.
     root = Path(__file__).resolve().parent.parent
     assert config_hash(load_run_config(root / path, use_env=False)) == digest
+
+
+def test_shipped_sweep_config_resolves_to_its_cells(monkeypatch):
+    """configs/sweep_beta.json loads under the current schema: one cell per beta, each
+    the quickstart config with that beta."""
+    for key in list(os.environ):
+        if key.startswith("TAILSSL_"):
+            monkeypatch.delenv(key)
+    root = Path(__file__).resolve().parent.parent
+    sweep = load_sweep_config(root / "configs" / "sweep_beta.json")
+    base = load_run_config(root / "configs" / "quickstart.json")
+    assert (sweep["parameter"], sweep["values"]) == ("beta", [0.0, 1.0, 3.0])
+    assert sweep["cells"] == [{**base, "train": {**base["train"], "beta": v}} for v in (0.0, 1.0, 3.0)]
+    assert Path(sweep["base_path"]) == root / "configs" / "quickstart.json"
 
 
 def test_all_defaults_config_hash_is_pinned():

@@ -450,7 +450,7 @@ def test_constructor_message_names_the_class_and_the_field():
     with pytest.raises(ValueError, match="^TrainConfig field hidden_sizes/1: 0 is less than "):
         TrainConfig(hidden_sizes=(8, 0))
     with pytest.raises(ValueError, match="^AugmentConfig field strong_dropout_prob: nan is not "
-                                         "a JSON number$"):
+                                         "of type 'number'$"):
         AugmentConfig(strong_dropout_prob=math.nan)
     with pytest.raises(ValueError, match="^DatasetSpec field sample_seed: -1 is less than"):
         DatasetSpec(num_classes=3, feature_dim=4, n1=5, m1=5, sample_seed=-1)
@@ -478,6 +478,10 @@ def test_schema_and_constructor_reject_a_value_of_the_wrong_json_type(fields):
     assert not constructs("train", fields)
 
 
+# Python numbers that RFC 8259 does not have: Python's json reads 1e400 as inf.
+NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+
+
 @st.composite
 def field_values(draw):
     """A bounded field and a value of its JSON type, often near or past a bound."""
@@ -487,7 +491,7 @@ def field_values(draw):
     elif json_type == "number":
         near = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-math.inf, math.inf]))
         value = draw(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
-                     | near.map(lambda pair: math.nextafter(*pair)))
+                     | near.map(lambda pair: math.nextafter(*pair)) | st.sampled_from(NOT_FINITE))
     elif json_type == "string":
         value = draw(st.sampled_from([*metadata["enum"], "x"]))
     else:
@@ -500,3 +504,37 @@ def field_values(draw):
 def test_schema_and_constructor_agree_on_any_value(case):
     section, fields = case
     assert validates(section, fields) == constructs(section, fields)
+
+
+# ---------------------------------------------------------------------------
+# the walker's one difference from Draft 2020-12: a number is finite
+# ---------------------------------------------------------------------------
+
+def types_of(node):
+    types = node.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+NUMERIC_NODES = list({repr(node): node for schema in SCHEMAS.values() for node in subschemas(schema)
+                      if {"number", "integer"} & set(types_of(node))}.values())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(node=st.sampled_from([{"type": "number"}, *NUMERIC_NODES]),
+       value=st.sampled_from(NOT_FINITE) | st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-(2**1000), 2**1000) | st.integers(-3, 3) | st.booleans() | st.none()
+       | st.text(max_size=2))
+def test_walker_refuses_exactly_the_non_finite_numbers_at_a_number_node(node, value):
+    """Where jsonschema's validator accepts NaN, an infinity or an int past the float
+    range at a `number` node, the walker refuses it as not of type 'number'; on every
+    other value, and at every `integer` node, the two agree."""
+    got = list(schema_errors(value, node))
+    if "number" in types_of(node) and any(value is v or value == v for v in NOT_FINITE):
+        assert got == [((), f"{value!r} is not of type {', '.join(map(repr, types_of(node)))}")]
+        assert jsonschema.Draft202012Validator({"type": "number"}).is_valid(value)
+    else:  # as in test_checker_agrees_with_jsonschema
+        want = {(tuple(e.absolute_path), e.message)
+                for e in jsonschema.Draft202012Validator(node).iter_errors(value)}
+        assert bool(got) == bool(want)
+        if got:
+            assert got[0] in want
