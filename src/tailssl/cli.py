@@ -28,9 +28,6 @@ from .util import canonical_json, sha256_file
 JSONL_KEYS = ("epoch", "acc", "avg_class_recall", "group_acc", "bank_entropy", "mask_rate")
 FINAL_KEYS = ("acc", "avg_class_recall", "group_acc", "per_class_recall", "confusion",
               "bank_entropy", "mask_rate", "estimation_error")
-# _headline's columns: the trailing-window means, then the final bank entropy
-HEADLINE_KEYS = ("top1", "avg_class_recall", "many_acc", "medium_acc", "few_acc", "bank_entropy")
-AGGREGATE_KEYS = tuple(k for k in HEADLINE_KEYS if k not in ("many_acc", "medium_acc"))
 LAST_K_EPOCHS = 20  # headline metrics average the last 20 epoch evaluations
 
 
@@ -108,21 +105,22 @@ def _resolve_data_dir(cfg: dict, config_path: str) -> str:
     return data_dir
 
 
+def _record(properties: dict, nullable=False) -> dict:
+    """The schema of a JSON object (or null, if nullable) that requires every field it declares."""
+    return {"type": ["object", "null"] if nullable else "object", "required": list(properties),
+            "properties": properties}
+
+
 _COUNTS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 
 # The manifest.json that cmd_generate writes last, once the dataset files are complete.
-MANIFEST_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["dataset", "labeled_counts", "true_unlabeled_counts", "rows", "dataset_sha256"],
-    "properties": {
-        "dataset": cfgmod.RESOLVED_SCHEMA["properties"]["dataset"],
-        "labeled_counts": _COUNTS,
-        "true_unlabeled_counts": _COUNTS,
-        "rows": {"type": "integer", "minimum": 0},
-        "dataset_sha256": {"type": "string"},
-    },
-}
+MANIFEST_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema", **_record({
+    "dataset": cfgmod.RESOLVED_SCHEMA["properties"]["dataset"],
+    "labeled_counts": _COUNTS,
+    "true_unlabeled_counts": _COUNTS,
+    "rows": {"type": "integer", "minimum": 0},
+    "dataset_sha256": {"type": "string"},
+})}
 
 
 def cmd_generate(args) -> int:
@@ -290,9 +288,19 @@ def _headline(report: dict) -> dict:
     none (no epochs, or no test rows), which csv writes as an empty cell."""
     mean = report["last20_mean"] or {"group_acc": {}}
     groups = mean["group_acc"]
-    values = (mean.get("top1"), mean.get("avg_class_recall"), groups.get("many"),
-              groups.get("medium"), groups.get("few"), (report["final"] or {}).get("bank_entropy"))
-    return dict(zip(HEADLINE_KEYS, values))
+    return {
+        "top1": mean.get("top1"),
+        "avg_class_recall": mean.get("avg_class_recall"),
+        "many_acc": groups.get("many"),
+        "medium_acc": groups.get("medium"),
+        "few_acc": groups.get("few"),
+        "bank_entropy": (report["final"] or {}).get("bank_entropy"),
+    }
+
+
+# The report tables' headline columns, named once in _headline; the sweep aggregates a subset
+HEADLINE_KEYS = tuple(_headline({"last20_mean": None, "final": None}))
+AGGREGATE_KEYS = tuple(k for k in HEADLINE_KEYS if k not in ("many_acc", "medium_acc"))
 
 
 def save_model(path, params: ModelParams, ema_params: ModelParams) -> None:
@@ -373,38 +381,21 @@ def cmd_sweep(args) -> int:
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
 
 # The fields of a build_report dict that `report` reads.
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["name", "seed", "mode", "dataset_hash", "final", "last20_mean"],
-    "properties": {
-        "name": {"type": "string"},
-        "seed": {"type": "integer"},
-        "mode": {"type": "string"},
-        "dataset_hash": {"type": "string"},
-        "final": {
-            "type": ["object", "null"],
-            "required": ["per_class_recall", "bank_entropy"],
-            "properties": {
-                "per_class_recall": {"type": "array", "items": _NUMBER_OR_NULL},
-                "bank_entropy": _NUMBER_OR_NULL,
-            },
-        },
-        "last20_mean": {
-            "type": ["object", "null"],
-            "required": ["top1", "avg_class_recall", "group_acc"],
-            "properties": {
-                "top1": _NUMBER_OR_NULL,
-                "avg_class_recall": _NUMBER_OR_NULL,
-                "group_acc": {
-                    "type": "object",
-                    "required": list(GROUPS),
-                    "properties": {g: _NUMBER_OR_NULL for g in GROUPS},
-                },
-            },
-        },
-    },
-}
+REPORT_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema", **_record({
+    "name": {"type": "string"},
+    "seed": {"type": "integer"},
+    "mode": {"type": "string"},
+    "dataset_hash": {"type": "string"},
+    "final": _record({
+        "per_class_recall": {"type": "array", "items": _NUMBER_OR_NULL},
+        "bank_entropy": _NUMBER_OR_NULL,
+    }, nullable=True),
+    "last20_mean": _record({
+        "top1": _NUMBER_OR_NULL,
+        "avg_class_recall": _NUMBER_OR_NULL,
+        "group_acc": _record({g: _NUMBER_OR_NULL for g in GROUPS}),
+    }, nullable=True),
+})}
 
 
 def _read_run_file(path: str, schema: dict, kind: str, unreadable: str) -> dict:
@@ -478,7 +469,11 @@ def cmd_export_embeddings(args) -> int:
         resolved_path, cfgmod.RESOLVED_SCHEMA, "resolved config",
         f"{args.run}: not a finished run directory",
     )
-    ds, _ = _load_configured_dataset(cfg, dataset_paths(cfg["data_dir_resolved"]))
+    paths = dataset_paths(cfg["data_dir_resolved"])
+    ds, dataset_hash = _load_configured_dataset(cfg, paths)
+    if dataset_hash != cfg["dataset_hash"]:
+        raise ConfigError(f"{paths['csv']}: hash {dataset_hash} differs from the run's "
+                          f"dataset_hash {cfg['dataset_hash']}")
     params, ema = load_model(
         os.path.join(args.run, "model.npz"),
         cfg["train"]["hidden_sizes"],

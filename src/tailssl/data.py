@@ -319,8 +319,7 @@ def _parse(lines, dtype: np.dtype) -> np.ndarray:
 
     Fields may be quoted and padded with whitespace; empty lines are skipped.
     A field that does not convert raises ValueError, and so does any warning
-    numpy gives on the way: numpy 1.x reads an integer written as a float
-    (`1.0`) with only a DeprecationWarning, and an input with no rows warns.
+    numpy gives on the way, such as the one for an input with no rows.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -597,6 +597,30 @@ def test_train_empty_test_split_prints_n_a(workspace, capsys):
     assert "top1=n/a avg_recall=n/a" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("present", ["final", "last20_mean"])
+def test_report_fills_the_headline_cells_of_the_one_section_present(workspace, capsys, present):
+    """A report.json whose final or last20_mean alone is null: the accuracy table
+    leaves that section's cells empty and fills the other's."""
+    tmp, cfg_path = workspace
+    cfg_path.write_text(json.dumps(tiny_config(tau=0.3)))  # tau 0.3 fills the bank: a bank_entropy
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    report = json.loads(read(tmp / "run" / "report.json"))
+    absent = "last20_mean" if present == "final" else "final"
+    _set_field(tmp / "run" / "report.json", absent, None)
+    capsys.readouterr()
+    assert main(["report", "--runs", str(tmp / "run"), "--out", str(tmp / "rep")]) == 0
+    with open(tmp / "rep" / "accuracy_table.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    mean, groups = report["last20_mean"], report["last20_mean"]["group_acc"]
+    cells = {"final": {"bank_entropy": report["final"]["bank_entropy"]},
+             "last20_mean": {"top1": mean["top1"], "avg_class_recall": mean["avg_class_recall"],
+                             **{f"{g}_acc": groups[g] for g in ("many", "medium", "few")}}}
+    assert {k: float(row[k]) for k in cells[present]} == cells[present]
+    assert {row[k] for k in cells[absent]} == {""}
+    assert set(cells["final"]) | set(cells["last20_mean"]) == set(cli.HEADLINE_KEYS)
+
+
 def test_train_balanced_dataset_writes_strict_jsonl(workspace):
     tmp, _ = workspace
     cfg = tiny_config()
@@ -812,6 +836,29 @@ def test_export_embeddings_raw_params_writes_the_raw_encoders_features(workspace
         tables[name] = np.array([[float(v) for v in r[2:]] for r in body])
         np.testing.assert_array_equal(tables[name], encoder_forward(model, test.x[None])[0][0])
     assert not np.array_equal(tables["ema"], tables["raw"])
+
+
+def test_export_embeddings_refuses_a_dataset_regenerated_since_training(workspace, capsys):
+    """A dataset regenerated with another sample_seed in the run's data_dir no longer
+    hashes to the run's dataset_hash; exporting its embeddings used to exit 0."""
+    tmp, cfg_path = workspace
+    cfg = tiny_config()
+    cfg["dataset"]["sample_seed"] = 1
+    cfg_path.write_text(json.dumps(cfg))
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    cfg["dataset"]["sample_seed"] = 99
+    cfg_path.write_text(json.dumps(cfg))
+    main(["generate", "--config", str(cfg_path)])
+    trained = json.loads(read(tmp / "run" / "config.resolved.json"))["dataset_hash"]
+    current = hashlib.sha256((tmp / "data" / "dataset.csv").read_bytes()).hexdigest()
+    assert trained != current
+    capsys.readouterr()
+    out = tmp / "emb.csv"
+    assert main(["export-embeddings", "--run", str(tmp / "run"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset.csv: hash {current} differs from the run's dataset_hash {trained}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1082,6 +1129,52 @@ def test_run_file_without_a_resolved_key_exits_2(workspace, capsys):
     assert "config.resolved.json: resolved config field train: 'alpha' is a required property" in err
 
 
+def required_fields(schema, path=()):
+    """(path, key) for each field that an object of schema, or of its properties, requires."""
+    for key in schema.get("required", ()):
+        yield path, key
+    for key, subschema in schema.get("properties", {}).items():
+        yield from required_fields(subschema, (*path, key))
+
+
+@pytest.mark.parametrize(
+    "command, damaged, kind, path, key",
+    [
+        pytest.param(command, damaged, kind, path, key, id=f"{command}-{'/'.join((*path, key))}")
+        for command, damaged, kind, schema in (
+            ("report", "run/report.json", "report", REPORT_SCHEMA),
+            ("train", "data/manifest.json", "dataset manifest", MANIFEST_SCHEMA),
+        )
+        for path, key in required_fields(schema)
+    ],
+)
+def test_run_file_without_a_required_field_exits_2(
+    workspace, capsys, command, damaged, kind, path, key
+):
+    """Every field the schemas require, deleted from a freshly written file, is named.
+    The cases come from the schemas, so a field declared later is covered too."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")])
+    data = json.loads(read(tmp / damaged))
+    node = data
+    for part in path:
+        node = node[part]
+    del node[key]
+    (tmp / damaged).write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp / "out"
+    argv = {
+        "report": ["--runs", str(tmp / "run"), "--out", str(out)],
+        "train": ["--config", str(cfg_path), "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    where = "/".join(path) or "<root>"
+    err = capsys.readouterr().err
+    assert f"{damaged}: {kind} field {where}: {key!r} is a required property" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "export-embeddings"])
 def test_dataset_feature_columns_unlike_the_config_exit_2(workspace, capsys, command):
     """A dataset CSV with a feature column dropped no longer fits feature_dim 4."""
@@ -1341,6 +1434,15 @@ def test_every_output_file_is_pinned(workspace, capsys, test_per_class):
     cfg["dataset"]["test_per_class"] = test_per_class
     digests = _output_digests(_run_every_command(tmp, cfg))
     assert digests == OUTPUT_DIGESTS[test_per_class]
+
+
+def test_readme_documents_the_run_file_columns():
+    """The README's epochs.jsonl keys and aggregate.csv header are the ones cli writes."""
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    epochs = readme.split("`epochs.jsonl` (per-epoch `{", 1)[1].split("}`", 1)[0]
+    assert tuple(key.strip('"') for key in epochs.split(",")) == cli.JSONL_KEYS
+    aggregate = readme.split("aggregates `", 1)[1].split("`", 1)[0]
+    assert tuple(aggregate.split(",")) == ("param_value", "seed", *cli.AGGREGATE_KEYS)
 
 
 # ---------------------------------------------------------------------------
