@@ -154,7 +154,7 @@ def _load_configured_dataset(cfg: dict, paths: dict[str, str]):
         if not os.path.exists(paths[key]):
             raise ConfigError(f"dataset file missing: {paths[key]} (run `tailssl generate` first)")
     # generate writes the manifest last, so a manifest that checks marks a finished dataset
-    _read_run_file(
+    manifest = _read_run_file(
         paths["manifest"], MANIFEST_SCHEMA, "dataset manifest", f"cannot read {paths['manifest']}"
     )
     oracle = paths["oracle"] if os.path.exists(paths["oracle"]) else None
@@ -165,20 +165,27 @@ def _load_configured_dataset(cfg: dict, paths: dict[str, str]):
             f"{paths['csv']}: {d} feature columns, the config has feature_dim "
             f"{cfg['dataset']['feature_dim']}"
         )
-    return ds, sha256_file(paths["csv"])
+    return ds, sha256_file(paths["csv"]), manifest
 
 
 def run_training(cfg: dict, run_dir: str, seed: int, config_path: str) -> dict:
     """Train one seed of a resolved config into run_dir; returns the report dict."""
     data_dir = _resolve_data_dir(cfg, config_path)
     paths = dataset_paths(data_dir)
-    ds, dataset_hash = _load_configured_dataset(cfg, paths)
+    ds, dataset_hash, manifest = _load_configured_dataset(cfg, paths)
     train_cfg = cfgmod.build_train_config(cfg, seed)
     csv_path = paths["csv"]
     if len(ds.labeled) == 0:
         raise ConfigError(f"{csv_path}: no labeled train rows; training needs at least one")
     if train_cfg.mode in ("fixmatch", "bmb") and len(ds.unlabeled) == 0:
         raise ConfigError(f"{csv_path}: no unlabeled train rows; mode {train_cfg.mode} needs some")
+    for key, generated in manifest["dataset"].items():  # the same fields, in sorted order
+        if cfg["dataset"][key] != generated:
+            raise ConfigError(f"{paths['manifest']}: generated with dataset {key} {generated}, "
+                              f"the config has {cfg['dataset'][key]}")
+    if dataset_hash != manifest["dataset_sha256"]:
+        raise ConfigError(f"{csv_path}: hash {dataset_hash} differs from manifest.json's "
+                          f"dataset_sha256 {manifest['dataset_sha256']}")
     os.makedirs(run_dir, exist_ok=True)
 
     state, log = fit(ds, train_cfg)
@@ -470,7 +477,7 @@ def cmd_export_embeddings(args) -> int:
         f"{args.run}: not a finished run directory",
     )
     paths = dataset_paths(cfg["data_dir_resolved"])
-    ds, dataset_hash = _load_configured_dataset(cfg, paths)
+    ds, dataset_hash, _ = _load_configured_dataset(cfg, paths)
     if dataset_hash != cfg["dataset_hash"]:
         raise ConfigError(f"{paths['csv']}: hash {dataset_hash} differs from the run's "
                           f"dataset_hash {cfg['dataset_hash']}")

@@ -202,10 +202,8 @@ def build_dataset_spec(cfg: dict) -> DatasetSpec:
 
 
 def build_train_config(cfg: dict, seed: int) -> TrainConfig:
-    train = dict(cfg["train"])
-    train["hidden_sizes"] = tuple(train["hidden_sizes"])
     try:
-        return TrainConfig(seed=seed, augment=AugmentConfig(**cfg["augment"]), **train)
+        return TrainConfig(seed=seed, augment=AugmentConfig(**cfg["augment"]), **cfg["train"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 

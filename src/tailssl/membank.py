@@ -45,10 +45,7 @@ Writes come a batch at a time, all through `offer`. Each attempt uses one
 uniform to accept and, when the bank is full, one more to pick a victim.
 Out of uniforms during attempt i, `offer` draws the n - i that attempts
 i..n-1 are sure to use as one block, so the generator, a buffered half-word
-included, ends where one `rng.random()` per draw would leave it. When every
-attempt is sure to be accepted (every P_in is 1, as at beta 0), the count is
-exact: one uniform per attempt, plus one for each attempt past the unfilled
-slots, which all evict; such a call draws once.
+included, ends where one `rng.random()` per draw would leave it.
 """
 
 from bisect import bisect_right
@@ -135,7 +132,6 @@ class MemoryBank:
         sizes = np.arange(1, capacity + 1, dtype=np.float64)
         self.p_out = [0.0] + (1.0 - sizes ** (-beta)).tolist()  # as in eviction_distribution
         self._weighted = any(self.p_out)  # else every victim draw falls back to the sizes
-        self._sure_accept = min(self.p_in) == 1.0  # every attempt is accepted (beta 0)
         self._fifo: list[list[int]] = [[] for _ in range(num_classes)]  # slots, oldest first
         self.evictions = 0  # records evicted since construction
 
@@ -170,10 +166,7 @@ class MemoryBank:
         writes: dict[int, int] = {}  # slot -> row of its last write
         for i, label in enumerate(labels_list):
             if not ahead:  # attempts i..n-1 draw at least n - i more uniforms
-                draws = n - i
-                if self._sure_accept:  # and exactly one more per accept past the unfilled slots
-                    draws += max(0, n - i - capacity + filled)
-                ahead = rng.random(draws).tolist()[::-1]
+                ahead = rng.random(n - i).tolist()[::-1]
             if ahead.pop() >= p_in[sizes[label]]:
                 continue
             if filled < capacity:

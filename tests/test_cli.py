@@ -563,6 +563,60 @@ def test_train_without_labeled_rows_exits_2(workspace, capsys):
     assert not (tmp / "run").exists()
 
 
+def test_dataset_csv_edited_since_generate_is_refused(workspace, capsys):
+    """One feature value changed after generate: the CSV no longer hashes to the
+    manifest's dataset_sha256; train used to exit 0 on it. A sweep records each cell."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    csv_path = tmp / "data" / "dataset.csv"
+    lines = read(csv_path).splitlines(keepends=True)
+    row = lines[1].split(",")
+    lines[1] = ",".join([*row[:3], "9.5", *row[4:]])
+    csv_path.write_text("".join(lines))
+    generated = json.loads(read(tmp / "data" / "manifest.json"))["dataset_sha256"]
+    current = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    message = f"dataset.csv: hash {current} differs from manifest.json's dataset_sha256 {generated}"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp / "run").exists()
+    sweep_path = tmp / "sweep.json"
+    sweep_path.write_text(json.dumps({"parameter": "beta", "values": [1.0], "base": "config.json"}))
+    assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp / "sw")]) == 4
+    failed = json.loads(read(tmp / "sw" / "sweep_manifest.json"))["failed_cells"]
+    assert [c["seed"] for c in failed] == [0, 1] and all(message in c["error"] for c in failed)
+    assert not (tmp / "sw" / "beta-1.0").exists()
+
+
+def test_train_refuses_a_config_whose_dataset_section_differs_from_the_manifest(
+    workspace, capsys
+):
+    """Rows generated at separation 3.0 and n1 20, trained under a config that says 9.0
+    and 25: the run used to record 9.0 and 25 for them. The first field in sorted order
+    is named, with both values."""
+    tmp, cfg_path = workspace
+    main(["generate", "--config", str(cfg_path)])
+    cfg = tiny_config()
+    cfg["dataset"].update(separation=9.0, n1=25)
+    other = tmp / "other.json"
+    other.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(other), "--out", str(tmp / "run")]) == 2
+    assert "manifest.json: generated with dataset n1 20, the config has 25" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp / "run").exists()
+    cfg["dataset"]["n1"] = 20
+    other.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(other), "--out", str(tmp / "run")]) == 2
+    assert "manifest.json: generated with dataset separation 3.0, the config has 9.0" in (
+        capsys.readouterr().err
+    )
+    cfg["dataset"]["separation"] = 3  # the same value as an int
+    other.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(other), "--out", str(tmp / "run")]) == 0
+
+
 def test_train_and_report_zero_epochs(workspace, capsys):
     """epochs = 0 is valid; train and report used to die on the missing metrics."""
     tmp, _ = workspace

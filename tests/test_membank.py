@@ -524,14 +524,15 @@ class CountingGenerator:
 
 
 @pytest.mark.parametrize("stored, n, draws", [
-    pytest.param(24, 80, [160], id="full"),
-    pytest.param(20, 80, [156], id="four-free"),
+    pytest.param(24, 80, [80, 40, 20, 10, 5, 3, 1, 1], id="full"),
+    pytest.param(20, 80, [80, 38, 19, 10, 5, 2, 1, 1], id="four-free"),
     pytest.param(0, 10, [10], id="never-full"),
 ])
-def test_offer_at_beta_zero_draws_every_uniform_in_one_block(stored, n, draws):
+def test_offer_at_beta_zero_draws_ahead_only_the_remaining_attempts(stored, n, draws):
     """At beta 0 every attempt is accepted, and once the bank is full every
-    accept evicts, so the call's draws are known up front: one per attempt and
-    one per eviction. The generator ends where the per-record loop leaves it."""
+    accept evicts: one uniform per attempt and one per eviction. Out of
+    uniforms at attempt i, offer draws the n - i that attempts i..n-1 are sure
+    to use. The generator ends where the per-record loop leaves it."""
     data = RNG(9)
     bank = MemoryBank(24, 5, 0.0, 3)
     for _ in range(stored):
